@@ -1,0 +1,54 @@
+"""Golden digests of the command-line outputs.
+
+SHA-256 of every CSV that `evflex.cli.main` writes for a small prediction run
+and a small tracking run with the scripted probes of
+`configs/tracking_probes.json`. A refactor must leave every digest unchanged;
+only a change whose stated purpose is a behaviour change may record new ones,
+and CHANGES.md says so.
+
+The digests are pinned to this numpy version's random streams (recorded with
+numpy 2.4.6): the fleet, the transition-matrix estimate, the reference and
+the actuation draws all come from numpy's SeedSequence/PCG64 generators, and
+another numpy release may draw different values for the same seed.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from evflex.cli import main
+
+PROBES = Path(__file__).resolve().parents[1] / "configs" / "tracking_probes.json"
+
+PREDICT_DIGESTS = {
+    "errors.csv": "7945aeb10a95c7afdac028bc6cd3be379019c492e6f6d738bb2e3c06721a5445",
+    "states_essm.csv": "3a0efd019826e240e68c973047f13b2a573e05264555c0f61d2e0561bbb845f2",
+    "states_ssm.csv": "0a6d57df70b07b0ce19b352b3c999ca2955763ff962d0edececd25b51abbe12b",
+    "timeseries.csv": "31b62a31bd22150a36b76b9f3d5cffa41bca877867d7327ab5be46395abe31be",
+}
+
+TRACK_DIGESTS = {
+    "states_essm.csv": "2abee5171c4853dbb2fea763043c03c81e06a07582e3dac9247f1ea5a90960ba",
+    "states_ssm.csv": "48300c35f7b00a66532f0cd0f0db8dd1c221be353cd1cba8e7dc01ce4c7fa0fd",
+    "timeseries.csv": "83dbf7e9f8a20ab1133ea3297a07d6221a50b3fa8271e4f18e18295debcc26e9",
+    "tracking_essm.csv": "69179396f7f5823aff407a1867c8cfe0cfe9ce3c9028ec30b75f4182fbd266f9",
+    "tracking_ssm.csv": "a52af279fb204756e44b1f4513a11fb27ed0de153d1574d631026dd5b881f19b",
+}
+
+
+def run_digests(tmp_path: Path, command: str, config: dict) -> dict[str, str]:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
+def test_predict_outputs_unchanged(tmp_path):
+    config = {"n_ev": 200, "horizon_hours": 6.0, "seed": 33}
+    assert run_digests(tmp_path, "predict", config) == PREDICT_DIGESTS
+
+
+def test_track_outputs_unchanged(tmp_path):
+    config = json.loads(PROBES.read_text()) | {"n_ev": 150, "horizon_hours": 3.0}
+    assert run_digests(tmp_path, "track", config) == TRACK_DIGESTS
