@@ -18,7 +18,6 @@ from .aggregate import (
     estimate_transition_matrix,
     output,
     predict,
-    resync,
 )
 from .config import (
     DistributionSpec,
@@ -32,22 +31,15 @@ from .config import (
 from .control import (
     DispatchCommand,
     DispatchPlan,
-    actuate,
     plan_dispatch,
     to_switching_probabilities,
 )
 from .fleet import (
     Connection,
-    EvCharacteristics,
-    EvOperationalState,
-    EvTravelPlan,
     Fleet,
     FleetParams,
     FleetSnapshot,
-    fcs_required,
     sample_fleet,
-    step_soc,
-    write_snapshot_csv,
 )
 from .imm import imm_flexibility, imm_power
 from .scenario import (

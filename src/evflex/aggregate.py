@@ -20,9 +20,7 @@ matrix scaled by the connected count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,16 +172,6 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
     p_ad = snapshot.rated_discharge_kw[ds].mean() if ds.any() \
         else snapshot.rated_discharge_kw.mean()
     return AggregateState(layout, x, n_conn, float(p_ac), float(p_ad))
-
-
-def resync(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
-    """Replace the model state with fresh telemetry (periodic hard update).
-
-    Re-bins every vehicle, which also refreshes forced-charging membership;
-    promotion into forced charging is observed here rather than modeled in
-    the transition matrix.
-    """
-    return discretize(snapshot, layout)
 
 
 def estimate_transition_matrix(distributions: FleetDistributions, layout: StateLayout,
@@ -348,9 +336,10 @@ def compute_noise(n_ev_connected: int, in_soc, in_connection, out_soc,
     return w / denom
 
 
-def predict(state: AggregateState, mats: SystemMatrices,
-            u: np.ndarray | None = None, w: np.ndarray | None = None) -> AggregateState:
-    """One step of the recursion x' = A x + B u + w.
+def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
+         w: np.ndarray | None = None) -> np.ndarray:
+    """Finish one step of x' = A x + B u + w from the pre-control state
+    x_pre = A x.
 
     Entries of A x + B u below -1e-9 mean an inadmissible input slipped
     through planning and raise; smaller negatives are clamped as float dust.
@@ -358,20 +347,24 @@ def predict(state: AggregateState, mats: SystemMatrices,
     interval the model mispredicts between resyncs, so post-noise negatives
     are clamped and the vector renormalized.
     """
-    x1 = mats.A @ state.x
-    if u is not None:
-        x1 = x1 + mats.B @ u
+    x1 = x_pre + b @ u if u is not None else x_pre.copy()
     low = x1.min() if x1.size else 0.0
     if low < -HARD_NEG:
         raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
     np.clip(x1, 0.0, None, out=x1)
     if w is not None:
-        x1 = x1 + w
+        x1 += w
         np.clip(x1, 0.0, None, out=x1)
     total = x1.sum()
     if total > 0.0 and abs(total - 1.0) > SUM_TOL:
         x1 = x1 / total
-    return replace_state(state, x1)
+    return x1
+
+
+def predict(state: AggregateState, mats: SystemMatrices,
+            u: np.ndarray | None = None, w: np.ndarray | None = None) -> AggregateState:
+    """One step of the recursion x' = A x + B u + w (see `step`)."""
+    return replace_state(state, step(mats.A @ state.x, mats.B, u, w))
 
 
 def replace_state(state: AggregateState, x: np.ndarray,
@@ -400,68 +393,46 @@ class AggregateModel:
         a = estimate_transition_matrix(distributions, layout, dt_hours, n_samples, seed)
         return cls(layout, a)
 
+    def _set_state(self, state: AggregateState) -> None:
+        self.state = state
+        self.mats.C = build_output_matrix(state)
+
     def resync(self, snapshot: FleetSnapshot) -> None:
-        self.state = resync(snapshot, self.layout)
-        self.mats.C = build_output_matrix(self.state)
+        """Replace the model state with fresh telemetry (periodic hard update).
+
+        Re-bins every vehicle, which also refreshes forced-charging
+        membership; promotion into forced charging is observed here rather
+        than modeled in the transition matrix.
+        """
+        self._set_state(discretize(snapshot, self.layout))
 
     def pre_control(self) -> AggregateState:
         """Predicted state for the upcoming step before any input acts."""
         return replace_state(self.state, self.mats.A @ self.state.x)
 
+    def power_kw(self, state: AggregateState) -> float:
+        """Aggregate power of `state` under the current output matrix."""
+        return float((self.mats.C @ state.x)[0])
+
     def advance(self, snapshot: FleetSnapshot, u: np.ndarray | None = None,
                 pre: AggregateState | None = None) -> None:
-        """Apply one recursion step with the churn observed in `snapshot`."""
+        """Apply one recursion step with the churn observed in `snapshot`.
+
+        An empty model holds the zero vector, so arrivals into it define the
+        state outright through the churn term.
+        """
         st = self.state
         n_new = st.n_ev_connected + snapshot.n_in - snapshot.n_out
         if n_new <= 0:
-            self.state = AggregateState(self.layout, np.zeros(self.layout.dimension), 0, 0.0, 0.0)
-            self.mats.C = build_output_matrix(self.state)
+            self._set_state(AggregateState(self.layout, np.zeros(self.layout.dimension),
+                                           0, 0.0, 0.0))
             return
-        if st.n_ev_connected == 0:
-            # Empty model: arrivals define the state outright.
-            w = compute_noise(0, snapshot.in_soc, snapshot.in_connection,
-                              snapshot.out_soc, snapshot.out_connection, self.layout) \
-                if (snapshot.n_in or snapshot.n_out) else np.zeros(self.layout.dimension)
-            x1 = np.clip(w, 0.0, None)
-            total = x1.sum()
-            if total > 0:
-                x1 = x1 / total
-            self.state = replace_state(st, x1, n_ev=n_new)
-        else:
-            w = None
-            if snapshot.n_in or snapshot.n_out:
-                w = compute_noise(st.n_ev_connected, snapshot.in_soc, snapshot.in_connection,
-                                  snapshot.out_soc, snapshot.out_connection, self.layout)
-            if pre is not None:
-                x1 = pre.x.copy()
-                if u is not None:
-                    x1 += self.mats.B @ u
-                low = x1.min()
-                if low < -HARD_NEG:
-                    raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
-                np.clip(x1, 0.0, None, out=x1)
-                if w is not None:
-                    x1 += w
-                    np.clip(x1, 0.0, None, out=x1)
-                total = x1.sum()
-                if total > 0.0 and abs(total - 1.0) > SUM_TOL:
-                    x1 = x1 / total
-                self.state = replace_state(st, x1, n_ev=n_new)
-            else:
-                nxt = predict(st, self.mats, u=u, w=w)
-                self.state = replace_state(st, nxt.x, n_ev=n_new)
-        self.mats.C = build_output_matrix(self.state)
+        w = None
+        if snapshot.n_in or snapshot.n_out:
+            w = compute_noise(st.n_ev_connected, snapshot.in_soc, snapshot.in_connection,
+                              snapshot.out_soc, snapshot.out_connection, self.layout)
+        x_pre = self.mats.A @ st.x if pre is None else pre.x
+        self._set_state(replace_state(st, step(x_pre, self.mats.B, u, w), n_ev=n_new))
 
     def envelope(self, noise_std_kw=None, rng=None) -> FlexibilityEnvelope:
         return output(self.state, self.mats.C, noise_std_kw=noise_std_kw, rng=rng)
-
-
-def write_matrix_csv(matrix: np.ndarray, layout: StateLayout, name: str,
-                     path: str | Path) -> None:
-    """Row-major CSV export with a layout-metadata header line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {name} variant={layout.variant} n_intervals={layout.n_intervals} "
-                 f"shape={matrix.shape[0]}x{matrix.shape[1]}\n")
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([f"{v:.6g}" for v in row])

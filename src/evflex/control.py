@@ -10,8 +10,6 @@ once per step and the per-step re-planning performs the second hop next step.
 
 Within a stage the requested mass is spread proportionally over the source
 intervals (one probability per responding mode), the natural broadcast form.
-A highest/lowest-SOC-first greedy fill is available as an alternative
-allocation.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import ESSM, AggregateState, StateLayout, SystemMatrices
+from .aggregate import ESSM, AggregateState, StateLayout
 from .fleet import Connection
 
 PROB_TOL = 1e-12
@@ -35,7 +33,6 @@ class DispatchCommand:
     """
 
     layout: StateLayout
-    issue_time_h: float
     stop_charging: np.ndarray      # charging -> idle, per interval
     start_discharging: np.ndarray  # idle -> discharging, per interval
     stop_discharging: np.ndarray   # discharging -> idle, per interval
@@ -44,9 +41,9 @@ class DispatchCommand:
     full_to_discharging: float = 0.0  # idle-at-ceiling -> top discharging interval
 
     @classmethod
-    def zero(cls, layout: StateLayout, issue_time_h: float = 0.0) -> "DispatchCommand":
+    def zero(cls, layout: StateLayout) -> "DispatchCommand":
         n = layout.n_intervals
-        return cls(layout, issue_time_h, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+        return cls(layout, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
 
     def validate(self) -> None:
         arrays = (self.stop_charging, self.start_discharging,
@@ -62,27 +59,6 @@ class DispatchCommand:
         total_idle_out = self.start_discharging + self.start_charging
         if (total_idle_out > 1.0 + 1e-9).any():
             raise ValueError("total outgoing probability from an idle interval exceeds 1")
-
-    def records(self) -> list[dict]:
-        """Flat key-value audit records (mode, interval, probability)."""
-        out = []
-        named = (
-            ("stop_charging", self.stop_charging),
-            ("start_discharging", self.start_discharging),
-            ("stop_discharging", self.stop_discharging),
-            ("start_charging", self.start_charging),
-        )
-        for mode, arr in named:
-            for k, p in enumerate(arr):
-                if p > 0.0:
-                    out.append({"mode": mode, "interval": k + 1, "probability": float(p)})
-        if self.empty_to_charging > 0.0:
-            out.append({"mode": "empty_to_charging", "interval": 0,
-                        "probability": float(self.empty_to_charging)})
-        if self.full_to_discharging > 0.0:
-            out.append({"mode": "full_to_discharging", "interval": 0,
-                        "probability": float(self.full_to_discharging)})
-        return out
 
 
 @dataclass
@@ -117,29 +93,20 @@ def _spread(amount: float, pool: np.ndarray) -> np.ndarray:
     return pool * (amount / total)
 
 
-def _fill_greedy(amount: float, pool: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Fill `pool` entries to capacity in the given index order."""
-    take = np.zeros_like(pool)
-    left = amount
-    for j in order:
-        if left <= 0.0:
-            break
-        grab = min(pool[j], left)
-        take[j] = grab
-        left -= grab
-    return take
+def _backed(taken: np.ndarray, current: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Part of `taken` backed by current occupancy rather than in-flight."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(pool > 0.0, current / pool, 0.0)
+    return taken * ratio
 
 
-def plan_dispatch(delta_kw: float, state: AggregateState, mats: SystemMatrices,
-                  allocation: str = "proportional") -> DispatchPlan:
+def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
     """Allocate a target power change over the responding modes.
 
     Infeasible targets never fail: the plan saturates at the reachable edge
     and reports it. The state passed in should be the predicted pre-control
     state for the step the command will act on.
     """
-    if allocation not in ("proportional", "greedy"):
-        raise ValueError(f"unknown allocation {allocation!r}")
     if not np.isfinite(delta_kw):
         raise ValueError("target delta must be finite")
     layout = state.layout
@@ -153,117 +120,59 @@ def plan_dispatch(delta_kw: float, state: AggregateState, mats: SystemMatrices,
     scale = float(state.n_ev_connected)
     kw_ac = state.p_ac_kw * scale  # kW change per unit mass for charge-side moves
     kw_ad = state.p_ad_kw * scale
+    # The direction fixes the route: stage 1 stops the mode pushing the wrong
+    # way, stage 2 starts the opposite mode from idle, and in the extended
+    # layout the boundary state on that side joins stage 2 through its own
+    # input.
+    if delta_kw > 0.0:  # provide: stop charging, then start discharging
+        sign, active, kw1, kw2 = 1.0, layout.charging, kw_ac, kw_ad
+        stage1, stage2 = slice(0, n), slice(n, 2 * n)
+        edge_input, edge_state = 4 * n + 1, layout.full_idle_index
+    else:  # absorb: stop discharging, then start charging
+        sign, active, kw1, kw2 = -1.0, layout.discharging, kw_ad, kw_ac
+        stage1, stage2 = slice(2 * n, 3 * n), slice(3 * n, 4 * n)
+        edge_input, edge_state = 4 * n, layout.empty_idle_index
     x = state.x
-    expected = None  # filled when stage 2 drew on in-flight mass
-    achieved = 0.0
     want = abs(delta_kw)
 
-    def _backed(taken: np.ndarray, current: np.ndarray, pool: np.ndarray) -> np.ndarray:
-        """Part of `taken` backed by current occupancy rather than in-flight."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(pool > 0.0, current / pool, 0.0)
-        return taken * ratio
+    active_mass = x[active].copy()
+    source[stage1] = active_mass
+    take1_kw = min(want, kw1 * active_mass.sum())
+    moved = np.zeros(n)
+    if kw1 > 0.0 and take1_kw > 0.0:
+        moved = _spread(take1_kw / kw1, active_mass)
+        u[stage1] = moved
 
-    if delta_kw > 0.0:
-        # Stage 1: stop charging (each unit of mass adds +p_ac*scale).
-        cs_mass = x[layout.charging].copy()
-        stage1_cap = kw_ac * cs_mass.sum()
-        take1_kw = min(want, stage1_cap)
-        if kw_ac > 0.0 and take1_kw > 0.0:
-            mass1 = take1_kw / kw_ac
-            if allocation == "proportional":
-                moved = _spread(mass1, cs_mass)
-            else:
-                moved = _fill_greedy(mass1, cs_mass, np.arange(n)[::-1])
-            u[0:n] = moved
-            source[0:n] = cs_mass
-            achieved += kw_ac * moved.sum()
-        else:
-            moved = np.zeros(n)
-            source[0:n] = cs_mass
-        # Stage 2: start discharging; idle pool includes stage-1 arrivals and,
-        # in the extended layout, the idle-at-ceiling state via its own input.
-        idle_mass = x[layout.idle] + moved
-        full_mass = x[layout.full_idle_index] if layout.variant == ESSM else 0.0
-        stage2_cap = kw_ad * (idle_mass.sum() + full_mass)
-        take2_kw = min(want - take1_kw, stage2_cap)
-        if kw_ad > 0.0 and take2_kw > 0.0:
-            mass2 = take2_kw / kw_ad
-            pool = np.concatenate([idle_mass, [full_mass]]) if layout.variant == ESSM \
-                else idle_mass
-            if allocation == "proportional":
-                taken = _spread(mass2, pool)
-            else:
-                # Highest SOC first; the full-idle state is the highest of all.
-                taken = _fill_greedy(mass2, pool, np.arange(pool.size)[::-1])
-            u[n:2 * n] = taken[:n]
-            source[n:2 * n] = idle_mass
-            if layout.variant == ESSM:
-                u[4 * n + 1] = taken[n]
-                source[4 * n + 1] = full_mass
-            achieved += kw_ad * taken.sum()
-            if moved.any():
-                expected = u.copy()
-                expected[n:2 * n] = _backed(taken[:n], x[layout.idle], idle_mass)
-        else:
-            source[n:2 * n] = idle_mass
-            if layout.variant == ESSM:
-                source[4 * n + 1] = full_mass
-    else:
-        # Stage 1: stop discharging (each unit removes p_ad*scale of injection).
-        ds_mass = x[layout.discharging].copy()
-        stage1_cap = kw_ad * ds_mass.sum()
-        take1_kw = min(want, stage1_cap)
-        if kw_ad > 0.0 and take1_kw > 0.0:
-            mass1 = take1_kw / kw_ad
-            if allocation == "proportional":
-                moved = _spread(mass1, ds_mass)
-            else:
-                moved = _fill_greedy(mass1, ds_mass, np.arange(n))
-            u[2 * n:3 * n] = moved
-            source[2 * n:3 * n] = ds_mass
-            achieved -= kw_ad * moved.sum()
-        else:
-            moved = np.zeros(n)
-            source[2 * n:3 * n] = ds_mass
-        # Stage 2: start charging, idle-at-floor first through its own input.
-        idle_mass = x[layout.idle] + moved
-        empty_mass = x[layout.empty_idle_index] if layout.variant == ESSM else 0.0
-        stage2_cap = kw_ac * (idle_mass.sum() + empty_mass)
-        take2_kw = min(want - take1_kw, stage2_cap)
-        if kw_ac > 0.0 and take2_kw > 0.0:
-            mass2 = take2_kw / kw_ac
-            pool = np.concatenate([idle_mass, [empty_mass]]) if layout.variant == ESSM \
-                else idle_mass
-            if allocation == "proportional":
-                taken = _spread(mass2, pool)
-            else:
-                # Lowest SOC first; the empty-idle state is the lowest of all.
-                order = np.concatenate([[pool.size - 1], np.arange(pool.size - 1)]) \
-                    if layout.variant == ESSM else np.arange(pool.size)
-                taken = _fill_greedy(mass2, pool, order)
-            u[3 * n:4 * n] = taken[:n]
-            source[3 * n:4 * n] = idle_mass
-            if layout.variant == ESSM:
-                u[4 * n] = taken[n]
-                source[4 * n] = empty_mass
-            achieved -= kw_ac * taken.sum()
-            if moved.any():
-                expected = u.copy()
-                expected[3 * n:4 * n] = _backed(taken[:n], x[layout.idle], idle_mass)
-        else:
-            source[3 * n:4 * n] = idle_mass
-            if layout.variant == ESSM:
-                source[4 * n] = empty_mass
+    # Stage 2 may draw on the mass stage 1 just moved into idle.
+    idle_mass = x[layout.idle] + moved
+    source[stage2] = idle_mass
+    edge_mass = 0.0
+    if edge_state is not None:
+        edge_mass = x[edge_state]
+        source[edge_input] = edge_mass
+    take2_kw = min(want - take1_kw, kw2 * (idle_mass.sum() + edge_mass))
+    taken_sum = 0.0
+    expected = u
+    if kw2 > 0.0 and take2_kw > 0.0:
+        pool = np.concatenate([idle_mass, [edge_mass]]) if edge_state is not None \
+            else idle_mass
+        taken = _spread(take2_kw / kw2, pool)
+        u[stage2] = taken[:n]
+        if edge_state is not None:
+            u[edge_input] = taken[n]
+        taken_sum = taken.sum()
+        if moved.any():
+            expected = u.copy()
+            expected[stage2] = _backed(taken[:n], x[layout.idle], idle_mass)
 
+    achieved = sign * (kw1 * moved.sum() + kw2 * taken_sum)
     shortfall = abs(delta_kw - achieved)
     sat_tol = 1e-9 * max(1.0, scale * max(state.p_ac_kw, state.p_ad_kw))
     return DispatchPlan(layout, u, source, achieved, saturated=shortfall > sat_tol,
-                        expected_u=expected if expected is not None else u)
+                        expected_u=expected)
 
 
-def to_switching_probabilities(plan: DispatchPlan, state: AggregateState,
-                               issue_time_h: float = 0.0) -> DispatchCommand:
+def to_switching_probabilities(plan: DispatchPlan) -> DispatchCommand:
     """Convert an input vector into per-interval switching probabilities
     (allocated mass over the source mass it was drawn from)."""
     layout = plan.layout
@@ -275,7 +184,6 @@ def to_switching_probabilities(plan: DispatchPlan, state: AggregateState,
     np.clip(prob, 0.0, 1.0, out=prob)
     cmd = DispatchCommand(
         layout=layout,
-        issue_time_h=issue_time_h,
         stop_charging=prob[0:n],
         start_discharging=prob[n:2 * n],
         stop_discharging=prob[2 * n:3 * n],
@@ -332,14 +240,3 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     new_mode[to_ds] = Connection.DISCHARGING
     new_mode[to_cs] = Connection.CHARGING
     return new_mode
-
-
-def actuate(state_connection: Connection, soc: float, command: DispatchCommand,
-            alpha: float, soc_min: float = 0.0, soc_max: float = 1.0) -> Connection:
-    """Single-vehicle actuation (scalar convenience over actuate_array)."""
-    if state_connection in (Connection.DISCONNECTED, Connection.FORCED_CHARGING):
-        return state_connection
-    mode = np.array([state_connection], dtype=np.int8)
-    out = actuate_array(mode, np.array([soc]), command, np.array([alpha]),
-                        connected=np.array([True]), soc_min=soc_min, soc_max=soc_max)
-    return Connection(int(out[0]))

@@ -15,10 +15,8 @@ Sign convention is grid-injection-positive: charging vehicles contribute
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -41,91 +39,6 @@ class Connection(IntEnum):
     IDLE = 2            # IS
     DISCHARGING = 3     # DS
     FORCED_CHARGING = 4  # FCS
-
-
-CONNECTION_NAMES = {
-    Connection.DISCONNECTED: "disconnected",
-    Connection.CHARGING: "charging",
-    Connection.IDLE: "idle",
-    Connection.DISCHARGING: "discharging",
-    Connection.FORCED_CHARGING: "forced_charging",
-}
-
-
-@dataclass(frozen=True)
-class EvCharacteristics:
-    rated_charge_power_kw: float
-    rated_discharge_power_kw: float
-    charge_efficiency: float
-    discharge_efficiency: float
-    battery_capacity_kwh: float
-
-    def __post_init__(self):
-        if min(self.rated_charge_power_kw, self.rated_discharge_power_kw,
-               self.battery_capacity_kwh) <= 0:
-            raise ValueError("rated powers and capacity must be strictly positive")
-        for eta in (self.charge_efficiency, self.discharge_efficiency):
-            if not 0.0 < eta <= 1.0:
-                raise ValueError("efficiencies must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class EvTravelPlan:
-    plug_in_time_h: float       # clock hour in [0, 24)
-    plug_out_time_h: float      # absolute hour, > plug_in (may exceed 24)
-    initial_soc: float
-    demanded_soc: float
-    soc_min: float = 0.0
-    soc_max: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.plug_in_time_h < HOURS_PER_DAY:
-            raise ValueError("plug-in time must lie in [0, 24)")
-        if self.plug_out_time_h <= self.plug_in_time_h:
-            raise ValueError("plug-out must come after plug-in")
-        if not self.soc_min <= self.initial_soc <= self.soc_max:
-            raise ValueError("initial SOC outside [soc_min, soc_max]")
-        if not self.soc_min <= self.demanded_soc <= self.soc_max:
-            raise ValueError("demanded SOC outside [soc_min, soc_max]")
-
-
-@dataclass
-class EvOperationalState:
-    soc: float
-    connection: Connection
-    power_kw: float = 0.0
-
-
-def step_soc(state: EvOperationalState, chars: EvCharacteristics, dt_hours: float,
-             soc_min: float = 0.0, soc_max: float = 1.0) -> float:
-    """Advance one vehicle's SOC by one step of rated-speed operation.
-
-    Charging adds P_c*eta_c/Q*dt, discharging removes P_d/(eta_d*Q)*dt, idle
-    holds. The result is clamped to [soc_min, soc_max]; the connection switch
-    at the boundary is the fleet stepper's job.
-    """
-    if dt_hours <= 0:
-        raise ValueError("dt must be > 0")
-    c = state.connection
-    if c in (Connection.CHARGING, Connection.FORCED_CHARGING):
-        soc = state.soc + chars.rated_charge_power_kw * chars.charge_efficiency \
-            / chars.battery_capacity_kwh * dt_hours
-        return min(soc, soc_max)
-    if c == Connection.DISCHARGING:
-        soc = state.soc - chars.rated_discharge_power_kw \
-            / (chars.discharge_efficiency * chars.battery_capacity_kwh) * dt_hours
-        return max(soc, soc_min)
-    if c == Connection.IDLE:
-        return state.soc
-    raise ValueError(f"cannot step a {c.name} vehicle")
-
-
-def fcs_required(soc: float, plan: EvTravelPlan, chars: EvCharacteristics,
-                 t_hours: float) -> bool:
-    """True when only uninterrupted rated charging from now on still reaches
-    the departure SOC target, i.e. the deadline has become binding."""
-    rate = chars.rated_charge_power_kw * chars.charge_efficiency / chars.battery_capacity_kwh
-    return plan.demanded_soc - soc >= (plan.plug_out_time_h - t_hours) * rate
 
 
 @dataclass
@@ -160,32 +73,6 @@ class FleetParams:
     @property
     def discharge_rate_per_h(self) -> np.ndarray:
         return self.rated_discharge_kw / (self.discharge_eff * self.capacity_kwh)
-
-    def characteristics(self, i: int) -> EvCharacteristics:
-        return EvCharacteristics(
-            rated_charge_power_kw=float(self.rated_charge_kw[i]),
-            rated_discharge_power_kw=float(self.rated_discharge_kw[i]),
-            charge_efficiency=float(self.charge_eff[i]),
-            discharge_efficiency=float(self.discharge_eff[i]),
-            battery_capacity_kwh=float(self.capacity_kwh[i]),
-        )
-
-    def travel_plan(self, i: int) -> EvTravelPlan:
-        p, q = float(self.plug_in_h[i]), float(self.plug_out_h[i])
-        if p >= HOURS_PER_DAY:
-            p, q = p - HOURS_PER_DAY, q - HOURS_PER_DAY
-        return EvTravelPlan(
-            plug_in_time_h=p,
-            plug_out_time_h=q,
-            initial_soc=float(self.initial_soc[i]),
-            demanded_soc=float(self.demanded_soc[i]),
-            soc_min=self.soc_min,
-            soc_max=self.soc_max,
-        )
-
-    def to_records(self) -> list[tuple[EvCharacteristics, EvTravelPlan]]:
-        return [(self.characteristics(i), self.travel_plan(i)) for i in range(self.n_ev)]
-
 
 def sample_fleet(distributions: FleetDistributions, n_ev: int, seed: int) -> FleetParams:
     """Draw a fleet from the configured distributions.
@@ -257,20 +144,6 @@ class FleetSnapshot:
     @property
     def n_out(self) -> int:
         return self.out_ids.size
-
-
-def write_snapshot_csv(snapshot: FleetSnapshot, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ev_id", "time", "soc", "connection", "power_kw"])
-        for i in range(snapshot.n_connected):
-            writer.writerow([
-                int(snapshot.ids[i]),
-                f"{snapshot.time_h:.6g}",
-                f"{snapshot.soc[i]:.6g}",
-                CONNECTION_NAMES[Connection(int(snapshot.connection[i]))],
-                f"{snapshot.power_kw[i]:.6g}",
-            ])
 
 
 _EMPTY_I = np.empty(0, dtype=np.int64)

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ESSM, SSM, AggregateModel, StateLayout
-from .config import ScriptedStep, SimulationConfig
+from .aggregate import ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout
+from .config import ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
 from .imm import imm_flexibility
@@ -56,25 +56,71 @@ def _draw_level(rng: np.random.Generator, p_l: float, p_u: float,
     return float(rng.uniform(center - half, center + half))
 
 
+@dataclass
+class _ScriptedWindow:
+    start_step: int
+    end_step: int
+    kind: str
+    depth: float
+    level: float = np.nan
+
+
+def _scripted_windows(scripted: tuple[ScriptedStep, ...], dt_h: float,
+                      k_steps: int) -> list[_ScriptedWindow]:
+    windows = []
+    for s in scripted:
+        start = round(s.start_h / dt_h)
+        end = min(k_steps, round((s.start_h + s.duration_h) / dt_h))
+        if start < end:
+            windows.append(_ScriptedWindow(start, end, s.kind, s.depth))
+    return sorted(windows, key=lambda w: w.start_step)
+
+
+class ReferenceGenerator:
+    """Piecewise-constant reference, one level per step from the envelope of
+    that step.
+
+    Outside the scripted windows a fresh level is drawn from the central
+    fraction of the band at every period boundary (and at the first step
+    after a window) and held. Inside a window the level sits at the window's
+    depth of the one-sided headroom, frozen at the window start.
+    """
+
+    def __init__(self, reference: ReferenceConfig, dt_hours: float, k_steps: int, seed: int):
+        self._rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(_STREAM_REFERENCE,)))
+        self._windows = _scripted_windows(reference.scripted, dt_hours, k_steps)
+        self._period_steps = max(1, round(reference.period_hours / dt_hours))
+        self._central_fraction = reference.central_fraction
+        self._held = np.nan
+
+    def level(self, k: int, env: FlexibilityEnvelope) -> float:
+        window = next((w for w in self._windows if w.start_step <= k < w.end_step), None)
+        if window is None:
+            if k % self._period_steps == 0 or np.isnan(self._held):
+                self._held = _draw_level(self._rng, env.p_l_kw, env.p_u_kw,
+                                         self._central_fraction)
+            return self._held
+        if k == window.start_step:
+            top = env.p_u_kw if window.kind == "provide" else env.p_l_kw
+            window.level = env.p_ev_kw + window.depth * (top - env.p_ev_kw)
+        return window.level
+
+
 def generate_reference(p_l_series, p_u_series, dt_hours: float, period_hours: float,
                        seed: int, central_fraction: float = 0.8) -> np.ndarray:
-    """Piecewise-constant reference over an envelope series: a fresh level is
-    drawn at every period boundary from the instantaneous band and held."""
+    """Reference over a precomputed envelope series, without scripted
+    windows: a fresh level at every period boundary, held in between."""
     p_l = np.asarray(p_l_series, dtype=float)
     p_u = np.asarray(p_u_series, dtype=float)
     if p_l.shape != p_u.shape or p_l.ndim != 1:
         raise ValueError("envelope series must be equal-length 1-d arrays")
     if period_hours <= 0 or dt_hours <= 0:
         raise ValueError("period and dt must be > 0")
-    period_steps = max(1, round(period_hours / dt_hours))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_REFERENCE,)))
-    ref = np.empty_like(p_l)
-    level = 0.0
-    for k in range(p_l.size):
-        if k % period_steps == 0:
-            level = _draw_level(rng, p_l[k], p_u[k], central_fraction)
-        ref[k] = level
-    return ref
+    gen = ReferenceGenerator(ReferenceConfig(period_hours, central_fraction),
+                             dt_hours, p_l.size, seed)
+    return np.array([gen.level(k, FlexibilityEnvelope(0.0, p_u[k], p_l[k]))
+                     for k in range(p_l.size)])
 
 
 @dataclass
@@ -93,6 +139,16 @@ class VariantSeries:
     n_connected: np.ndarray
     achieved_delta_kw: np.ndarray
     saturated: np.ndarray
+
+    @classmethod
+    def zeros(cls, variant: str, k_steps: int, dimension: int) -> "VariantSeries":
+        """Empty series for a run of `k_steps` steps (k_steps + 1 samples)."""
+        n = k_steps + 1
+        return cls(variant, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
+                   np.zeros(n), states=np.zeros((n, dimension)),
+                   n_connected=np.zeros(n, dtype=np.int64),
+                   achieved_delta_kw=np.zeros(k_steps),
+                   saturated=np.zeros(k_steps, dtype=bool))
 
 
 @dataclass
@@ -122,15 +178,16 @@ class RunResult:
         return float(np.sqrt(np.mean(err ** 2)))
 
 
-def _build_models(config: SimulationConfig) -> dict[str, AggregateModel]:
-    models = {}
-    for name in config.variants:
-        layout = StateLayout(config.n_intervals, name,
-                             config.distributions.soc_min, config.distributions.soc_max)
-        models[name] = AggregateModel.from_distributions(
-            layout, config.distributions, config.dt_hours,
-            n_samples=config.transition_samples, seed=config.seed)
-    return models
+def _fleet(config: SimulationConfig) -> Fleet:
+    params = sample_fleet(config.distributions, config.n_ev, config.seed)
+    return Fleet(params, config.dt_hours, config.seed)
+
+
+def _model(config: SimulationConfig, variant: str) -> AggregateModel:
+    d = config.distributions
+    layout = StateLayout(config.n_intervals, variant, d.soc_min, d.soc_max)
+    return AggregateModel.from_distributions(
+        layout, d, config.dt_hours, n_samples=config.transition_samples, seed=config.seed)
 
 
 def _noise_rng_or_none(config: SimulationConfig, variant_idx: int):
@@ -146,24 +203,11 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     """Uncontrolled 24 h run: every vehicle charges until full or gone, every
     variant's model predicts alongside from telemetry."""
     k_steps = config.n_steps
-    dt_h = config.dt_hours
     d = config.distributions
-    fleet = Fleet(sample_fleet(d, config.n_ev, config.seed), dt_h, config.seed)
-    models = _build_models(config)
-
-    time_h = np.arange(k_steps + 1) * dt_h
-    series = {
-        name: VariantSeries(
-            variant=name,
-            model_p_kw=np.zeros(k_steps + 1), model_u_kw=np.zeros(k_steps + 1),
-            model_l_kw=np.zeros(k_steps + 1), imm_p_kw=np.zeros(k_steps + 1),
-            imm_u_kw=np.zeros(k_steps + 1), imm_l_kw=np.zeros(k_steps + 1),
-            states=np.zeros((k_steps + 1, models[name].layout.dimension)),
-            n_connected=np.zeros(k_steps + 1, dtype=np.int64),
-            achieved_delta_kw=np.zeros(k_steps), saturated=np.zeros(k_steps, dtype=bool),
-        )
-        for name in config.variants
-    }
+    fleet = _fleet(config)
+    models = {name: _model(config, name) for name in config.variants}
+    series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
+              for name in config.variants}
     noise = {name: _noise_rng_or_none(config, i) for i, name in enumerate(config.variants)}
 
     snap = fleet.snapshot()
@@ -183,7 +227,7 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     return RunResult(
         kind="prediction",
         config=config,
-        time_h=time_h,
+        time_h=np.arange(k_steps + 1) * config.dt_hours,
         reference_kw=np.zeros(k_steps + 1),
         variants=series,
     )
@@ -205,62 +249,24 @@ def _record(series, models, snap, distributions, idx, noise) -> None:
         vs.n_connected[idx] = model.state.n_ev_connected
 
 
-@dataclass
-class _ScriptedWindow:
-    start_step: int
-    end_step: int
-    kind: str
-    depth: float
-    level: float = np.nan
-
-
-def _scripted_windows(scripted: tuple[ScriptedStep, ...], dt_h: float,
-                      k_steps: int) -> list[_ScriptedWindow]:
-    windows = []
-    for s in scripted:
-        start = round(s.start_h / dt_h)
-        end = min(k_steps, round((s.start_h + s.duration_h) / dt_h))
-        if start < end:
-            windows.append(_ScriptedWindow(start, end, s.kind, s.depth))
-    return sorted(windows, key=lambda w: w.start_step)
-
-
 def _run_tracking_single(config: SimulationConfig, variant: str,
                          reference: np.ndarray | None, variant_idx: int):
     """Drive one fleet with one variant's controller. When no reference is
     given, levels are drawn online from the live model envelope (plus the
     configured scripted windows) and the generated series is returned."""
     k_steps = config.n_steps
-    dt_h = config.dt_hours
     d = config.distributions
-    fleet = Fleet(sample_fleet(d, config.n_ev, config.seed), dt_h, config.seed)
-    layout = StateLayout(config.n_intervals, variant, d.soc_min, d.soc_max)
-    model = AggregateModel.from_distributions(
-        layout, d, dt_h, n_samples=config.transition_samples, seed=config.seed)
-
-    vs = VariantSeries(
-        variant=variant,
-        model_p_kw=np.zeros(k_steps + 1), model_u_kw=np.zeros(k_steps + 1),
-        model_l_kw=np.zeros(k_steps + 1), imm_p_kw=np.zeros(k_steps + 1),
-        imm_u_kw=np.zeros(k_steps + 1), imm_l_kw=np.zeros(k_steps + 1),
-        states=np.zeros((k_steps + 1, layout.dimension)),
-        n_connected=np.zeros(k_steps + 1, dtype=np.int64),
-        achieved_delta_kw=np.zeros(k_steps), saturated=np.zeros(k_steps, dtype=bool),
-    )
+    fleet = _fleet(config)
+    model = _model(config, variant)
+    vs = VariantSeries.zeros(variant, k_steps, model.layout.dimension)
     noise = {variant: _noise_rng_or_none(config, variant_idx)}
     series = {variant: vs}
     models = {variant: model}
 
     online = reference is None
-    ref_out = np.zeros(k_steps + 1)
     if online:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(_STREAM_REFERENCE,)))
-        windows = _scripted_windows(config.reference.scripted, dt_h, k_steps)
-        period_steps = max(1, round(config.reference.period_hours / dt_h))
-        held = np.nan  # first level drawn at the first step outside a window
-    else:
-        ref_out[:] = reference
+        generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
+        reference = np.zeros(k_steps + 1)
 
     snap = fleet.snapshot()
     model.resync(snap)
@@ -268,29 +274,13 @@ def _run_tracking_single(config: SimulationConfig, variant: str,
 
     for k in range(k_steps):
         if online:
-            env = model.envelope()
-            window = next((w for w in windows
-                           if w.start_step <= k < w.end_step), None)
-            if window is None:
-                if k % period_steps == 0 or np.isnan(held):
-                    held = _draw_level(rng, env.p_l_kw, env.p_u_kw,
-                                       config.reference.central_fraction)
-                level = held
-            else:
-                if k == window.start_step:
-                    top = env.p_u_kw if window.kind == "provide" else env.p_l_kw
-                    window.level = env.p_ev_kw + window.depth * (top - env.p_ev_kw)
-                level = window.level
-            ref_out[k + 1] = level
+            reference[k + 1] = generator.level(k, model.envelope())
             if k == 0:
-                ref_out[0] = level
-        else:
-            level = ref_out[k + 1]
+                reference[0] = reference[1]
 
         pre = model.pre_control()
-        predicted_p = float((model.mats.C @ pre.x)[0])
-        plan = plan_dispatch(level - predicted_p, pre, model.mats)
-        command = to_switching_probabilities(plan, pre, issue_time_h=k * dt_h)
+        plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
+        command = to_switching_probabilities(plan)
         vs.achieved_delta_kw[k] = plan.achieved_delta_kw
         vs.saturated[k] = plan.saturated
 
@@ -300,7 +290,7 @@ def _run_tracking_single(config: SimulationConfig, variant: str,
             model.resync(snap)
         _record(series, models, snap, d, k + 1, noise)
 
-    return vs, ref_out
+    return vs, reference
 
 
 def run_tracking_experiment(config: SimulationConfig,

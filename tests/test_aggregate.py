@@ -18,8 +18,6 @@ from evflex.aggregate import (
     estimate_transition_matrix,
     output,
     predict,
-    resync,
-    write_matrix_csv,
 )
 from evflex.fleet import Connection, Fleet, sample_fleet
 
@@ -351,8 +349,9 @@ class TestResyncAndModel:
     def test_resync_matches_discretize_exactly(self, table_distributions):
         fleet = Fleet(sample_fleet(table_distributions, 200, seed=5), DT_15S, seed=5)
         snap = fleet.step(None)
-        st_ = resync(snap, LAY10)
-        np.testing.assert_array_equal(st_.x, discretize(snap, LAY10).x)
+        model = AggregateModel(LAY10, np.eye(33))
+        model.resync(snap)
+        np.testing.assert_array_equal(model.state.x, discretize(snap, LAY10).x)
 
     def test_model_resync_refreshes_forced_state(self):
         snap = make_snapshot([0.5] * 4, [Connection.FORCED_CHARGING] * 4)
@@ -380,12 +379,3 @@ class TestResyncAndModel:
         env = model.envelope()
         assert env.p_ev_kw == 0.0
 
-
-class TestCsvExport:
-    def test_matrix_export_with_metadata(self, tmp_path):
-        a = build_transition_matrix(LAY10, 0.01, 0.01)
-        path = tmp_path / "a.csv"
-        write_matrix_csv(a, LAY10, "transition", path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# transition variant=essm n_intervals=10")
-        assert len(lines) == 34

@@ -16,7 +16,6 @@ from evflex.aggregate import (
 )
 from evflex.control import (
     DispatchCommand,
-    actuate,
     actuate_array,
     plan_dispatch,
     to_switching_probabilities,
@@ -45,14 +44,14 @@ def idle_state(mass_per_interval=0.1, layout=LAY, **kw):
 class TestPlanDispatch:
     def test_zero_target_null_plan(self):
         st_ = idle_state()
-        plan = plan_dispatch(0.0, st_, mats_for(st_))
+        plan = plan_dispatch(0.0, st_)
         np.testing.assert_array_equal(plan.u, 0.0)
         assert not plan.saturated
         assert plan.achieved_delta_kw == 0.0
 
     def test_idle_fleet_discharge_allocation(self):
         st_ = idle_state()
-        plan = plan_dispatch(300.0, st_, mats_for(st_))
+        plan = plan_dispatch(300.0, st_)
         n = LAY.n_intervals
         assert plan.u[n:2 * n].sum() == pytest.approx(0.5)
         assert plan.achieved_delta_kw == pytest.approx(300.0)
@@ -62,11 +61,11 @@ class TestPlanDispatch:
         x = np.zeros(LAY.dimension)
         x[LAY.full_idle_index] = 1.0
         st_ = state_from_x(x)
-        plan = plan_dispatch(-300.0, st_, mats_for(st_))
+        plan = plan_dispatch(-300.0, st_)
         assert plan.saturated
         assert plan.achieved_delta_kw == 0.0
         # but it can still provide through its dedicated input
-        plan_up = plan_dispatch(300.0, st_, mats_for(st_))
+        plan_up = plan_dispatch(300.0, st_)
         assert not plan_up.saturated
         assert plan_up.u[4 * LAY.n_intervals + 1] == pytest.approx(0.5)
 
@@ -78,9 +77,9 @@ class TestPlanDispatch:
         x_ssm = np.zeros(LAY_SSM.dimension)
         x_ssm[10 + 9] = 1.0  # where the plain layout files them
         st_ssm = state_from_x(x_ssm, LAY_SSM, n_ev=200)
-        plan = plan_dispatch(-300.0, st_ssm, mats_for(st_ssm))
+        plan = plan_dispatch(-300.0, st_ssm)
         assert not plan.saturated  # claims feasibility
-        cmd = to_switching_probabilities(plan, st_ssm)
+        cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(0).random(200)
         new_mode = actuate_array(conn, soc, cmd, alpha, np.ones(200, bool), 0.0, 1.0)
         np.testing.assert_array_equal(new_mode, conn)  # nothing switched
@@ -88,7 +87,7 @@ class TestPlanDispatch:
         x_essm = np.zeros(LAY.dimension)
         x_essm[LAY.full_idle_index] = 1.0
         st_essm = state_from_x(x_essm, LAY, n_ev=200)
-        plan_e = plan_dispatch(-300.0, st_essm, mats_for(st_essm))
+        plan_e = plan_dispatch(-300.0, st_essm)
         assert plan_e.saturated
         assert plan_e.achieved_delta_kw == 0.0
 
@@ -99,7 +98,7 @@ class TestPlanDispatch:
         st_ = state_from_x(x)
         env = output(st_, build_output_matrix(st_))
         edge = env.p_u_kw - env.p_ev_kw
-        plan = plan_dispatch(edge + 5000.0, st_, mats_for(st_))
+        plan = plan_dispatch(edge + 5000.0, st_)
         assert plan.saturated
         assert plan.achieved_delta_kw == pytest.approx(edge, abs=1e-9 * 100 * 6.0)
 
@@ -108,7 +107,7 @@ class TestPlanDispatch:
         x[LAY.charging] = 0.1
         st_ = state_from_x(x)
         # no idle mass at all: discharge capacity comes from stopped chargers
-        plan = plan_dispatch(900.0, st_, mats_for(st_))
+        plan = plan_dispatch(900.0, st_)
         n = LAY.n_intervals
         assert plan.u[:n].sum() == pytest.approx(1.0)  # all charging stopped
         assert plan.u[n:2 * n].sum() == pytest.approx(0.5)
@@ -118,28 +117,13 @@ class TestPlanDispatch:
 
     def test_expected_matches_plan_without_inflight(self):
         st_ = idle_state()
-        plan = plan_dispatch(300.0, st_, mats_for(st_))
+        plan = plan_dispatch(300.0, st_)
         np.testing.assert_array_equal(plan.expected_u, plan.u)
 
     def test_empty_state(self):
         st_ = AggregateState(LAY, np.zeros(LAY.dimension), 0, 0.0, 0.0)
-        plan = plan_dispatch(100.0, st_, mats_for(st_))
+        plan = plan_dispatch(100.0, st_)
         assert plan.achieved_delta_kw == 0.0
-
-    def test_greedy_allocation_orders_by_soc(self):
-        x = np.zeros(LAY.dimension)
-        x[LAY.idle] = 0.1
-        st_ = state_from_x(x)
-        plan = plan_dispatch(300.0, st_, mats_for(st_), allocation="greedy")
-        n = LAY.n_intervals
-        taken = plan.u[n:2 * n]
-        assert taken[9] == pytest.approx(0.1)  # highest interval drained first
-        assert taken[:4].sum() == 0.0
-
-    def test_rejects_unknown_allocation(self):
-        st_ = idle_state()
-        with pytest.raises(ValueError):
-            plan_dispatch(1.0, st_, mats_for(st_), allocation="magic")
 
     @given(seed=st.integers(0, 10_000), target=st.floats(-5000.0, 5000.0))
     @settings(max_examples=120, deadline=None)
@@ -149,7 +133,7 @@ class TestPlanDispatch:
         x /= x.sum()
         st_ = state_from_x(x, n_ev=500)
         mats = mats_for(st_)
-        plan = plan_dispatch(target, st_, mats)
+        plan = plan_dispatch(target, st_)
         # updated state stays a distribution
         x1 = x + mats.B @ plan.u
         assert x1.min() >= -1e-12
@@ -170,38 +154,38 @@ class TestPlanDispatch:
 class TestSwitchingProbabilities:
     def test_probability_is_mass_ratio(self):
         st_ = idle_state(0.2)
-        plan = plan_dispatch(0.0, st_, mats_for(st_))
+        plan = plan_dispatch(0.0, st_)
         plan.u[10] = 0.1
         plan.source_mass[10] = 0.2
-        cmd = to_switching_probabilities(plan, st_)
+        cmd = to_switching_probabilities(plan)
         assert cmd.start_discharging[0] == pytest.approx(0.5)
 
     def test_full_interval_switch_probability_one(self):
         st_ = idle_state(0.1)
-        plan = plan_dispatch(600.0, st_, mats_for(st_))
-        cmd = to_switching_probabilities(plan, st_)
+        plan = plan_dispatch(600.0, st_)
+        cmd = to_switching_probabilities(plan)
         np.testing.assert_allclose(cmd.start_discharging, 1.0)
 
     def test_zero_input_zero_probability(self):
         st_ = idle_state()
-        cmd = to_switching_probabilities(plan_dispatch(0.0, st_, mats_for(st_)), st_)
+        cmd = to_switching_probabilities(plan_dispatch(0.0, st_))
         np.testing.assert_array_equal(cmd.start_discharging, 0.0)
 
     def test_overdraw_raises(self):
         st_ = idle_state()
-        plan = plan_dispatch(0.0, st_, mats_for(st_))
+        plan = plan_dispatch(0.0, st_)
         plan.u[10] = 0.2
         plan.source_mass[10] = 0.1
         with pytest.raises(ValueError, match="admissibility"):
-            to_switching_probabilities(plan, st_)
+            to_switching_probabilities(plan)
 
-    def test_command_records(self):
-        st_ = idle_state()
-        plan = plan_dispatch(300.0, st_, mats_for(st_))
-        cmd = to_switching_probabilities(plan, st_, issue_time_h=1.25)
-        recs = cmd.records()
-        assert all({"mode", "interval", "probability"} <= set(r) for r in recs)
-        assert any(r["mode"] == "start_discharging" for r in recs)
+
+def actuate(mode: Connection, soc: float, command: DispatchCommand,
+            alpha: float) -> Connection:
+    """actuate_array on a single connected vehicle."""
+    out = actuate_array(np.array([mode], dtype=np.int8), np.array([soc]), command,
+                        np.array([alpha]), np.ones(1, bool), 0.0, 1.0)
+    return Connection(int(out[0]))
 
 
 class TestActuation:
@@ -275,8 +259,8 @@ class TestActuation:
         x = np.zeros(LAY.dimension)
         x[LAY.idle.start + 4] = 1.0
         st_ = state_from_x(x, n_ev=m)
-        plan = plan_dispatch(18_000.0, st_, mats_for(st_))
-        cmd = to_switching_probabilities(plan, st_)
+        plan = plan_dispatch(18_000.0, st_)
+        cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(12).random(m)
         new = actuate_array(mode, soc, cmd, alpha, np.ones(m, bool), 0.0, 1.0)
         realized_kw = 6.0 * (new == Connection.DISCHARGING).sum()

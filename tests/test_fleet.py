@@ -3,32 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evflex.config import DistributionSpec
+from evflex.config import DistributionSpec, FleetDistributions
 from evflex.control import DispatchCommand
 from evflex.aggregate import StateLayout
-from evflex.fleet import (
-    Connection,
-    EvCharacteristics,
-    EvOperationalState,
-    EvTravelPlan,
-    Fleet,
-    fcs_required,
-    sample_fleet,
-    step_soc,
-    write_snapshot_csv,
-)
+from evflex.fleet import Connection, Fleet, sample_fleet
 
-from conftest import deterministic_distributions
+from conftest import deterministic_distributions, point
 
 DT_15S = 15.0 / 3600.0
 
-CHARS = EvCharacteristics(
-    rated_charge_power_kw=6.0,
-    rated_discharge_power_kw=6.0,
-    charge_efficiency=0.9,
-    discharge_efficiency=0.9,
-    battery_capacity_kwh=24.0,
-)
+
+def one_vehicle(soc=None, mode=None, **dists) -> Fleet:
+    """One connected vehicle: 6 kW, efficiency 0.9, 24 kWh (0.225 SOC/h of
+    charging), optionally forced to `soc` and `mode`."""
+    fleet = Fleet(sample_fleet(deterministic_distributions(**dists), 1, seed=1),
+                  DT_15S, seed=1)
+    if soc is not None:
+        fleet.soc[:] = soc
+    if mode is not None:
+        fleet.mode[:] = mode
+    return fleet
 
 
 class TestSampling:
@@ -70,16 +64,6 @@ class TestSampling:
         with pytest.raises(ValueError, match="budget"):
             spec.sample(np.random.default_rng(0), 5)
 
-    def test_records_view(self, table_distributions):
-        params = sample_fleet(table_distributions, 5, seed=6)
-        records = params.to_records()
-        assert len(records) == 5
-        chars, plan = records[0]
-        assert isinstance(chars, EvCharacteristics)
-        assert isinstance(plan, EvTravelPlan)
-        assert 0.0 <= plan.plug_in_time_h < 24.0
-        assert plan.plug_out_time_h > plan.plug_in_time_h
-
     def test_rejects_bad_fleet_size(self, table_distributions):
         with pytest.raises(ValueError):
             sample_fleet(table_distributions, 0, seed=1)
@@ -87,47 +71,49 @@ class TestSampling:
 
 class TestStepSoc:
     def test_charging_quarter_minute(self):
-        state = EvOperationalState(soc=0.5, connection=Connection.CHARGING)
-        assert step_soc(state, CHARS, DT_15S) == pytest.approx(0.5009375, abs=1e-12)
+        snap = one_vehicle(0.5, Connection.CHARGING).step(None)
+        assert snap.soc[0] == pytest.approx(0.5009375, abs=1e-12)
 
     def test_idle_holds(self):
-        state = EvOperationalState(soc=0.5, connection=Connection.IDLE)
-        assert step_soc(state, CHARS, DT_15S) == 0.5
+        snap = one_vehicle(0.5, Connection.IDLE).step(None)
+        assert snap.soc[0] == 0.5
 
     def test_discharging_quarter_minute(self):
-        state = EvOperationalState(soc=0.5, connection=Connection.DISCHARGING)
-        assert step_soc(state, CHARS, DT_15S) == pytest.approx(0.49884259259259256, abs=1e-12)
+        snap = one_vehicle(0.5, Connection.DISCHARGING).step(None)
+        assert snap.soc[0] == pytest.approx(0.49884259259259256, abs=1e-12)
 
     def test_forced_charging_same_as_charging(self):
-        forced = EvOperationalState(soc=0.5, connection=Connection.FORCED_CHARGING)
-        assert step_soc(forced, CHARS, DT_15S) == pytest.approx(0.5009375, abs=1e-12)
+        snap = one_vehicle(0.5, Connection.FORCED_CHARGING).step(None)
+        assert snap.connection[0] == Connection.FORCED_CHARGING
+        assert snap.soc[0] == pytest.approx(0.5009375, abs=1e-12)
 
     def test_clamps_at_bounds(self):
-        nearly_full = EvOperationalState(soc=0.99999, connection=Connection.CHARGING)
-        assert step_soc(nearly_full, CHARS, DT_15S) == 1.0
-        nearly_empty = EvOperationalState(soc=0.0001, connection=Connection.DISCHARGING)
-        assert step_soc(nearly_empty, CHARS, DT_15S) == 0.0
+        assert one_vehicle(0.99999, Connection.CHARGING).step(None).soc[0] == 1.0
+        assert one_vehicle(0.0001, Connection.DISCHARGING).step(None).soc[0] == 0.0
 
     def test_rejects_nonpositive_dt(self):
-        state = EvOperationalState(soc=0.5, connection=Connection.IDLE)
+        params = sample_fleet(deterministic_distributions(), 1, seed=1)
         with pytest.raises(ValueError):
-            step_soc(state, CHARS, 0.0)
+            Fleet(params, 0.0, seed=1)
 
 
 class TestFcsRequired:
-    def plan(self, plug_out):
-        return EvTravelPlan(plug_in_time_h=0.0, plug_out_time_h=plug_out,
-                            initial_soc=0.3, demanded_soc=0.8)
+    """Forced-charging promotion on the first step of a session [0, plug_out)."""
+
+    def promoted(self, soc, plug_out_h):
+        fleet = one_vehicle(initial=soc, demanded=0.8, plug_in=24.0,
+                            plug_out=24.0 + plug_out_h)
+        return fleet.step(None).connection[0] == Connection.FORCED_CHARGING
 
     def test_deadline_already_met(self):
-        assert not fcs_required(0.8, self.plan(10.0), CHARS, t_hours=1.0)
+        assert not self.promoted(0.8, plug_out_h=10.0)
 
     def test_equality_point_enters(self):
         # 0.10 needed, 0.4444 h at 0.225/h supplies 0.09999: binding.
-        assert fcs_required(0.70, self.plan(0.4444), CHARS, t_hours=0.0)
+        assert self.promoted(0.70, plug_out_h=0.4444)
 
     def test_ample_slack_stays_out(self):
-        assert not fcs_required(0.70, self.plan(10.0), CHARS, t_hours=0.0)
+        assert not self.promoted(0.70, plug_out_h=10.0)
 
 
 class TestFleetStep:
@@ -237,34 +223,22 @@ class TestFleetStep:
         with pytest.raises(ValueError, match="probabilities"):
             fleet.step(bad)
 
-    def test_snapshot_csv_roundtrip(self, tmp_path, table_distributions):
-        fleet = Fleet(sample_fleet(table_distributions, 50, seed=3), DT_15S, seed=3)
-        snap = fleet.step(None)
-        path = tmp_path / "snap.csv"
-        write_snapshot_csv(snap, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "ev_id,time,soc,connection,power_kw"
-        assert len(lines) == snap.n_connected + 1
-        assert "charging" in lines[1] or "idle" in lines[1]
-
-
 class TestTypes:
     def test_characteristics_validation(self):
-        with pytest.raises(ValueError):
-            EvCharacteristics(0.0, 6.0, 0.9, 0.9, 24.0)
-        with pytest.raises(ValueError):
-            EvCharacteristics(6.0, 6.0, 1.2, 0.9, 24.0)
+        with pytest.raises(ValueError, match="positive"):
+            FleetDistributions(rated_power_kw=point(0.0))
+        with pytest.raises(ValueError, match="efficiency"):
+            FleetDistributions(efficiency=point(1.2))
 
     def test_travel_plan_validation(self):
-        with pytest.raises(ValueError):
-            EvTravelPlan(18.0, 17.0, 0.3, 0.8)
-        with pytest.raises(ValueError):
-            EvTravelPlan(18.0, 32.0, 0.3, 1.2)
+        with pytest.raises(ValueError, match="session windows"):
+            sample_fleet(deterministic_distributions(plug_in=18.0, plug_out=17.0), 1, seed=1)
+        with pytest.raises(ValueError, match="demanded_soc"):
+            FleetDistributions(demanded_soc=point(1.2))
 
     @given(soc=st.floats(0.0, 1.0), mode=st.sampled_from(
         [Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING]))
     @settings(max_examples=60, deadline=None)
     def test_step_soc_stays_in_bounds(self, soc, mode):
-        state = EvOperationalState(soc=soc, connection=mode)
-        new = step_soc(state, CHARS, DT_15S)
+        new = one_vehicle(soc, mode).step(None).soc[0]
         assert 0.0 <= new <= 1.0
