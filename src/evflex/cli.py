@@ -64,12 +64,24 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _read_reference(path: Path, config: SimulationConfig) -> np.ndarray:
+    """Reference column of a timeseries/tracking CSV. Its time_h column must
+    be this run's time axis (to the CSV's 6-digit rounding), so a file
+    written with another dt or horizon is refused rather than replayed."""
+    data = np.genfromtxt(path, delimiter=",", names=True)
+    time_h = np.atleast_1d(data["time_h"])
+    expected = np.arange(config.n_steps + 1) * config.dt_hours
+    if time_h.shape != expected.shape or not np.allclose(time_h, expected,
+                                                         rtol=1e-5, atol=1e-9):
+        raise ValueError(
+            f"{path}: time_h does not match the run's time axis "
+            f"({config.n_steps + 1} samples, dt {config.dt_seconds:g} s)")
+    return np.asarray(data["reference_kw"], dtype=float)
+
+
 def _cmd_track(args) -> int:
     config = _load(args)
-    reference = None
-    if args.reference:
-        data = np.genfromtxt(args.reference, delimiter=",", names=True)
-        reference = np.asarray(data["reference_kw"], dtype=float)
+    reference = _read_reference(args.reference, config) if args.reference else None
     result = run_tracking_experiment(config, reference)
     _write_run(result, args.out)
     for name in result.config.variants:

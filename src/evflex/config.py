@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 # Rejection-sampling budget for truncated normals, draws per value.
 REJECTION_BUDGET = 1000
+
+
+def _reject_unknown_keys(cls, d: dict) -> None:
+    """A key that names no field of `cls` is a typo; fail at load time instead
+    of silently keeping the default."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,7 @@ class DistributionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistributionSpec":
+        _reject_unknown_keys(cls, d)
         return cls(
             kind=d["kind"],
             low=float(d["low"]),
@@ -122,6 +131,7 @@ class FleetDistributions:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FleetDistributions":
+        _reject_unknown_keys(cls, d)
         kwargs = {
             name: DistributionSpec.from_dict(d[name]) for name in cls._FIELDS if name in d
         }
@@ -157,6 +167,7 @@ class ScriptedStep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScriptedStep":
+        _reject_unknown_keys(cls, d)
         return cls(d["kind"], float(d["start_h"]), float(d["duration_h"]),
                    float(d.get("depth", 0.9)))
 
@@ -182,6 +193,7 @@ class ReferenceConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReferenceConfig":
+        _reject_unknown_keys(cls, d)
         return cls(
             period_hours=float(d.get("period_hours", 3.0)),
             central_fraction=float(d.get("central_fraction", 0.8)),
@@ -255,6 +267,7 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
+        _reject_unknown_keys(cls, d)
         kwargs = {}
         for name in ("n_ev", "n_intervals", "seed", "transition_samples"):
             if name in d:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evflex.cli import main
 from evflex.config import (
     DistributionSpec,
     ReferenceConfig,
@@ -242,6 +243,20 @@ class TestCsvSurfaces:
         assert lines[0] == "time_h,reference_kw,achieved_kw,model_p_kw,abs_err_kw"
         assert len(lines) == config.n_steps + 2
 
+    def test_reference_replay_checks_time_axis(self, tmp_path):
+        config = small_config(n_ev=60, horizon_hours=1.0)
+        save_config(config, tmp_path / "run.json")
+        run = ["track", "--config", str(tmp_path / "run.json")]
+        assert main(run + ["--out", str(tmp_path / "online")]) == 0
+        reference = str(tmp_path / "online" / "tracking_essm.csv")
+        assert main(run + ["--reference", reference, "--out", str(tmp_path / "replay")]) == 0
+        # Same sample count, twice the step: refused instead of replayed.
+        save_config(config.with_overrides(dt_seconds=30.0, horizon_hours=2.0),
+                    tmp_path / "coarse.json")
+        with pytest.raises(ValueError, match="time_h"):
+            main(["track", "--config", str(tmp_path / "coarse.json"),
+                  "--reference", reference, "--out", str(tmp_path / "coarse")])
+
 
 class TestConfigIO:
     def test_json_roundtrip(self, tmp_path):
@@ -258,6 +273,19 @@ class TestConfigIO:
             SimulationConfig(dt_seconds=14.0)
         with pytest.raises(ValueError, match="divide"):
             SimulationConfig(resync_minutes=7.0)
+
+    @pytest.mark.parametrize("d, key", [
+        ({"n_evs": 5}, "n_evs"),
+        ({"reference": {"period_hour": 9}}, "period_hour"),
+        ({"reference": {"scripted": [{"kind": "provide", "start_h": 0.0,
+                                      "duration_h": 1.0, "dept": 0.5}]}}, "dept"),
+        ({"distributions": {"soc_mx": 0.9}}, "soc_mx"),
+        ({"distributions": {"efficiency": {"kind": "uniform", "low": 0.9,
+                                           "high": 0.95, "sd": 0.1}}}, "sd"),
+    ])
+    def test_unknown_keys_rejected(self, d, key):
+        with pytest.raises(ValueError, match=f"unknown .* key.*'{key}'"):
+            SimulationConfig.from_dict(d)
 
     def test_distribution_spec_validation(self):
         with pytest.raises(ValueError):
