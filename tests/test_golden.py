@@ -27,6 +27,16 @@ PREDICT_DIGESTS = {
     "timeseries.csv": "31b62a31bd22150a36b76b9f3d5cffa41bca877867d7327ab5be46395abe31be",
 }
 
+# A whole day: the 6 h run above ends before nearly all of today's arrivals
+# (plug-in mean 17.5 h) and before every one of today's departures (plug-out
+# from 20.9 h).
+PREDICT_DAY_DIGESTS = {
+    "errors.csv": "3ed6fefb07101aeeb91ba96cfc050f4248d99c9c296ba78abbc9356a92b86464",
+    "states_essm.csv": "e2ad6c6ae7791d5e38ba38a937aa0dccbbc7e9754f67f405491317dd78f22382",
+    "states_ssm.csv": "bad9a0caf60ed5ebae956309711c4f51e2b194a969bc98ff2f8a11d27cbacba7",
+    "timeseries.csv": "cc476f0e0bdd490ee13e318b7da2454a120f71aaa62365d3d93139e19fc0dc1c",
+}
+
 TRACK_DIGESTS = {
     "states_essm.csv": "2abee5171c4853dbb2fea763043c03c81e06a07582e3dac9247f1ea5a90960ba",
     "states_ssm.csv": "48300c35f7b00a66532f0cd0f0db8dd1c221be353cd1cba8e7dc01ce4c7fa0fd",
@@ -47,6 +57,11 @@ def run_digests(tmp_path: Path, command: str, config: dict) -> dict[str, str]:
 def test_predict_outputs_unchanged(tmp_path):
     config = {"n_ev": 200, "horizon_hours": 6.0, "seed": 33}
     assert run_digests(tmp_path, "predict", config) == PREDICT_DIGESTS
+
+
+def test_predict_day_outputs_unchanged(tmp_path):
+    config = {"n_ev": 200, "horizon_hours": 24.0, "seed": 33}
+    assert run_digests(tmp_path, "predict", config) == PREDICT_DAY_DIGESTS
 
 
 def test_track_outputs_unchanged(tmp_path):
