@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -18,6 +19,16 @@ def _reject_unknown_keys(cls, d: dict) -> None:
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _number(cls, name: str, value, integral: bool = False):
+    """A finite float, or an int when `integral`: a NaN window start or 5.7
+    vehicles fails at load time instead of propagating or truncating."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok or (integral and not float(value).is_integer()):
+        kind = "an integer" if integral else "a finite number"
+        raise ValueError(f"{cls.__name__} {name} must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,10 @@ class DistributionSpec:
         _reject_unknown_keys(cls, d)
         return cls(
             kind=d["kind"],
-            low=float(d["low"]),
-            high=float(d["high"]),
-            mean=float(d.get("mean", 0.0)),
-            std=float(d.get("std", 0.0)),
+            low=_number(cls, "low", d["low"]),
+            high=_number(cls, "high", d["high"]),
+            mean=_number(cls, "mean", d.get("mean", 0.0)),
+            std=_number(cls, "std", d.get("std", 0.0)),
         )
 
 
@@ -136,9 +147,9 @@ class FleetDistributions:
             name: DistributionSpec.from_dict(d[name]) for name in cls._FIELDS if name in d
         }
         if "soc_min" in d:
-            kwargs["soc_min"] = float(d["soc_min"])
+            kwargs["soc_min"] = _number(cls, "soc_min", d["soc_min"])
         if "soc_max" in d:
-            kwargs["soc_max"] = float(d["soc_max"])
+            kwargs["soc_max"] = _number(cls, "soc_max", d["soc_max"])
         return cls(**kwargs)
 
 
@@ -168,8 +179,9 @@ class ScriptedStep:
     @classmethod
     def from_dict(cls, d: dict) -> "ScriptedStep":
         _reject_unknown_keys(cls, d)
-        return cls(d["kind"], float(d["start_h"]), float(d["duration_h"]),
-                   float(d.get("depth", 0.9)))
+        return cls(d["kind"], _number(cls, "start_h", d["start_h"]),
+                   _number(cls, "duration_h", d["duration_h"]),
+                   _number(cls, "depth", d.get("depth", 0.9)))
 
 
 @dataclass(frozen=True)
@@ -195,8 +207,8 @@ class ReferenceConfig:
     def from_dict(cls, d: dict) -> "ReferenceConfig":
         _reject_unknown_keys(cls, d)
         return cls(
-            period_hours=float(d.get("period_hours", 3.0)),
-            central_fraction=float(d.get("central_fraction", 0.8)),
+            period_hours=_number(cls, "period_hours", d.get("period_hours", 3.0)),
+            central_fraction=_number(cls, "central_fraction", d.get("central_fraction", 0.8)),
             scripted=tuple(ScriptedStep.from_dict(s) for s in d.get("scripted", ())),
         )
 
@@ -271,14 +283,15 @@ class SimulationConfig:
         kwargs = {}
         for name in ("n_ev", "n_intervals", "seed", "transition_samples"):
             if name in d:
-                kwargs[name] = int(d[name])
+                kwargs[name] = _number(cls, name, d[name], integral=True)
         for name in ("dt_seconds", "resync_minutes", "horizon_hours"):
             if name in d:
-                kwargs[name] = float(d[name])
+                kwargs[name] = _number(cls, name, d[name])
         if "variants" in d:
             kwargs["variants"] = tuple(d["variants"])
         if "measurement_noise_kw" in d:
-            kwargs["measurement_noise_kw"] = tuple(float(v) for v in d["measurement_noise_kw"])
+            kwargs["measurement_noise_kw"] = tuple(
+                _number(cls, "measurement_noise_kw", v) for v in d["measurement_noise_kw"])
         if "reference" in d:
             kwargs["reference"] = ReferenceConfig.from_dict(d["reference"])
         if "distributions" in d:

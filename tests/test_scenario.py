@@ -287,6 +287,26 @@ class TestConfigIO:
         with pytest.raises(ValueError, match=f"unknown .* key.*'{key}'"):
             SimulationConfig.from_dict(d)
 
+    @pytest.mark.parametrize("d, name", [
+        ({"n_ev": 5.7}, "n_ev"),
+        ({"transition_samples": "100"}, "transition_samples"),
+        ({"horizon_hours": float("inf")}, "horizon_hours"),
+        ({"measurement_noise_kw": [0.0, float("nan"), 0.0]}, "measurement_noise_kw"),
+        ({"reference": {"scripted": [{"kind": "provide", "start_h": float("nan"),
+                                      "duration_h": 1.0}]}}, "start_h"),
+        ({"reference": {"period_hours": float("nan")}}, "period_hours"),
+        ({"distributions": {"soc_max": float("nan")}}, "soc_max"),
+        ({"distributions": {"capacity_kwh": {"kind": "uniform", "low": 20.0,
+                                             "high": float("inf")}}}, "high"),
+    ])
+    def test_bad_numbers_rejected(self, d, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            SimulationConfig.from_dict(d)
+
+    def test_integral_float_count_accepted(self):
+        config = SimulationConfig.from_dict({"n_ev": 200.0, "seed": 3})
+        assert config.n_ev == 200 and isinstance(config.n_ev, int)
+
     def test_distribution_spec_validation(self):
         with pytest.raises(ValueError):
             DistributionSpec("uniform", 2.0, 1.0)
