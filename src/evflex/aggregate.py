@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import Connection, FleetSnapshot
+from .fleet import CS, DISCONNECTED, DS, FCS, IS, FleetSnapshot
 
 SSM = "ssm"
 ESSM = "essm"
@@ -100,25 +100,18 @@ class StateLayout:
 
     def state_index(self, connection, soc) -> np.ndarray:
         """Map (connection mode, SOC) telemetry to state indices."""
-        connection = np.asarray(connection)
+        connection = np.asarray(connection, dtype=np.intp)
         soc = np.asarray(soc, dtype=float)
-        n = self.n_intervals
-        iv = self.interval_index(soc)
-        out = np.empty(soc.shape, dtype=np.int64)
-        cs = connection == Connection.CHARGING
-        idle = connection == Connection.IDLE
-        ds = connection == Connection.DISCHARGING
-        fcs = connection == Connection.FORCED_CHARGING
-        out[cs] = iv[cs]
-        out[idle] = n + iv[idle]
-        out[ds] = 2 * n + iv[ds]
-        out[fcs] = self.fcs_index
+        if (connection == DISCONNECTED).any():
+            raise ValueError("cannot discretize disconnected vehicles")
+        # First state of each mode's block, indexed by the mode code.
+        first = np.array([0, self.charging.start, self.idle.start, self.discharging.start,
+                          self.fcs_index])
+        out = first[connection] + self.interval_index(soc) * (connection != FCS)
         if self.variant == ESSM:
+            idle = connection == IS
             out[idle & (soc >= self.soc_max)] = self.full_idle_index
             out[idle & (soc <= self.soc_min)] = self.empty_idle_index
-        disconnected = connection == Connection.DISCONNECTED
-        if disconnected.any():
-            raise ValueError("cannot discretize disconnected vehicles")
         return out
 
 
@@ -165,8 +158,8 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
     idx = layout.state_index(snapshot.connection, snapshot.soc)
     counts = np.bincount(idx, minlength=layout.dimension).astype(float)
     x = counts / n_conn
-    cs = snapshot.connection == Connection.CHARGING
-    ds = snapshot.connection == Connection.DISCHARGING
+    cs = snapshot.connection == CS
+    ds = snapshot.connection == DS
     p_ac = snapshot.rated_charge_kw[cs].mean() if cs.any() \
         else snapshot.rated_charge_kw.mean()
     p_ad = snapshot.rated_discharge_kw[ds].mean() if ds.any() \
@@ -295,10 +288,14 @@ def build_output_matrix(state: AggregateState) -> np.ndarray:
     """Scale the sign pattern into kW: -1 entries carry the average rated
     charging power, +1 entries the average rated discharging power, times the
     connected count."""
+    coeff = output_coefficients(state.layout)
+    return _scale_output(coeff, coeff > 0, state)
+
+
+def _scale_output(coeff: np.ndarray, positive: np.ndarray, state: AggregateState) -> np.ndarray:
     if state.p_ac_kw < 0 or state.p_ad_kw < 0:
         raise ValueError("average rated powers must be >= 0")
-    coeff = output_coefficients(state.layout)
-    c = np.where(coeff > 0, coeff * state.p_ad_kw, coeff * state.p_ac_kw)
+    c = np.where(positive, coeff * state.p_ad_kw, coeff * state.p_ac_kw)
     return state.n_ev_connected * c
 
 
@@ -326,14 +323,10 @@ def compute_noise(n_ev_connected: int, in_soc, in_connection, out_soc,
     denom = n_ev_connected + n_in - n_out
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    w = np.zeros(layout.dimension)
-    if n_in:
-        idx = layout.state_index(in_connection, in_soc)
-        w += np.bincount(idx, minlength=layout.dimension)
-    if n_out:
-        idx = layout.state_index(out_connection, out_soc)
-        w -= np.bincount(idx, minlength=layout.dimension)
-    return w / denom
+    idx = layout.state_index(np.concatenate([in_connection, out_connection]),
+                             np.concatenate([in_soc, out_soc]))
+    sign = np.concatenate([np.ones(n_in), np.full(n_out, -1.0)])
+    return np.bincount(idx, weights=sign, minlength=layout.dimension) / denom
 
 
 def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
@@ -386,6 +379,8 @@ class AggregateModel:
         self.layout = layout
         self.mats = SystemMatrices(A=a, B=build_input_matrix(layout), C=np.zeros((3, layout.dimension)))
         self.state: AggregateState | None = None
+        self._coeff = output_coefficients(layout)
+        self._positive = self._coeff > 0
 
     @classmethod
     def from_distributions(cls, layout: StateLayout, distributions: FleetDistributions,
@@ -395,7 +390,7 @@ class AggregateModel:
 
     def _set_state(self, state: AggregateState) -> None:
         self.state = state
-        self.mats.C = build_output_matrix(state)
+        self.mats.C = _scale_output(self._coeff, self._positive, state)
 
     def resync(self, snapshot: FleetSnapshot) -> None:
         """Replace the model state with fresh telemetry (periodic hard update).

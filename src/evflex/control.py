@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import ESSM, AggregateState, StateLayout
-from .fleet import Connection
+from .fleet import CS, DS, IS
 
 PROB_TOL = 1e-12
 
@@ -211,15 +211,15 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     new_mode = mode.copy()
     iv = layout.interval_index(soc)
 
-    cs = connected & (mode == Connection.CHARGING)
+    cs = connected & (mode == CS)
     hit = cs & (alpha < command.stop_charging[iv])
-    new_mode[hit] = Connection.IDLE
+    new_mode[hit] = IS
 
-    ds = connected & (mode == Connection.DISCHARGING)
+    ds = connected & (mode == DS)
     hit = ds & (alpha < command.stop_discharging[iv])
-    new_mode[hit] = Connection.IDLE
+    new_mode[hit] = IS
 
-    idle = connected & (mode == Connection.IDLE)
+    idle = connected & (mode == IS)
     at_max = soc >= soc_max
     at_min = soc <= soc_min
     if layout.variant == ESSM:
@@ -227,9 +227,9 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
         full_idle = idle & at_max
         empty_idle = idle & at_min
         hit = full_idle & (alpha < command.full_to_discharging)
-        new_mode[hit] = Connection.DISCHARGING
+        new_mode[hit] = DS
         hit = empty_idle & (alpha < command.empty_to_charging)
-        new_mode[hit] = Connection.CHARGING
+        new_mode[hit] = CS
     else:
         regular = idle
     # Stacked thresholds: start-discharging first, then start-charging.
@@ -237,6 +237,6 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     p_d = command.start_charging[iv]
     to_ds = regular & (alpha < p_b) & ~at_min
     to_cs = regular & ~(alpha < p_b) & (alpha < p_b + p_d) & ~at_max
-    new_mode[to_ds] = Connection.DISCHARGING
-    new_mode[to_cs] = Connection.CHARGING
+    new_mode[to_ds] = DS
+    new_mode[to_cs] = CS
     return new_mode

@@ -41,6 +41,11 @@ class Connection(IntEnum):
     FORCED_CHARGING = 4  # FCS
 
 
+# The same codes as plain ints for the per-step paths, where looking up an
+# IntEnum member costs more than the numpy comparison it feeds.
+DISCONNECTED, CS, IS, DS, FCS = (int(c) for c in Connection)
+
+
 @dataclass
 class FleetParams:
     """Sampled per-vehicle parameters, struct-of-arrays.
@@ -146,9 +151,24 @@ class FleetSnapshot:
         return self.out_ids.size
 
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
-_EMPTY_M = np.empty(0, dtype=np.int8)
+# Plug events as (ids, SOC, mode) at the event.
+_NO_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int8))
+
+
+def _bucket(events, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR buckets of plug events given as (step of each vehicle, fires)
+    pairs: the ids firing at step j are ids[ptr[j]:ptr[j + 1]], ascending."""
+    steps = np.concatenate([step[fires] for step, fires in events])
+    ids = np.concatenate([np.flatnonzero(fires) for _, fires in events])
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))])
+    ids = ids[np.lexsort((ids, steps))]
+    ids.flags.writeable = False  # snapshots hand out slices of it
+    return ids, ptr
+
+
+def _events(bucket: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
+    ids, ptr = bucket
+    return ids[ptr[j]:ptr[j + 1]] if j + 1 < ptr.size else _NO_EVENTS[0]
 
 
 class Fleet:
@@ -157,10 +177,12 @@ class Fleet:
     Each vehicle has up to two connection windows inside a 0-24 h run: the
     tail of yesterday's session ([plug_in - 24, plug_out - 24), SOC
     fast-forwarded through the pre-run uncontrolled charging) and today's
-    session ([plug_in, plug_out)). Steps are sequential; within a step all
-    vehicles update independently, with actuation randomness drawn from a
-    per-step keyed stream indexed by vehicle id so scheduling order can never
-    change results.
+    session ([plug_in, plug_out)). Every plug event is bucketed once by the
+    step it fires in, so a step touches only its events and the connected
+    vehicles. Steps are sequential; within a step all vehicles update
+    independently, with actuation randomness drawn from a per-step keyed
+    stream indexed by vehicle id so scheduling order can never change
+    results.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int):
@@ -171,63 +193,69 @@ class Fleet:
         self.seed = seed
         self.step_index = 0
         n = params.n_ev
-        self._ids = np.arange(n, dtype=np.int64)
-        # Connection windows (absolute hours; empty when end <= start).
-        self._m_start = params.plug_in_h - HOURS_PER_DAY
+        m_start = params.plug_in_h - HOURS_PER_DAY
         self._m_end = params.plug_out_h - HOURS_PER_DAY
-        self._e_start = params.plug_in_h.copy()
-        self._e_end = params.plug_out_h.copy()
         self._rate_c = params.charge_rate_per_h
-        self._rate_d = params.discharge_rate_per_h
+        # SOC gained by one step of charging, lost by one step of discharging.
+        self._dsoc_c = self._rate_c * dt_hours
+        self._dsoc_d = params.discharge_rate_per_h * dt_hours
+
+        # Window [s, e) holds the vehicle after steps a <= j < b, a and b the
+        # first grid points at or after s and e. The grid holds the step
+        # loop's own floats and reaches past every plug-out.
+        last = max(float(params.plug_out_h.max()), 0.0)
+        grid = np.arange(int(np.ceil(last / dt_hours)) + 2) * dt_hours
+        a_m, b_m, a_e, b_e = np.searchsorted(grid, np.stack(
+            [m_start, self._m_end, params.plug_in_h, params.plug_out_h]))
+        m_ok, e_ok = b_m > a_m, b_e > a_e  # a window shorter than a step is empty
+        # Yesterday's session ending on the step today's starts is one
+        # continuous connection: no departure, no arrival, no SOC reset.
+        merged = m_ok & e_ok & (b_m >= a_e)
+        self._arrivals = _bucket([(a_m, m_ok & (a_m > 0)),
+                                  (a_e, e_ok & ~merged & (a_e > 0))], grid.size)
+        self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size)
 
         self.soc = np.zeros(n)
-        self.mode = np.full(n, Connection.DISCONNECTED, dtype=np.int8)
-        self.connected = self._connected_at(0.0)
+        self.mode = np.full(n, DISCONNECTED, dtype=np.int8)
+        self.connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
         # Carried-over vehicles charged without interruption since plugging in
         # yesterday; fast-forward that history.
-        carried = self.connected & (self._m_start < 0.0)
-        elapsed = np.where(carried, -self._m_start, 0.0)
+        carried = self.connected & (m_start < 0.0)
+        elapsed = np.where(carried, -m_start, 0.0)
         soc0 = params.initial_soc + elapsed * self._rate_c
         fresh = self.connected & ~carried
         self.soc[carried] = np.minimum(soc0[carried], params.soc_max)
         self.soc[fresh] = params.initial_soc[fresh]
         full = self.connected & (self.soc >= params.soc_max)
-        self.mode[self.connected] = Connection.CHARGING
-        self.mode[full] = Connection.IDLE
+        self.mode[self.connected] = CS
+        self.mode[full] = IS
 
     @property
     def time_h(self) -> float:
         return self.step_index * self.dt_hours
 
-    def _connected_at(self, t: float) -> np.ndarray:
-        return ((self._m_start <= t) & (t < self._m_end)) | \
-               ((self._e_start <= t) & (t < self._e_end))
+    def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
+        """Plug-out time of the session that holds each vehicle of `idx` at t."""
+        m_end = self._m_end[idx]
+        return np.where(t < m_end, m_end, self.params.plug_out_h[idx])
 
-    def _session_end(self, t: float) -> np.ndarray:
-        return np.where(t < self._m_end, self._m_end, self._e_end)
-
-    def _power(self, mask: np.ndarray) -> np.ndarray:
-        p = np.zeros(self.params.n_ev)
-        charging = mask & ((self.mode == Connection.CHARGING) |
-                           (self.mode == Connection.FORCED_CHARGING))
-        p[charging] = -self.params.rated_charge_kw[charging]
-        discharging = mask & (self.mode == Connection.DISCHARGING)
-        p[discharging] = self.params.rated_discharge_kw[discharging]
-        return p
-
-    def snapshot(self, in_events=None, out_events=None) -> FleetSnapshot:
-        ids = self._ids[self.connected]
-        power = self._power(self.connected)[self.connected]
-        in_ids, in_soc, in_mode = in_events or (_EMPTY_I, _EMPTY_F, _EMPTY_M)
-        out_ids, out_soc, out_mode = out_events or (_EMPTY_I, _EMPTY_F, _EMPTY_M)
+    def snapshot(self, in_events=_NO_EVENTS, out_events=_NO_EVENTS) -> FleetSnapshot:
+        ids = np.flatnonzero(self.connected)
+        mode = self.mode[ids]
+        rated_c = self.params.rated_charge_kw[ids]
+        rated_d = self.params.rated_discharge_kw[ids]
+        power = np.where((mode == CS) | (mode == FCS), -rated_c,
+                         np.where(mode == DS, rated_d, 0.0))
+        in_ids, in_soc, in_mode = in_events
+        out_ids, out_soc, out_mode = out_events
         return FleetSnapshot(
             time_h=self.time_h,
             ids=ids,
-            soc=self.soc[self.connected].copy(),
-            connection=self.mode[self.connected].copy(),
+            soc=self.soc[ids],
+            connection=mode,
             power_kw=power,
-            rated_charge_kw=self.params.rated_charge_kw[self.connected],
-            rated_discharge_kw=self.params.rated_discharge_kw[self.connected],
+            rated_charge_kw=rated_c,
+            rated_discharge_kw=rated_d,
             in_ids=in_ids, in_soc=in_soc, in_connection=in_mode,
             out_ids=out_ids, out_soc=out_soc, out_connection=out_mode,
         )
@@ -240,47 +268,51 @@ class Fleet:
             command.validate()
         params = self.params
         t0 = self.time_h
-        t1 = (self.step_index + 1) * self.dt_hours
+        j = self.step_index + 1
+        t1 = j * self.dt_hours
 
-        now = self._connected_at(t1)
-        arrivals = now & ~self.connected
-        departures = self.connected & ~now
-        out_events = (self._ids[departures], self.soc[departures].copy(),
-                      self.mode[departures].copy())
+        arrivals = _events(self._arrivals, j)
+        departures = _events(self._departures, j)
+        out_events = (departures, self.soc[departures], self.mode[departures])
         self.soc[arrivals] = params.initial_soc[arrivals]
-        self.mode[arrivals] = Connection.CHARGING
-        self.mode[departures] = Connection.DISCONNECTED
-        in_events = (self._ids[arrivals], self.soc[arrivals].copy(),
-                     self.mode[arrivals].copy())
-        self.connected = now
+        self.mode[arrivals] = CS
+        self.mode[departures] = DISCONNECTED
+        in_events = (arrivals, self.soc[arrivals], self.mode[arrivals])
+        self.connected[arrivals] = True
+        self.connected[departures] = False
+
+        # The rest of the step works on the connected vehicles, gathered once.
+        idx = np.flatnonzero(self.connected)
+        soc = self.soc[idx]
+        mode = self.mode[idx]
 
         # Forced-charging promotion: binding departure deadline. Sticky until
         # plug-out (or SOC-max absorption below).
-        deadline = self._session_end(t1)
-        binding = now & (self.mode != Connection.FORCED_CHARGING) & (
-            params.demanded_soc - self.soc >= (deadline - t0) * self._rate_c)
-        self.mode[binding] = Connection.FORCED_CHARGING
+        binding = (mode != FCS) & (params.demanded_soc[idx] - soc >=
+                                   (self._deadline(idx, t1) - t0) * self._rate_c[idx])
+        mode[binding] = FCS
 
         if command is not None:
             from .control import actuate_array
             alpha = step_stream(self.seed, self.step_index).random(params.n_ev)
-            self.mode = actuate_array(
-                self.mode, self.soc, command, alpha,
-                connected=now, soc_min=params.soc_min, soc_max=params.soc_max)
+            mode = actuate_array(
+                mode, soc, command, alpha[idx], connected=np.ones(idx.size, dtype=bool),
+                soc_min=params.soc_min, soc_max=params.soc_max)
 
-        charging = now & ((self.mode == Connection.CHARGING) |
-                          (self.mode == Connection.FORCED_CHARGING))
-        discharging = now & (self.mode == Connection.DISCHARGING)
-        self.soc[charging] += self._rate_c[charging] * self.dt_hours
-        self.soc[discharging] -= self._rate_d[discharging] * self.dt_hours
+        charging = (mode == CS) | (mode == FCS)
+        discharging = mode == DS
+        # Adding 0.0 leaves the SOC of the other modes bitwise unchanged.
+        soc += self._dsoc_c[idx] * charging
+        soc -= self._dsoc_d[idx] * discharging
 
         # Boundary absorption in the same step: clamp and go idle.
-        full = charging & (self.soc >= params.soc_max)
-        empty = discharging & (self.soc <= params.soc_min)
-        self.soc[full] = params.soc_max
-        self.soc[empty] = params.soc_min
-        self.mode[full] = Connection.IDLE
-        self.mode[empty] = Connection.IDLE
+        full = charging & (soc >= params.soc_max)
+        empty = discharging & (soc <= params.soc_min)
+        soc[full] = params.soc_max
+        soc[empty] = params.soc_min
+        mode[full | empty] = IS
+        self.soc[idx] = soc
+        self.mode[idx] = mode
 
         self.step_index += 1
         return self.snapshot(in_events=in_events, out_events=out_events)

@@ -10,7 +10,7 @@ at -P_c on all three components.
 from __future__ import annotations
 
 from .aggregate import FlexibilityEnvelope
-from .fleet import Connection, FleetSnapshot
+from .fleet import FCS, FleetSnapshot
 
 
 def imm_power(snapshot: FleetSnapshot) -> float:
@@ -20,7 +20,7 @@ def imm_power(snapshot: FleetSnapshot) -> float:
 
 def imm_flexibility(snapshot: FleetSnapshot, soc_min: float = 0.0,
                     soc_max: float = 1.0) -> FlexibilityEnvelope:
-    fcs = snapshot.connection == Connection.FORCED_CHARGING
+    fcs = snapshot.connection == FCS
     can_discharge = (snapshot.soc > soc_min) & ~fcs
     can_charge = (snapshot.soc < soc_max) & ~fcs
     forced = snapshot.rated_charge_kw[fcs].sum()

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflex.config import DistributionSpec, FleetDistributions
-from evflex.control import DispatchCommand
+from evflex.control import DispatchCommand, actuate_array
 from evflex.aggregate import StateLayout
-from evflex.fleet import Connection, Fleet, sample_fleet
+from evflex.fleet import Connection, Fleet, sample_fleet, step_stream
 
 from conftest import deterministic_distributions, point
 
@@ -222,6 +222,112 @@ class TestFleetStep:
         bad.start_charging = np.full(10, 1.5)
         with pytest.raises(ValueError, match="probabilities"):
             fleet.step(bad)
+
+
+class WindowOracle:
+    """The full-length kernel the plug-event buckets replaced: both
+    connection windows of every vehicle are tested again at every step, and
+    every update runs over the whole fleet."""
+
+    def __init__(self, fleet: Fleet):
+        self.p, self.dt, self.seed = fleet.params, fleet.dt_hours, fleet.seed
+        self.m_start = self.p.plug_in_h - 24.0
+        self.m_end = self.p.plug_out_h - 24.0
+        self.soc, self.mode = fleet.soc.copy(), fleet.mode.copy()
+        self.connected = self.connected_at(0.0)
+        self.k = 0
+
+    def connected_at(self, t):
+        p = self.p
+        return ((self.m_start <= t) & (t < self.m_end)) | \
+               ((p.plug_in_h <= t) & (t < p.plug_out_h))
+
+    def session_end(self, t):
+        return np.where(t < self.m_end, self.m_end, self.p.plug_out_h)
+
+    def step(self, command):
+        """One step; returns the arrival ids, the departure ids and the
+        deadlines of the connected vehicles."""
+        p = self.p
+        t0, t1 = self.k * self.dt, (self.k + 1) * self.dt
+        now = self.connected_at(t1)
+        arrivals, departures = now & ~self.connected, self.connected & ~now
+        self.soc[arrivals] = p.initial_soc[arrivals]
+        self.mode[arrivals] = Connection.CHARGING
+        self.mode[departures] = Connection.DISCONNECTED
+        self.connected = now
+        deadline = self.session_end(t1)
+        binding = now & (self.mode != Connection.FORCED_CHARGING) & (
+            p.demanded_soc - self.soc >= (deadline - t0) * p.charge_rate_per_h)
+        self.mode[binding] = Connection.FORCED_CHARGING
+        if command is not None:
+            alpha = step_stream(self.seed, self.k).random(p.n_ev)
+            self.mode = actuate_array(self.mode, self.soc, command, alpha, now,
+                                      p.soc_min, p.soc_max)
+        charging = now & np.isin(self.mode, [Connection.CHARGING, Connection.FORCED_CHARGING])
+        discharging = now & (self.mode == Connection.DISCHARGING)
+        self.soc[charging] += p.charge_rate_per_h[charging] * self.dt
+        self.soc[discharging] -= p.discharge_rate_per_h[discharging] * self.dt
+        full = charging & (self.soc >= p.soc_max)
+        empty = discharging & (self.soc <= p.soc_min)
+        self.soc[full] = p.soc_max
+        self.soc[empty] = p.soc_min
+        self.mode[full | empty] = Connection.IDLE
+        self.k += 1
+        return np.flatnonzero(arrivals), np.flatnonzero(departures), deadline[now]
+
+
+def edge_case_sessions(dt):
+    """(plug_in_h, plug_out_h) of one vehicle per plug-event edge case."""
+    j = round(10.0 / dt)  # grid point j * dt lies near 10 h
+
+    def at(i):
+        return i * dt
+
+    return [
+        # Yesterday's window ends inside the step in which today's starts.
+        (at(j) + 0.6 * dt, at(j) + 0.3 * dt + 24.0),
+        (at(j) + 0.2 * dt, at(j) + 0.7 * dt),  # shorter than a step, no grid point inside
+        (at(j) + 0.8 * dt, at(j) + 1.3 * dt),  # shorter than a step, one grid point inside
+        (20.0, 30.0),  # carried over: connected at t = 0
+        (24.0, 30.0),  # yesterday's plug-in exactly at t = 0
+        (0.0, 10.0),  # today's plug-in exactly at t = 0
+        (25.0, 40.0),  # plug-in >= 24 h: arrives after midnight
+        (at(j), at(j + 20)),  # plug-in and plug-out exactly on grid points
+        (at(j) + 8.0, at(j) + 24.0),  # yesterday's plug-out on a grid point (exact for 0.25 h)
+    ]
+
+
+class TestEventKernel:
+    """The bucketed kernel against the full-length oracle, bitwise, at every
+    step: connection mask, plug events, deadlines, SOC and modes."""
+
+    @pytest.mark.parametrize("dt, n_steps", [(0.25, 240), (60.0 / 3600.0, 24 * 60)])
+    def test_matches_full_length_oracle(self, table_distributions, dt, n_steps):
+        sessions = edge_case_sessions(dt)
+        params = sample_fleet(table_distributions, 200, seed=21)
+        params.plug_in_h[:len(sessions)], params.plug_out_h[:len(sessions)] = zip(*sessions)
+        params.demanded_soc[:len(sessions)] = 0.9  # deadlines bind early
+        fleet = Fleet(params, dt, seed=21)
+        oracle = WindowOracle(fleet)
+        np.testing.assert_array_equal(fleet.connected, oracle.connected)
+        command = DispatchCommand(StateLayout(10, "essm"), np.full(10, 0.2), np.full(10, 0.1),
+                                  np.full(10, 0.1), np.full(10, 0.2), 0.3, 0.3)
+        events = 0
+        for k in range(n_steps):
+            cmd = command if k % 2 else None
+            in_ids, out_ids, deadline = oracle.step(cmd)
+            snap = fleet.step(cmd)
+            t1 = (k + 1) * dt
+            np.testing.assert_array_equal(fleet.connected, oracle.connected)
+            np.testing.assert_array_equal(snap.in_ids, in_ids)
+            np.testing.assert_array_equal(snap.out_ids, out_ids)
+            np.testing.assert_array_equal(fleet._deadline(snap.ids, t1), deadline)
+            np.testing.assert_array_equal(fleet.soc, oracle.soc)
+            np.testing.assert_array_equal(fleet.mode, oracle.mode)
+            events += in_ids.size + out_ids.size
+        assert events > 200
+
 
 class TestTypes:
     def test_characteristics_validation(self):
