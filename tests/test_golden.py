@@ -1,6 +1,6 @@
 """Golden digests of the command-line outputs.
 
-SHA-256 of every CSV that `evflex.cli.main` writes for a small prediction run
+SHA-256 of every CSV that `evflex.cli.main` writes for small prediction runs
 and a small tracking run with the scripted probes of
 `configs/tracking_probes.json`. A refactor must leave every digest unchanged;
 only a change whose stated purpose is a behaviour change may record new ones,
@@ -37,6 +37,14 @@ PREDICT_DAY_DIGESTS = {
     "timeseries.csv": "cc476f0e0bdd490ee13e318b7da2454a120f71aaa62365d3d93139e19fc0dc1c",
 }
 
+# One variant: the writers fill the model columns of the variant that was not
+# run with nan.
+PREDICT_SSM_DIGESTS = {
+    "errors.csv": "99eaf3f3f49e27bc0445bb8d7b658ab0be09f8b5385556dbc3c2d8f87b9c37a2",
+    "states_ssm.csv": "0a6d57df70b07b0ce19b352b3c999ca2955763ff962d0edececd25b51abbe12b",
+    "timeseries.csv": "3357526d193ab3e1b43ee9d6a2edac7fd5c0df8b0356887ff046b7873a62ec66",
+}
+
 TRACK_DIGESTS = {
     "states_essm.csv": "2abee5171c4853dbb2fea763043c03c81e06a07582e3dac9247f1ea5a90960ba",
     "states_ssm.csv": "48300c35f7b00a66532f0cd0f0db8dd1c221be353cd1cba8e7dc01ce4c7fa0fd",
@@ -46,11 +54,11 @@ TRACK_DIGESTS = {
 }
 
 
-def run_digests(tmp_path: Path, command: str, config: dict) -> dict[str, str]:
+def run_digests(tmp_path: Path, command: str, config: dict, *flags: str) -> dict[str, str]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 0
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
 
@@ -62,6 +70,11 @@ def test_predict_outputs_unchanged(tmp_path):
 def test_predict_day_outputs_unchanged(tmp_path):
     config = {"n_ev": 200, "horizon_hours": 24.0, "seed": 33}
     assert run_digests(tmp_path, "predict", config) == PREDICT_DAY_DIGESTS
+
+
+def test_predict_single_variant_outputs_unchanged(tmp_path):
+    config = {"n_ev": 200, "horizon_hours": 6.0, "seed": 33}
+    assert run_digests(tmp_path, "predict", config, "--variants", "ssm") == PREDICT_SSM_DIGESTS
 
 
 def test_track_outputs_unchanged(tmp_path):
