@@ -17,7 +17,6 @@ from .aggregate import (
     discretize,
     estimate_transition_matrix,
     output,
-    predict,
 )
 from .config import (
     DistributionSpec,
@@ -46,7 +45,6 @@ from .scenario import (
     RunResult,
     VariantSeries,
     error_metrics,
-    generate_reference,
     run_prediction_experiment,
     run_tracking_experiment,
     sweep_prediction,

@@ -96,7 +96,7 @@ class StateLayout:
         """0-based SOC interval: ceil((soc - floor)/width) clamped to [1, N]."""
         soc = np.asarray(soc, dtype=float)
         raw = np.ceil((soc - self.soc_min) / self.width)
-        return np.clip(raw, 1, self.n_intervals).astype(np.int64) - 1
+        return np.minimum(np.maximum(raw, 1), self.n_intervals).astype(np.int64) - 1
 
     def state_index(self, connection, soc) -> np.ndarray:
         """Map (connection mode, SOC) telemetry to state indices."""
@@ -344,20 +344,14 @@ def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
     low = x1.min() if x1.size else 0.0
     if low < -HARD_NEG:
         raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
-    np.clip(x1, 0.0, None, out=x1)
+    np.maximum(x1, 0.0, out=x1)
     if w is not None:
         x1 += w
-        np.clip(x1, 0.0, None, out=x1)
+        np.maximum(x1, 0.0, out=x1)
     total = x1.sum()
     if total > 0.0 and abs(total - 1.0) > SUM_TOL:
         x1 = x1 / total
     return x1
-
-
-def predict(state: AggregateState, mats: SystemMatrices,
-            u: np.ndarray | None = None, w: np.ndarray | None = None) -> AggregateState:
-    """One step of the recursion x' = A x + B u + w (see `step`)."""
-    return replace_state(state, step(mats.A @ state.x, mats.B, u, w))
 
 
 def replace_state(state: AggregateState, x: np.ndarray,

@@ -50,16 +50,20 @@ def _write_run(result, out: Path) -> None:
         write_states_csv(result, name, out / f"states_{name}.csv")
 
 
+def _print_errors(rows: list[dict]) -> None:
+    for row in rows:
+        print(f"n_ev={row['n_ev']} {row['variant']}: "
+              f"upper={row['upper_err_pct']:.4g}% lower={row['lower_err_pct']:.4g}% "
+              f"power={row['power_err_pct']:.4g}%")
+
+
 def _cmd_predict(args) -> int:
     config = _load(args)
     result = run_prediction_experiment(config)
     _write_run(result, args.out)
     rows = result.prediction_errors()
     write_errors_csv(rows, args.out / "errors.csv")
-    for row in rows:
-        print(f"n_ev={row['n_ev']} {row['variant']}: "
-              f"upper={row['upper_err_pct']:.4g}% lower={row['lower_err_pct']:.4g}% "
-              f"power={row['power_err_pct']:.4g}%")
+    _print_errors(rows)
     print(f"wrote {args.out}/timeseries.csv, errors.csv, states_*.csv")
     return 0
 
@@ -96,10 +100,7 @@ def _cmd_sweep(args) -> int:
     rows = sweep_prediction(config, args.sizes)
     args.out.mkdir(parents=True, exist_ok=True)
     write_errors_csv(rows, args.out / "errors.csv")
-    for row in rows:
-        print(f"n_ev={row['n_ev']} {row['variant']}: "
-              f"upper={row['upper_err_pct']:.4g}% lower={row['lower_err_pct']:.4g}% "
-              f"power={row['power_err_pct']:.4g}%")
+    _print_errors(rows)
     print(f"wrote {args.out}/errors.csv")
     return 0
 

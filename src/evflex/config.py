@@ -240,6 +240,11 @@ class SimulationConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        if not self.variants or len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants must be non-empty and distinct, got {self.variants!r}")
+        if len(self.measurement_noise_kw) != 3:
+            raise ValueError("measurement_noise_kw must be three standard deviations "
+                             f"(power, upper, lower), got {self.measurement_noise_kw!r}")
         resync_s = self.resync_minutes * 60.0
         if abs(resync_s / self.dt_seconds - round(resync_s / self.dt_seconds)) > 1e-9:
             raise ValueError("dt must divide the resync period")

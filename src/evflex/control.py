@@ -24,9 +24,10 @@ from .fleet import CS, DS, IS
 PROB_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class DispatchCommand:
-    """Broadcast switching probabilities per responding mode and interval.
+    """Broadcast switching probabilities per responding mode and interval,
+    checked once when built.
 
     Vehicles locate themselves by (mode, SOC interval) under this layout and
     compare a uniform draw against the probability addressed to them.
@@ -40,25 +41,21 @@ class DispatchCommand:
     empty_to_charging: float = 0.0   # idle-at-floor -> lowest charging interval
     full_to_discharging: float = 0.0  # idle-at-ceiling -> top discharging interval
 
+    def __post_init__(self):
+        arrays = (self.stop_charging, self.start_discharging,
+                  self.stop_discharging, self.start_charging)
+        if any(arr.shape != (self.layout.n_intervals,) for arr in arrays):
+            raise ValueError("probability arrays must have one entry per interval")
+        p = np.concatenate([*arrays, [self.empty_to_charging, self.full_to_discharging]])
+        if not ((p >= -PROB_TOL) & (p <= 1.0 + PROB_TOL)).all():
+            raise ValueError("switching probabilities must lie in [0, 1]")
+        if (self.start_discharging + self.start_charging > 1.0 + 1e-9).any():
+            raise ValueError("total outgoing probability from an idle interval exceeds 1")
+
     @classmethod
     def zero(cls, layout: StateLayout) -> "DispatchCommand":
         n = layout.n_intervals
         return cls(layout, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
-
-    def validate(self) -> None:
-        arrays = (self.stop_charging, self.start_discharging,
-                  self.stop_discharging, self.start_charging)
-        for arr in arrays:
-            if arr.shape != (self.layout.n_intervals,):
-                raise ValueError("probability arrays must have one entry per interval")
-            if (arr < -PROB_TOL).any() or (arr > 1.0 + PROB_TOL).any():
-                raise ValueError("switching probabilities must lie in [0, 1]")
-        for p in (self.empty_to_charging, self.full_to_discharging):
-            if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
-                raise ValueError("switching probabilities must lie in [0, 1]")
-        total_idle_out = self.start_discharging + self.start_charging
-        if (total_idle_out > 1.0 + 1e-9).any():
-            raise ValueError("total outgoing probability from an idle interval exceeds 1")
 
 
 @dataclass
@@ -78,11 +75,7 @@ class DispatchPlan:
     source_mass: np.ndarray
     achieved_delta_kw: float
     saturated: bool
-    expected_u: np.ndarray = None
-
-    def __post_init__(self):
-        if self.expected_u is None:
-            self.expected_u = self.u
+    expected_u: np.ndarray
 
 
 def _spread(amount: float, pool: np.ndarray) -> np.ndarray:
@@ -91,13 +84,6 @@ def _spread(amount: float, pool: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         return np.zeros_like(pool)
     return pool * (amount / total)
-
-
-def _backed(taken: np.ndarray, current: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Part of `taken` backed by current occupancy rather than in-flight."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(pool > 0.0, current / pool, 0.0)
-    return taken * ratio
 
 
 def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
@@ -115,7 +101,7 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
     source = np.zeros(layout.input_dimension)
     if state.empty or delta_kw == 0.0:
         return DispatchPlan(layout, u, source, 0.0,
-                            saturated=state.empty and delta_kw != 0.0)
+                            saturated=state.empty and delta_kw != 0.0, expected_u=u)
 
     scale = float(state.n_ev_connected)
     kw_ac = state.p_ac_kw * scale  # kW change per unit mass for charge-side moves
@@ -161,9 +147,10 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
         if edge_state is not None:
             u[edge_input] = taken[n]
         taken_sum = taken.sum()
-        if moved.any():
+        if moved.any():  # one broadcast moves only the part backed by current occupancy
             expected = u.copy()
-            expected[stage2] = _backed(taken[:n], x[layout.idle], idle_mass)
+            expected[stage2] = taken[:n] * np.divide(x[layout.idle], idle_mass, out=np.zeros(n),
+                                                     where=idle_mass > 0.0)
 
     achieved = sign * (kw1 * moved.sum() + kw2 * taken_sum)
     shortfall = abs(delta_kw - achieved)
@@ -177,28 +164,27 @@ def to_switching_probabilities(plan: DispatchPlan) -> DispatchCommand:
     (allocated mass over the source mass it was drawn from)."""
     layout = plan.layout
     n = layout.n_intervals
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prob = np.where(plan.source_mass > 0.0, plan.u / plan.source_mass, 0.0)
+    prob = np.divide(plan.u, plan.source_mass, out=np.zeros_like(plan.u),
+                     where=plan.source_mass > 0.0)
     if (prob > 1.0 + PROB_TOL).any():
         raise ValueError("input exceeds its source mass; admissibility breach")
-    np.clip(prob, 0.0, 1.0, out=prob)
-    cmd = DispatchCommand(
+    np.minimum(np.maximum(prob, 0.0, out=prob), 1.0, out=prob)
+    essm = layout.variant == ESSM
+    return DispatchCommand(
         layout=layout,
         stop_charging=prob[0:n],
         start_discharging=prob[n:2 * n],
         stop_discharging=prob[2 * n:3 * n],
         start_charging=prob[3 * n:4 * n],
+        empty_to_charging=float(prob[4 * n]) if essm else 0.0,
+        full_to_discharging=float(prob[4 * n + 1]) if essm else 0.0,
     )
-    if layout.variant == ESSM:
-        cmd.empty_to_charging = float(prob[4 * n])
-        cmd.full_to_discharging = float(prob[4 * n + 1])
-    return cmd
 
 
 def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
-                  alpha: np.ndarray, connected: np.ndarray,
-                  soc_min: float, soc_max: float) -> np.ndarray:
-    """Vectorized actuation: each connected, non-forced vehicle locates its
+                  alpha: np.ndarray, soc_min: float, soc_max: float) -> np.ndarray:
+    """Vectorized actuation: each responding vehicle (charging, idle or
+    discharging; forced and disconnected ones match no mode) locates its
     (mode, interval) under the command's layout and switches when its uniform
     draw falls below the addressed probability; at most one switch per step.
 
@@ -211,15 +197,15 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     new_mode = mode.copy()
     iv = layout.interval_index(soc)
 
-    cs = connected & (mode == CS)
+    cs = mode == CS
     hit = cs & (alpha < command.stop_charging[iv])
     new_mode[hit] = IS
 
-    ds = connected & (mode == DS)
+    ds = mode == DS
     hit = ds & (alpha < command.stop_discharging[iv])
     new_mode[hit] = IS
 
-    idle = connected & (mode == IS)
+    idle = mode == IS
     at_max = soc >= soc_max
     at_min = soc <= soc_min
     if layout.variant == ESSM:

@@ -264,8 +264,6 @@ class Fleet:
         """Advance one step: plug events, forced-charging promotion, command
         actuation, SOC integration, boundary absorption. Returns the new
         snapshot with the step's plug events attached."""
-        if command is not None:
-            command.validate()
         params = self.params
         t0 = self.time_h
         j = self.step_index + 1
@@ -295,9 +293,8 @@ class Fleet:
         if command is not None:
             from .control import actuate_array
             alpha = step_stream(self.seed, self.step_index).random(params.n_ev)
-            mode = actuate_array(
-                mode, soc, command, alpha[idx], connected=np.ones(idx.size, dtype=bool),
-                soc_min=params.soc_min, soc_max=params.soc_max)
+            mode = actuate_array(mode, soc, command, alpha[idx],
+                                 soc_min=params.soc_min, soc_max=params.soc_max)
 
         charging = (mode == CS) | (mode == FCS)
         discharging = mode == DS

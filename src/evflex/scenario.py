@@ -14,7 +14,6 @@ so their tracking is directly comparable.
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +24,6 @@ from .config import ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
 from .imm import imm_flexibility
-
-logger = logging.getLogger(__name__)
 
 _STREAM_REFERENCE = 7
 _STREAM_NOISE = 11
@@ -107,22 +104,6 @@ class ReferenceGenerator:
         return window.level
 
 
-def generate_reference(p_l_series, p_u_series, dt_hours: float, period_hours: float,
-                       seed: int, central_fraction: float = 0.8) -> np.ndarray:
-    """Reference over a precomputed envelope series, without scripted
-    windows: a fresh level at every period boundary, held in between."""
-    p_l = np.asarray(p_l_series, dtype=float)
-    p_u = np.asarray(p_u_series, dtype=float)
-    if p_l.shape != p_u.shape or p_l.ndim != 1:
-        raise ValueError("envelope series must be equal-length 1-d arrays")
-    if period_hours <= 0 or dt_hours <= 0:
-        raise ValueError("period and dt must be > 0")
-    gen = ReferenceGenerator(ReferenceConfig(period_hours, central_fraction),
-                             dt_hours, p_l.size, seed)
-    return np.array([gen.level(k, FlexibilityEnvelope(0.0, p_u[k], p_l[k]))
-                     for k in range(p_l.size)])
-
-
 @dataclass
 class VariantSeries:
     """Per-variant time series of one run (model outputs plus the ground
@@ -144,10 +125,8 @@ class VariantSeries:
     def zeros(cls, variant: str, k_steps: int, dimension: int) -> "VariantSeries":
         """Empty series for a run of `k_steps` steps (k_steps + 1 samples)."""
         n = k_steps + 1
-        return cls(variant, np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
-                   np.zeros(n), states=np.zeros((n, dimension)),
-                   n_connected=np.zeros(n, dtype=np.int64),
-                   achieved_delta_kw=np.zeros(k_steps),
+        return cls(variant, *np.zeros((6, n)), states=np.zeros((n, dimension)),
+                   n_connected=np.zeros(n, dtype=np.int64), achieved_delta_kw=np.zeros(k_steps),
                    saturated=np.zeros(k_steps, dtype=bool))
 
 
@@ -303,28 +282,16 @@ def run_tracking_experiment(config: SimulationConfig,
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (k_steps + 1,):
             raise ValueError("reference must cover the horizon (n_steps + 1 samples)")
-    order = list(config.variants)
-    if reference is None:
-        lead = ESSM if ESSM in order else order[0]
-        order.remove(lead)
-        order.insert(0, lead)
-
     series: dict[str, VariantSeries] = {}
-    ref = reference
-    for name in order:
-        idx = config.variants.index(name)
-        vs, ref_used = _run_tracking_single(config, name, ref, idx)
-        series[name] = vs
-        if ref is None:
-            ref = ref_used
-        logger.info("tracking run done: variant=%s rms=%.1f kW", name,
-                    float(np.sqrt(np.mean((vs.imm_p_kw - ref) ** 2))))
+    for name in sorted(config.variants, key=lambda v: v != ESSM):
+        series[name], reference = _run_tracking_single(
+            config, name, reference, config.variants.index(name))
 
     return RunResult(
         kind="tracking",
         config=config,
         time_h=np.arange(k_steps + 1) * config.dt_hours,
-        reference_kw=ref,
+        reference_kw=reference,
         variants={name: series[name] for name in config.variants},
     )
 
@@ -339,10 +306,16 @@ def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# CSV surfaces: fixed-format, 6 significant digits.
+# CSV surfaces: fixed-format, 6 significant digits, CRLF line ends.
 
-def _fmt(v) -> str:
-    return f"{float(v):.6g}"
+_CELL = "%.6g"
+
+
+def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One row per sample; `columns` holds 1-d columns or 2-d column blocks."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt=_CELL, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def write_timeseries_csv(result: RunResult, path: str | Path) -> None:
@@ -350,27 +323,17 @@ def write_timeseries_csv(result: RunResult, path: str | Path) -> None:
     variant. For tracking runs the ground-truth columns belong to the
     extended-variant-driven fleet when present (each variant drives its own
     clone); variants not run are filled with nan."""
-    names = (SSM, ESSM)
-    truth_from = next((v for v in (ESSM, SSM) if v in result.variants), None)
-    n = result.time_h.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["time_h", "reference_kw", "imm_p_kw", "imm_u_kw", "imm_l_kw"]
-        for name in names:
-            header += [f"{name}_p_kw", f"{name}_u_kw", f"{name}_l_kw"]
-        writer.writerow(header)
-        truth = result.variants.get(truth_from)
-        for i in range(n):
-            row = [_fmt(result.time_h[i]), _fmt(result.reference_kw[i]),
-                   _fmt(truth.imm_p_kw[i]), _fmt(truth.imm_u_kw[i]), _fmt(truth.imm_l_kw[i])]
-            for name in names:
-                vs = result.variants.get(name)
-                if vs is None:
-                    row += ["nan", "nan", "nan"]
-                else:
-                    row += [_fmt(vs.model_p_kw[i]), _fmt(vs.model_u_kw[i]),
-                            _fmt(vs.model_l_kw[i])]
-            writer.writerow(row)
+    truth = result.variants[next(v for v in (ESSM, SSM) if v in result.variants)]
+    header = ["time_h", "reference_kw", "imm_p_kw", "imm_u_kw", "imm_l_kw"]
+    columns = [result.time_h, result.reference_kw, truth.imm_p_kw, truth.imm_u_kw,
+               truth.imm_l_kw]
+    missing = np.full(result.time_h.size, np.nan)
+    for name in (SSM, ESSM):
+        header += [f"{name}_p_kw", f"{name}_u_kw", f"{name}_l_kw"]
+        vs = result.variants.get(name)
+        columns += ([vs.model_p_kw, vs.model_u_kw, vs.model_l_kw] if vs is not None
+                    else [missing] * 3)
+    _write_table(path, header, columns)
 
 
 def write_errors_csv(rows: list[dict], path: str | Path) -> None:
@@ -379,28 +342,18 @@ def write_errors_csv(rows: list[dict], path: str | Path) -> None:
         writer.writerow(["n_ev", "variant", "upper_err_pct", "lower_err_pct",
                          "power_err_pct"])
         for row in rows:
-            writer.writerow([row["n_ev"], row["variant"],
-                             _fmt(row["upper_err_pct"]), _fmt(row["lower_err_pct"]),
-                             _fmt(row["power_err_pct"])])
+            writer.writerow([row["n_ev"], row["variant"], _CELL % row["upper_err_pct"],
+                             _CELL % row["lower_err_pct"], _CELL % row["power_err_pct"]])
 
 
 def write_states_csv(result: RunResult, variant: str, path: str | Path) -> None:
-    vs = result.variants[variant]
-    dim = vs.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_h"] + [f"x_{j + 1}" for j in range(dim)])
-        for i in range(result.time_h.size):
-            writer.writerow([_fmt(result.time_h[i])] + [_fmt(v) for v in vs.states[i]])
+    states = result.variants[variant].states
+    header = ["time_h"] + [f"x_{j + 1}" for j in range(states.shape[1])]
+    _write_table(path, header, [result.time_h, states])
 
 
 def write_tracking_csv(result: RunResult, variant: str, path: str | Path) -> None:
     vs = result.variants[variant]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_h", "reference_kw", "achieved_kw", "model_p_kw",
-                         "abs_err_kw"])
-        for i in range(result.time_h.size):
-            err = abs(vs.imm_p_kw[i] - result.reference_kw[i])
-            writer.writerow([_fmt(result.time_h[i]), _fmt(result.reference_kw[i]),
-                             _fmt(vs.imm_p_kw[i]), _fmt(vs.model_p_kw[i]), _fmt(err)])
+    _write_table(path, ["time_h", "reference_kw", "achieved_kw", "model_p_kw", "abs_err_kw"],
+                 [result.time_h, result.reference_kw, vs.imm_p_kw, vs.model_p_kw,
+                  np.abs(vs.imm_p_kw - result.reference_kw)])

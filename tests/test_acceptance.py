@@ -12,6 +12,7 @@ Criteria:
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,12 +251,11 @@ def test_criterion_6_actuation_statistics():
     m = 10_000
     lines = []
     for i, p in enumerate((0.1, 0.5, 0.9)):
-        cmd = DispatchCommand.zero(LAY)
-        cmd.start_discharging = np.full(LAY.n_intervals, p)
+        cmd = replace(DispatchCommand.zero(LAY), start_discharging=np.full(LAY.n_intervals, p))
         alpha = step_stream(seed=404, step_index=i).random(m)
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)
-        new = actuate_array(mode, soc, cmd, alpha, np.ones(m, bool), 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
         frac = float((new == Connection.DISCHARGING).mean())
         tol = 4.0 * np.sqrt(p * (1 - p) / m)
         assert abs(frac - p) <= tol

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from evflex.aggregate import (
     discretize,
     estimate_transition_matrix,
     output,
-    predict,
+    step,
 )
 from evflex.fleet import Connection, Fleet, sample_fleet
 
@@ -268,6 +270,11 @@ class TestOutput:
         assert env_s2.p_l_kw == pytest.approx(env_e2.p_l_kw)
 
 
+def predict_step(state, mats, u=None, w=None):
+    """One step of the recursion x' = A x + B u + w (see `aggregate.step`)."""
+    return replace(state, x=step(mats.A @ state.x, mats.B, u, w))
+
+
 class TestPredict:
     def mats(self, layout=LAY10, p_up=0.009375, p_down=0.011574):
         a = build_transition_matrix(layout, p_up, p_down)
@@ -277,7 +284,7 @@ class TestPredict:
     def test_identity_recursion(self):
         mats = self.mats(p_up=0.0, p_down=0.0)
         st_ = unit_state(14)
-        out = predict(st_, mats)
+        out = predict_step(st_, mats)
         np.testing.assert_array_equal(out.x, st_.x)
 
     def test_input_moves_mass_between_states(self):
@@ -285,7 +292,7 @@ class TestPredict:
         st_ = unit_state(14)  # idle interval 5
         u = np.zeros(42)
         u[10 + 4] = 0.25  # start-discharging input for interval 5
-        out = predict(st_, mats, u=u)
+        out = predict_step(st_, mats, u=u)
         assert out.x[14] == pytest.approx(0.75)
         assert out.x[24] == pytest.approx(0.25)
 
@@ -297,7 +304,7 @@ class TestPredict:
         st_ = state_from_x(x)
         u = np.zeros(42)
         u[5] = x[5] * 0.5
-        out = predict(st_, mats, u=u)
+        out = predict_step(st_, mats, u=u)
         assert out.x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_inadmissible_input_raises(self):
@@ -307,7 +314,7 @@ class TestPredict:
         u[10 + 4] = 0.5
         u[3 * 10 + 4] = 0.6  # start-charging pulls more idle mass than exists
         with pytest.raises(ValueError, match="negative"):
-            predict(st_, mats, u=u)
+            predict_step(st_, mats, u=u)
 
     def test_churn_noise_clamped_and_renormalized(self):
         mats = self.mats(p_up=0.0, p_down=0.0)
@@ -315,7 +322,7 @@ class TestPredict:
         w = np.zeros(33)
         w[14] = -0.2
         w[0] = 0.1
-        out = predict(st_, mats, w=w)
+        out = predict_step(st_, mats, w=w)
         assert out.x.min() >= 0.0
         assert out.x.sum() == pytest.approx(1.0, abs=1e-9)
 

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,7 +83,7 @@ class TestPlanDispatch:
         assert not plan.saturated  # claims feasibility
         cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(0).random(200)
-        new_mode = actuate_array(conn, soc, cmd, alpha, np.ones(200, bool), 0.0, 1.0)
+        new_mode = actuate_array(conn, soc, cmd, alpha, 0.0, 1.0)
         np.testing.assert_array_equal(new_mode, conn)  # nothing switched
 
         x_essm = np.zeros(LAY.dimension)
@@ -171,6 +173,21 @@ class TestSwitchingProbabilities:
         cmd = to_switching_probabilities(plan_dispatch(0.0, st_))
         np.testing.assert_array_equal(cmd.start_discharging, 0.0)
 
+    def test_boundary_inputs_give_frozen_checked_command(self):
+        x = np.zeros(LAY.dimension)
+        x[LAY.empty_idle_index] = x[LAY.full_idle_index] = 0.5
+        plan = plan_dispatch(0.0, state_from_x(x))
+        n = LAY.n_intervals
+        plan.u[4 * n:] = [0.125, 0.5]
+        plan.source_mass[4 * n:] = 0.5
+        cmd = to_switching_probabilities(plan)
+        assert (cmd.empty_to_charging, cmd.full_to_discharging) == (0.25, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            cmd.full_to_discharging = 0.0
+        assert cmd in {cmd}  # hashable despite its array fields
+        with pytest.raises(ValueError, match="lie in"):
+            replace(cmd, empty_to_charging=1.5)
+
     def test_overdraw_raises(self):
         st_ = idle_state()
         plan = plan_dispatch(0.0, st_)
@@ -184,16 +201,13 @@ def actuate(mode: Connection, soc: float, command: DispatchCommand,
             alpha: float) -> Connection:
     """actuate_array on a single connected vehicle."""
     out = actuate_array(np.array([mode], dtype=np.int8), np.array([soc]), command,
-                        np.array([alpha]), np.ones(1, bool), 0.0, 1.0)
+                        np.array([alpha]), 0.0, 1.0)
     return Connection(int(out[0]))
 
 
 class TestActuation:
     def command_with(self, **kw):
-        cmd = DispatchCommand.zero(LAY)
-        for key, val in kw.items():
-            setattr(cmd, key, val)
-        return cmd
+        return replace(DispatchCommand.zero(LAY), **kw)
 
     def test_zero_probability_never_switches(self):
         cmd = self.command_with()
@@ -216,11 +230,9 @@ class TestActuation:
             == Connection.FORCED_CHARGING
 
     def test_refusal_at_soc_bounds_under_plain_layout(self):
-        cmd = DispatchCommand.zero(LAY_SSM)
-        cmd.start_charging = np.ones(10)
+        cmd = replace(DispatchCommand.zero(LAY_SSM), start_charging=np.ones(10))
         assert actuate(Connection.IDLE, 1.0, cmd, alpha=0.0) == Connection.IDLE
-        cmd2 = DispatchCommand.zero(LAY_SSM)
-        cmd2.start_discharging = np.ones(10)
+        cmd2 = replace(DispatchCommand.zero(LAY_SSM), start_discharging=np.ones(10))
         assert actuate(Connection.IDLE, 0.0, cmd2, alpha=0.0) == Connection.IDLE
 
     def test_extended_layout_boundary_inputs(self):
@@ -246,7 +258,7 @@ class TestActuation:
         cmd = self.command_with(start_discharging=np.full(10, 0.25))
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)
-        new = actuate_array(mode, soc, cmd, alpha, np.ones(m, bool), 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
         frac = (new == Connection.DISCHARGING).mean()
         assert abs(frac - 0.25) <= 4.0 * np.sqrt(0.25 * 0.75 / m)
 
@@ -262,14 +274,13 @@ class TestActuation:
         plan = plan_dispatch(18_000.0, st_)
         cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(12).random(m)
-        new = actuate_array(mode, soc, cmd, alpha, np.ones(m, bool), 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
         realized_kw = 6.0 * (new == Connection.DISCHARGING).sum()
         p = cmd.start_discharging[4]
         sigma_kw = 6.0 * np.sqrt(m * p * (1 - p))
         assert abs(realized_kw - plan.achieved_delta_kw) <= 4.0 * sigma_kw
 
     def test_validation_rejects_oversubscribed_idle(self):
-        cmd = self.command_with(start_discharging=np.full(10, 0.7),
-                                start_charging=np.full(10, 0.7))
         with pytest.raises(ValueError, match="outgoing"):
-            cmd.validate()
+            self.command_with(start_discharging=np.full(10, 0.7),
+                              start_charging=np.full(10, 0.7))

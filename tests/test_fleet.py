@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,10 +220,8 @@ class TestFleetStep:
     def test_malformed_command_rejected(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1)
         layout = StateLayout(10, "essm")
-        bad = DispatchCommand.zero(layout)
-        bad.start_charging = np.full(10, 1.5)
         with pytest.raises(ValueError, match="probabilities"):
-            fleet.step(bad)
+            fleet.step(replace(DispatchCommand.zero(layout), start_charging=np.full(10, 1.5)))
 
 
 class WindowOracle:
@@ -262,7 +262,7 @@ class WindowOracle:
         self.mode[binding] = Connection.FORCED_CHARGING
         if command is not None:
             alpha = step_stream(self.seed, self.k).random(p.n_ev)
-            self.mode = actuate_array(self.mode, self.soc, command, alpha, now,
+            self.mode = actuate_array(self.mode, self.soc, command, alpha,
                                       p.soc_min, p.soc_max)
         charging = now & np.isin(self.mode, [Connection.CHARGING, Connection.FORCED_CHARGING])
         discharging = now & (self.mode == Connection.DISCHARGING)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evflex.aggregate import FlexibilityEnvelope
 from evflex.cli import main
 from evflex.config import (
     DistributionSpec,
@@ -11,8 +12,8 @@ from evflex.config import (
     save_config,
 )
 from evflex.scenario import (
+    ReferenceGenerator,
     error_metrics,
-    generate_reference,
     run_prediction_experiment,
     run_tracking_experiment,
     write_errors_csv,
@@ -48,38 +49,46 @@ class TestErrorMetrics:
             error_metrics(np.ones(3), np.ones(4))
 
 
+def reference_series(p_l, p_u, dt_hours, period_hours, seed):
+    """ReferenceGenerator driven over a fixed envelope series, no scripted
+    windows."""
+    gen = ReferenceGenerator(ReferenceConfig(period_hours), dt_hours, len(p_l), seed)
+    return np.array([gen.level(k, FlexibilityEnvelope(0.0, u, l))
+                     for k, (l, u) in enumerate(zip(p_l, p_u))])
+
+
 class TestGenerateReference:
     def test_levels_within_central_band(self):
         n = 1000
-        ref = generate_reference(np.full(n, -600.0), np.full(n, 600.0),
-                                 dt_hours=1 / 240, period_hours=1.0, seed=5)
+        ref = reference_series(np.full(n, -600.0), np.full(n, 600.0),
+                               dt_hours=1 / 240, period_hours=1.0, seed=5)
         assert ref.min() >= -480.0
         assert ref.max() <= 480.0
 
     def test_single_period_constant(self):
         n = 241
-        ref = generate_reference(np.full(n, -600.0), np.full(n, 600.0),
-                                 dt_hours=1 / 240, period_hours=2.0, seed=5)
+        ref = reference_series(np.full(n, -600.0), np.full(n, 600.0),
+                               dt_hours=1 / 240, period_hours=2.0, seed=5)
         assert np.unique(ref).size == 1
 
     def test_piecewise_constant_with_period(self):
         n = 480
-        ref = generate_reference(np.full(n, -600.0), np.full(n, 600.0),
-                                 dt_hours=1 / 240, period_hours=1.0, seed=5)
+        ref = reference_series(np.full(n, -600.0), np.full(n, 600.0),
+                               dt_hours=1 / 240, period_hours=1.0, seed=5)
         assert np.unique(ref).size == 2
         assert (ref[:240] == ref[0]).all()
 
     def test_degenerate_band_holds_forced_level(self):
         n = 100
-        ref = generate_reference(np.full(n, -55.0), np.full(n, -55.0),
-                                 dt_hours=1 / 240, period_hours=1.0, seed=5)
+        ref = reference_series(np.full(n, -55.0), np.full(n, -55.0),
+                               dt_hours=1 / 240, period_hours=1.0, seed=5)
         np.testing.assert_array_equal(ref, -55.0)
 
     def test_seeded_determinism(self):
         n = 480
         args = (np.full(n, -600.0), np.full(n, 600.0))
-        a = generate_reference(*args, dt_hours=1 / 240, period_hours=0.5, seed=9)
-        b = generate_reference(*args, dt_hours=1 / 240, period_hours=0.5, seed=9)
+        a = reference_series(*args, dt_hours=1 / 240, period_hours=0.5, seed=9)
+        b = reference_series(*args, dt_hours=1 / 240, period_hours=0.5, seed=9)
         np.testing.assert_array_equal(a, b)
 
 
@@ -298,6 +307,10 @@ class TestConfigIO:
         ({"distributions": {"soc_max": float("nan")}}, "soc_max"),
         ({"distributions": {"capacity_kwh": {"kind": "uniform", "low": 20.0,
                                              "high": float("inf")}}}, "high"),
+        ({"variants": []}, "variants"),
+        ({"variants": ["essm", "essm"]}, "variants"),
+        ({"measurement_noise_kw": [1.0, 2.0]}, "measurement_noise_kw"),
+        ({"measurement_noise_kw": [1.0]}, "measurement_noise_kw"),
     ])
     def test_bad_numbers_rejected(self, d, name):
         with pytest.raises(ValueError, match=f"{name} must be"):
