@@ -38,6 +38,7 @@ from .fleet import (
     Fleet,
     FleetParams,
     FleetSnapshot,
+    FleetStep,
     sample_fleet,
 )
 from .imm import imm_flexibility, imm_power

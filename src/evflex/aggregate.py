@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import CS, DISCONNECTED, DS, FCS, IS, FleetSnapshot
+from .fleet import CS, DISCONNECTED, DS, FCS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope
 
 SSM = "ssm"
 ESSM = "essm"
@@ -133,16 +133,6 @@ class SystemMatrices:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-
-
-@dataclass(frozen=True)
-class FlexibilityEnvelope:
-    """Instantaneous power and one-step capability bounds, grid-injection
-    positive: p_l <= p_ev <= p_u for truthful layouts."""
-
-    p_ev_kw: float
-    p_u_kw: float
-    p_l_kw: float
 
 
 def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
@@ -403,23 +393,24 @@ class AggregateModel:
         """Aggregate power of `state` under the current output matrix."""
         return float((self.mats.C @ state.x)[0])
 
-    def advance(self, snapshot: FleetSnapshot, u: np.ndarray | None = None,
+    def advance(self, events: FleetStep, u: np.ndarray | None = None,
                 pre: AggregateState | None = None) -> None:
-        """Apply one recursion step with the churn observed in `snapshot`.
+        """Apply one recursion step with the churn in the plug events of one
+        fleet step.
 
         An empty model holds the zero vector, so arrivals into it define the
         state outright through the churn term.
         """
         st = self.state
-        n_new = st.n_ev_connected + snapshot.n_in - snapshot.n_out
+        n_new = st.n_ev_connected + events.n_in - events.n_out
         if n_new <= 0:
             self._set_state(AggregateState(self.layout, np.zeros(self.layout.dimension),
                                            0, 0.0, 0.0))
             return
         w = None
-        if snapshot.n_in or snapshot.n_out:
-            w = compute_noise(st.n_ev_connected, snapshot.in_soc, snapshot.in_connection,
-                              snapshot.out_soc, snapshot.out_connection, self.layout)
+        if events.n_in or events.n_out:
+            w = compute_noise(st.n_ev_connected, events.in_soc, events.in_connection,
+                              events.out_soc, events.out_connection, self.layout)
         x_pre = self.mats.A @ st.x if pre is None else pre.x
         self._set_state(replace_state(st, step(x_pre, self.mats.B, u, w), n_ev=n_new))
 

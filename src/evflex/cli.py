@@ -43,6 +43,12 @@ def _load(args) -> SimulationConfig:
     return config.with_overrides(**overrides) if overrides else config
 
 
+def _fleet_size(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"fleet sizes must be >= 1, got {text}")
+    return int(text)
+
+
 def _write_run(result, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_timeseries_csv(result, out / "timeseries.csv")
@@ -57,8 +63,7 @@ def _print_errors(rows: list[dict]) -> None:
               f"power={row['power_err_pct']:.4g}%")
 
 
-def _cmd_predict(args) -> int:
-    config = _load(args)
+def _cmd_predict(args, config: SimulationConfig) -> int:
     result = run_prediction_experiment(config)
     _write_run(result, args.out)
     rows = result.prediction_errors()
@@ -83,10 +88,8 @@ def _read_reference(path: Path, config: SimulationConfig) -> np.ndarray:
     return np.asarray(data["reference_kw"], dtype=float)
 
 
-def _cmd_track(args) -> int:
-    config = _load(args)
-    reference = _read_reference(args.reference, config) if args.reference else None
-    result = run_tracking_experiment(config, reference)
+def _cmd_track(args, config: SimulationConfig) -> int:
+    result = run_tracking_experiment(config, args.reference)
     _write_run(result, args.out)
     for name in result.config.variants:
         write_tracking_csv(result, name, args.out / f"tracking_{name}.csv")
@@ -95,8 +98,7 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load(args)
+def _cmd_sweep(args, config: SimulationConfig) -> int:
     rows = sweep_prediction(config, args.sizes)
     args.out.mkdir(parents=True, exist_ok=True)
     write_errors_csv(rows, args.out / "errors.csv")
@@ -124,12 +126,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="prediction-error table over fleet sizes")
     _add_common(p)
-    p.add_argument("--sizes", nargs="+", type=int, default=[500, 5000, 10000],
+    p.add_argument("--sizes", nargs="+", type=_fleet_size, default=[500, 5000, 10000],
                    help="fleet sizes to sweep")
     p.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # Bad input ends in one line naming it; errors inside a run propagate.
+    try:
+        config = _load(args)
+        if getattr(args, "reference", None) is not None:
+            args.reference = _read_reference(args.reference, config)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,11 @@ class DispatchCommand:
             raise ValueError("switching probabilities must lie in [0, 1]")
         if (self.start_discharging + self.start_charging > 1.0 + 1e-9).any():
             raise ValueError("total outgoing probability from an idle interval exceeds 1")
+        # Per mode code, whether a nonzero probability can switch a vehicle in
+        # that mode; actuation leaves the other modes alone.
+        stop_c, start_d, stop_d, start_c = (p[:-2].reshape(4, -1) != 0.0).any(axis=1)
+        idle = start_d or start_c or (self.layout.variant == ESSM and (p[-2:] > 0.0).any())
+        object.__setattr__(self, "addressed", np.array([0, stop_c, idle, stop_d, 0], bool))
 
     @classmethod
     def zero(cls, layout: StateLayout) -> "DispatchCommand":
@@ -193,36 +198,26 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     plain layout addresses boundary-parked vehicles through its edge idle
     intervals, so its commands can land on vehicles that must refuse.
     """
-    layout = command.layout
     new_mode = mode.copy()
-    iv = layout.interval_index(soc)
+    on = command.addressed  # a block whose probabilities are all zero is skipped
+    if not on.any():
+        return new_mode
+    iv = command.layout.interval_index(soc)
+    if on[CS]:
+        new_mode[(mode == CS) & (alpha < command.stop_charging[iv])] = IS
+    if on[DS]:
+        new_mode[(mode == DS) & (alpha < command.stop_discharging[iv])] = IS
+    if not on[IS]:
+        return new_mode
 
-    cs = mode == CS
-    hit = cs & (alpha < command.stop_charging[iv])
-    new_mode[hit] = IS
-
-    ds = mode == DS
-    hit = ds & (alpha < command.stop_discharging[iv])
-    new_mode[hit] = IS
-
-    idle = mode == IS
-    at_max = soc >= soc_max
-    at_min = soc <= soc_min
-    if layout.variant == ESSM:
+    idle, at_max, at_min = mode == IS, soc >= soc_max, soc <= soc_min
+    regular = idle
+    if command.layout.variant == ESSM:
         regular = idle & ~at_max & ~at_min
-        full_idle = idle & at_max
-        empty_idle = idle & at_min
-        hit = full_idle & (alpha < command.full_to_discharging)
-        new_mode[hit] = DS
-        hit = empty_idle & (alpha < command.empty_to_charging)
-        new_mode[hit] = CS
-    else:
-        regular = idle
+        new_mode[idle & at_max & (alpha < command.full_to_discharging)] = DS
+        new_mode[idle & at_min & (alpha < command.empty_to_charging)] = CS
     # Stacked thresholds: start-discharging first, then start-charging.
-    p_b = command.start_discharging[iv]
-    p_d = command.start_charging[iv]
-    to_ds = regular & (alpha < p_b) & ~at_min
-    to_cs = regular & ~(alpha < p_b) & (alpha < p_b + p_d) & ~at_max
-    new_mode[to_ds] = DS
-    new_mode[to_cs] = CS
+    p_b, p_d = command.start_discharging[iv], command.start_charging[iv]
+    new_mode[regular & (alpha < p_b) & ~at_min] = DS
+    new_mode[regular & ~(alpha < p_b) & (alpha < p_b + p_d) & ~at_max] = CS
     return new_mode

@@ -15,6 +15,7 @@ Sign convention is grid-injection-positive: charging vehicles contribute
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -119,10 +120,19 @@ def sample_fleet(distributions: FleetDistributions, n_ev: int, seed: int) -> Fle
     )
 
 
+@dataclass(frozen=True)
+class FlexibilityEnvelope:
+    """Instantaneous power and one-step capability bounds, grid-injection
+    positive: p_l <= p_ev <= p_u for truthful layouts."""
+
+    p_ev_kw: float
+    p_u_kw: float
+    p_l_kw: float
+
+
 @dataclass
 class FleetSnapshot:
-    """Telemetry for one instant: connected vehicles plus the plug events of
-    the elapsed step (arrival/departure SOC and mode at the event)."""
+    """Telemetry of the connected vehicles at one instant."""
 
     time_h: float
     ids: np.ndarray
@@ -131,16 +141,23 @@ class FleetSnapshot:
     power_kw: np.ndarray
     rated_charge_kw: np.ndarray
     rated_discharge_kw: np.ndarray
+
+    @property
+    def n_connected(self) -> int:
+        return self.ids.size
+
+
+@dataclass
+class FleetStep:
+    """One step's plug events (SOC and mode at each) and the envelope after it."""
+
     in_ids: np.ndarray
     in_soc: np.ndarray
     in_connection: np.ndarray
     out_ids: np.ndarray
     out_soc: np.ndarray
     out_connection: np.ndarray
-
-    @property
-    def n_connected(self) -> int:
-        return self.ids.size
+    envelope: FlexibilityEnvelope
 
     @property
     def n_in(self) -> int:
@@ -151,8 +168,24 @@ class FleetSnapshot:
         return self.out_ids.size
 
 
-# Plug events as (ids, SOC, mode) at the event.
-_NO_EVENTS = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int8))
+_NO_IDS = np.empty(0, dtype=np.int64)
+# Running sums in int64 units of 2**-40 kW (up to 2**22 kW): a vehicle takes
+# out bitwise what it put in, and an emptied set sums to exactly zero.
+_KW_UNITS = 2.0 ** 40
+
+
+def _term_table(soc_min: float, soc_max: float) -> np.ndarray:
+    """The capability rule of `imm` as coefficients of (P_c, P_d) in the
+    running sums (power, dischargeable, chargeable, forced), indexed [mode +
+    5 * SOC position (0 inside, 1 floor, 2 ceiling), rated power, sum]."""
+    from .imm import capability  # imm reads this module's mode codes
+    mode = np.tile(np.arange(5), 3)
+    soc = np.repeat([0.5 * (soc_min + soc_max), soc_min, soc_max], 5)
+    forced, can_discharge, can_charge = capability(soc, mode, soc_min, soc_max)
+    on, none = mode != DISCONNECTED, np.zeros(mode.size, dtype=bool)
+    table = [[-1 * ((mode == CS) | forced), none, can_charge & on, forced],
+             [mode == DS, can_discharge & on, none, none]]
+    return np.array(table, dtype=np.int64).transpose(2, 0, 1)
 
 
 def _bucket(events, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,43 +195,37 @@ def _bucket(events, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     ids = np.concatenate([np.flatnonzero(fires) for _, fires in events])
     ptr = np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))])
     ids = ids[np.lexsort((ids, steps))]
-    ids.flags.writeable = False  # snapshots hand out slices of it
+    ids.flags.writeable = False  # step results hand out slices of it
     return ids, ptr
 
 
 def _events(bucket: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
     ids, ptr = bucket
-    return ids[ptr[j]:ptr[j + 1]] if j + 1 < ptr.size else _NO_EVENTS[0]
+    return ids[ptr[j]:ptr[j + 1]] if j + 1 < ptr.size else _NO_IDS
 
 
 class Fleet:
-    """Vectorized fleet state machine.
+    """Event-driven fleet state machine.
 
     Each vehicle has up to two connection windows inside a 0-24 h run: the
     tail of yesterday's session ([plug_in - 24, plug_out - 24), SOC
     fast-forwarded through the pre-run uncontrolled charging) and today's
-    session ([plug_in, plug_out)). Every plug event is bucketed once by the
-    step it fires in, so a step touches only its events and the connected
-    vehicles. Steps are sequential; within a step all vehicles update
-    independently, with actuation randomness drawn from a per-step keyed
-    stream indexed by vehicle id so scheduling order can never change
-    results.
+    session ([plug_in, plug_out)). A connected vehicle is an anchor (SOC,
+    step, mode); plug events and the steps at which anchors reach full or
+    empty are filed by step, so a step touches only its events, the vehicles
+    whose deadline can bind and those a command addresses, and keeps the imm
+    envelope as running sums over them. Actuation draws are keyed by step
+    and vehicle id.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int):
         if dt_hours <= 0:
             raise ValueError("dt must be > 0")
-        self.params = params
-        self.dt_hours = dt_hours
-        self.seed = seed
-        self.step_index = 0
+        self.params, self.dt_hours, self.seed, self.step_index = params, dt_hours, seed, 0
         n = params.n_ev
         m_start = params.plug_in_h - HOURS_PER_DAY
         self._m_end = params.plug_out_h - HOURS_PER_DAY
         self._rate_c = params.charge_rate_per_h
-        # SOC gained by one step of charging, lost by one step of discharging.
-        self._dsoc_c = self._rate_c * dt_hours
-        self._dsoc_d = params.discharge_rate_per_h * dt_hours
 
         # Window [s, e) holds the vehicle after steps a <= j < b, a and b the
         # first grid points at or after s and e. The grid holds the step
@@ -215,101 +242,150 @@ class Fleet:
                                   (a_e, e_ok & ~merged & (a_e > 0))], grid.size)
         self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size)
 
-        self.soc = np.zeros(n)
-        self.mode = np.full(n, DISCONNECTED, dtype=np.int8)
-        self.connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
+        # Per [mode, vehicle]: SOC change per step, and the SOC below which an
+        # anchor is checked for forced charging (charging once; see `step`).
+        zero, never = np.zeros(n), np.full(n, -np.inf)
+        dsoc_c, dsoc_d = self._rate_c * dt_hours, params.discharge_rate_per_h * dt_hours
+        self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
+        self._watch_below = np.stack([never, -never, params.demanded_soc, -never, never])
+        # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in
+        # `_soc`) in `_mode`; `_due`, filed in `_calendar`: full or empty.
+        self._soc_a, self._k_a, self._slope = np.zeros(n), np.zeros(n), np.zeros(n)
+        self._mode = np.full(n, DISCONNECTED, dtype=np.int8)
+        self._due = np.full(n, -1, dtype=np.int64)
+        self._calendar, self._touched = defaultdict(set), []  # step -> ids; ids since commit
+        self._watch = np.zeros(n, dtype=bool)
+        rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
+        if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
+            raise ValueError("fleet rated power exceeds the running sums' range")
+        self._units = np.rint(rated * _KW_UNITS).astype(np.int64)
+        self._term_table = _term_table(params.soc_min, params.soc_max)
+        self._held = np.zeros((n, 4), dtype=np.int64)  # each vehicle's share of the sums
+        self._sums = np.zeros(4, dtype=np.int64)
+
         # Carried-over vehicles charged without interruption since plugging in
         # yesterday; fast-forward that history.
-        carried = self.connected & (m_start < 0.0)
-        elapsed = np.where(carried, -m_start, 0.0)
-        soc0 = params.initial_soc + elapsed * self._rate_c
-        fresh = self.connected & ~carried
-        self.soc[carried] = np.minimum(soc0[carried], params.soc_max)
-        self.soc[fresh] = params.initial_soc[fresh]
-        full = self.connected & (self.soc >= params.soc_max)
-        self.mode[self.connected] = CS
-        self.mode[full] = IS
+        connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
+        elapsed = np.where(connected & (m_start < 0.0), -m_start, 0.0)
+        soc = np.minimum(params.initial_soc + elapsed * self._rate_c, params.soc_max)
+        ids = np.flatnonzero(connected)
+        self.set_state(ids, soc[ids], np.where(soc[ids] >= params.soc_max, IS, CS))
 
-    @property
-    def time_h(self) -> float:
-        return self.step_index * self.dt_hours
+    def _soc(self, ids: np.ndarray, k: int) -> np.ndarray:
+        """The SOC law: SOC at step k of the vehicles `ids` from their
+        anchors, clamped at the bounds."""
+        soc = self._soc_a[ids] + self._slope[ids] * (k - self._k_a[ids])
+        return np.minimum(np.maximum(soc, self.params.soc_min), self.params.soc_max)
+
+    def _anchor(self, ids: np.ndarray, soc, mode, k: int) -> None:
+        """Re-anchor `ids` at (soc, mode) as of step k, file the step at
+        which each moving one reaches full or empty, and mark them touched."""
+        if not ids.size:
+            return
+        self._touched.append(ids)
+        self._soc_a[ids], self._k_a[ids], self._mode[ids] = soc, k, mode
+        soc, mode = self._soc_a[ids], self._mode[ids]
+        slope = self._slope[ids] = self._slopes[mode, ids]
+        self._watch[ids] = soc < self._watch_below[mode, ids]
+        self._due[ids] = -1
+        if not (moving := np.flatnonzero(slope)).size:
+            return
+        ids, soc, slope = ids[moving], soc[moving], slope[moving]
+        # Steps until the law reaches its bound; rounding may file a step off
+        # by one where SOC lands within rounding of it: a float edge.
+        bound = np.where(slope > 0.0, self.params.soc_max, self.params.soc_min)
+        due = self._due[ids] = k + np.maximum(np.ceil((bound - soc) / slope), 1.0).astype(np.int64)
+        for step, i in zip(due.tolist(), ids.tolist()):
+            self._calendar[step].add(i)
+
+    def _commit(self, k: int) -> None:
+        """Move the touched vehicles' shares of the running sums to step k."""
+        if not self._touched:
+            return
+        ids, more = self._touched[0], self._touched[1:]  # each array holds distinct ids
+        if more:  # each vehicle once (np.unique would import numpy.ma)
+            ids = np.sort(np.concatenate([ids, *more]))
+            ids = ids[np.diff(ids, prepend=-1) > 0]
+        self._touched = []
+        soc = self._soc(ids, k)
+        position = (soc <= self.params.soc_min) + 2 * (soc >= self.params.soc_max)
+        coef = self._term_table[self._mode[ids] + 5 * position]
+        terms = np.einsum("mk,mks->ms", self._units[ids], coef)
+        self._sums += terms.sum(axis=0) - self._held[ids].sum(axis=0)
+        self._held[ids] = terms
 
     def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
         """Plug-out time of the session that holds each vehicle of `idx` at t."""
         m_end = self._m_end[idx]
         return np.where(t < m_end, m_end, self.params.plug_out_h[idx])
 
-    def snapshot(self, in_events=_NO_EVENTS, out_events=_NO_EVENTS) -> FleetSnapshot:
-        ids = np.flatnonzero(self.connected)
-        mode = self.mode[ids]
-        rated_c = self.params.rated_charge_kw[ids]
-        rated_d = self.params.rated_discharge_kw[ids]
+    def set_state(self, ids, soc, mode) -> None:
+        """Place connected vehicles at (soc, mode); the next step touches them."""
+        ids = np.asarray(ids, dtype=np.int64)
+        later, self._touched = self._touched + [ids], []
+        self._anchor(ids, soc, mode, self.step_index)
+        self._commit(self.step_index)
+        self._touched = later
+
+    def snapshot(self) -> FleetSnapshot:
+        ids = np.flatnonzero(self._mode != DISCONNECTED)
+        mode = self._mode[ids]
+        rated_c, rated_d = self.params.rated_charge_kw[ids], self.params.rated_discharge_kw[ids]
         power = np.where((mode == CS) | (mode == FCS), -rated_c,
                          np.where(mode == DS, rated_d, 0.0))
-        in_ids, in_soc, in_mode = in_events
-        out_ids, out_soc, out_mode = out_events
-        return FleetSnapshot(
-            time_h=self.time_h,
-            ids=ids,
-            soc=self.soc[ids],
-            connection=mode,
-            power_kw=power,
-            rated_charge_kw=rated_c,
-            rated_discharge_kw=rated_d,
-            in_ids=in_ids, in_soc=in_soc, in_connection=in_mode,
-            out_ids=out_ids, out_soc=out_soc, out_connection=out_mode,
-        )
+        k = self.step_index
+        return FleetSnapshot(time_h=k * self.dt_hours, ids=ids, soc=self._soc(ids, k),
+                             connection=mode, power_kw=power, rated_charge_kw=rated_c,
+                             rated_discharge_kw=rated_d)
 
-    def step(self, command=None) -> FleetSnapshot:
+    def step(self, command=None) -> FleetStep:
         """Advance one step: plug events, forced-charging promotion, command
-        actuation, SOC integration, boundary absorption. Returns the new
-        snapshot with the step's plug events attached."""
-        params = self.params
-        t0 = self.time_h
-        j = self.step_index + 1
-        t1 = j * self.dt_hours
+        actuation, boundary absorption. Returns the step's plug events and
+        the envelope after it."""
+        params, k0, j = self.params, self.step_index, self.step_index + 1
+        t0, t1 = k0 * self.dt_hours, j * self.dt_hours
 
-        arrivals = _events(self._arrivals, j)
         departures = _events(self._departures, j)
-        out_events = (departures, self.soc[departures], self.mode[departures])
-        self.soc[arrivals] = params.initial_soc[arrivals]
-        self.mode[arrivals] = CS
-        self.mode[departures] = DISCONNECTED
-        in_events = (arrivals, self.soc[arrivals], self.mode[arrivals])
-        self.connected[arrivals] = True
-        self.connected[departures] = False
+        out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
+        if departures.size:
+            self._sums -= self._held[departures].sum(axis=0)
+            self._mode[departures], self._due[departures] = DISCONNECTED, -1
+            self._held[departures], self._watch[departures] = 0, False
+        arrivals = _events(self._arrivals, j)
+        in_soc = params.initial_soc[arrivals]
+        self._anchor(arrivals, in_soc, CS, k0)
+        in_mode = self._mode[arrivals]
 
-        # The rest of the step works on the connected vehicles, gathered once.
-        idx = np.flatnonzero(self.connected)
-        soc = self.soc[idx]
-        mode = self.mode[idx]
+        # Forced-charging promotion, sticky until plug-out or full; a charging
+        # vehicle's slack demanded - soc - (deadline - t0) * rate stays put.
+        check = np.flatnonzero(self._watch)
+        if check.size:
+            soc = self._soc(check, k0)
+            self._watch[check[self._mode[check] == CS]] = False  # checked once
+            binding = (params.demanded_soc[check] - soc >=
+                       (self._deadline(check, t1) - t0) * self._rate_c[check])
+            self._anchor(check[binding], soc[binding], FCS, k0)
 
-        # Forced-charging promotion: binding departure deadline. Sticky until
-        # plug-out (or SOC-max absorption below).
-        binding = (mode != FCS) & (params.demanded_soc[idx] - soc >=
-                                   (self._deadline(idx, t1) - t0) * self._rate_c[idx])
-        mode[binding] = FCS
-
-        if command is not None:
+        if command is not None:  # only the vehicles it addresses evaluate their SOC
             from .control import actuate_array
-            alpha = step_stream(self.seed, self.step_index).random(params.n_ev)
-            mode = actuate_array(mode, soc, command, alpha[idx],
-                                 soc_min=params.soc_min, soc_max=params.soc_max)
+            alpha = step_stream(self.seed, k0).random(params.n_ev)
+            ids = np.flatnonzero(command.addressed.take(self._mode))
+            soc, mode = self._soc(ids, k0), self._mode[ids]
+            new = actuate_array(mode, soc, command, alpha[ids],
+                                soc_min=params.soc_min, soc_max=params.soc_max)
+            switched = new != mode
+            self._anchor(ids[switched], soc[switched], new[switched], k0)
 
-        charging = (mode == CS) | (mode == FCS)
-        discharging = mode == DS
-        # Adding 0.0 leaves the SOC of the other modes bitwise unchanged.
-        soc += self._dsoc_c[idx] * charging
-        soc -= self._dsoc_d[idx] * discharging
+        # Boundary absorption, filed when anchored: clamp and go idle.
+        due = self._calendar.pop(j, None)
+        if due is not None:
+            ids = np.fromiter(due, np.int64, len(due))
+            ids = ids[self._due[ids] == j]  # anchors replaced since filing are stale
+            self._anchor(ids, np.where(self._slope[ids] > 0.0, params.soc_max, params.soc_min),
+                         IS, j)
 
-        # Boundary absorption in the same step: clamp and go idle.
-        full = charging & (soc >= params.soc_max)
-        empty = discharging & (soc <= params.soc_min)
-        soc[full] = params.soc_max
-        soc[empty] = params.soc_min
-        mode[full | empty] = IS
-        self.soc[idx] = soc
-        self.mode[idx] = mode
-
-        self.step_index += 1
-        return self.snapshot(in_events=in_events, out_events=out_events)
+        self.step_index = j
+        self._commit(j)
+        power, dischargeable, chargeable, forced = (self._sums / _KW_UNITS).tolist()
+        return FleetStep(arrivals, in_soc, in_mode, departures, out_soc, out_mode,
+                         FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced))

@@ -182,26 +182,19 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     """Uncontrolled 24 h run: every vehicle charges until full or gone, every
     variant's model predicts alongside from telemetry."""
     k_steps = config.n_steps
-    d = config.distributions
     fleet = _fleet(config)
     models = {name: _model(config, name) for name in config.variants}
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in config.variants}
     noise = {name: _noise_rng_or_none(config, i) for i, name in enumerate(config.variants)}
 
-    snap = fleet.snapshot()
-    for model in models.values():
-        model.resync(snap)
-    _record(series, models, snap, d, 0, noise)
+    _record(config, fleet, series, models, noise, None, 0)
 
     for k in range(k_steps):
-        snap = fleet.step(None)
+        step = fleet.step(None)
         for model in models.values():
-            model.advance(snap)
-        if (k + 1) % config.resync_steps == 0:
-            for model in models.values():
-                model.resync(snap)
-        _record(series, models, snap, d, k + 1, noise)
+            model.advance(step)
+        _record(config, fleet, series, models, noise, step, k + 1)
 
     return RunResult(
         kind="prediction",
@@ -212,20 +205,30 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     )
 
 
-def _record(series, models, snap, distributions, idx, noise) -> None:
-    env_true = imm_flexibility(snap, distributions.soc_min, distributions.soc_max)
+def _record(config: SimulationConfig, fleet: Fleet, series, models, noise, step, k: int) -> None:
+    """Record step k. The ground truth is the step's running sums or, at a
+    resync (k = 0 included), the exact sum over fresh telemetry, which also
+    resets the models."""
+    if k % config.resync_steps:
+        env_true = step.envelope
+    else:
+        snap = fleet.snapshot()
+        for model in models.values():
+            model.resync(snap)
+        env_true = imm_flexibility(snap, config.distributions.soc_min,
+                                   config.distributions.soc_max)
     for name, model in models.items():
         vs = series[name]
         std, rng = noise[name]
         env = model.envelope(noise_std_kw=std, rng=rng)
-        vs.model_p_kw[idx] = env.p_ev_kw
-        vs.model_u_kw[idx] = env.p_u_kw
-        vs.model_l_kw[idx] = env.p_l_kw
-        vs.imm_p_kw[idx] = env_true.p_ev_kw
-        vs.imm_u_kw[idx] = env_true.p_u_kw
-        vs.imm_l_kw[idx] = env_true.p_l_kw
-        vs.states[idx] = model.state.x
-        vs.n_connected[idx] = model.state.n_ev_connected
+        vs.model_p_kw[k] = env.p_ev_kw
+        vs.model_u_kw[k] = env.p_u_kw
+        vs.model_l_kw[k] = env.p_l_kw
+        vs.imm_p_kw[k] = env_true.p_ev_kw
+        vs.imm_u_kw[k] = env_true.p_u_kw
+        vs.imm_l_kw[k] = env_true.p_l_kw
+        vs.states[k] = model.state.x
+        vs.n_connected[k] = model.state.n_ev_connected
 
 
 def _run_tracking_single(config: SimulationConfig, variant: str,
@@ -234,7 +237,6 @@ def _run_tracking_single(config: SimulationConfig, variant: str,
     given, levels are drawn online from the live model envelope (plus the
     configured scripted windows) and the generated series is returned."""
     k_steps = config.n_steps
-    d = config.distributions
     fleet = _fleet(config)
     model = _model(config, variant)
     vs = VariantSeries.zeros(variant, k_steps, model.layout.dimension)
@@ -247,9 +249,7 @@ def _run_tracking_single(config: SimulationConfig, variant: str,
         generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
         reference = np.zeros(k_steps + 1)
 
-    snap = fleet.snapshot()
-    model.resync(snap)
-    _record(series, models, snap, d, 0, noise)
+    _record(config, fleet, series, models, noise, None, 0)
 
     for k in range(k_steps):
         if online:
@@ -263,11 +263,9 @@ def _run_tracking_single(config: SimulationConfig, variant: str,
         vs.achieved_delta_kw[k] = plan.achieved_delta_kw
         vs.saturated[k] = plan.saturated
 
-        snap = fleet.step(command)
-        model.advance(snap, u=plan.expected_u, pre=pre)
-        if (k + 1) % config.resync_steps == 0:
-            model.resync(snap)
-        _record(series, models, snap, d, k + 1, noise)
+        step = fleet.step(command)
+        model.advance(step, u=plan.expected_u, pre=pre)
+        _record(config, fleet, series, models, noise, step, k + 1)
 
     return vs, reference
 

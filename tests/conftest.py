@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evflex.config import DistributionSpec, FleetDistributions
-from evflex.fleet import Connection, FleetSnapshot
+from evflex.fleet import Connection, FleetSnapshot, FleetStep, FlexibilityEnvelope
 
 
 def point(value: float) -> DistributionSpec:
@@ -25,8 +25,7 @@ def deterministic_distributions(power=6.0, eff=0.9, capacity=24.0, initial=0.5,
     )
 
 
-def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0,
-                  in_events=None, out_events=None) -> FleetSnapshot:
+def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0) -> FleetSnapshot:
     """Hand-built telemetry for aggregate/control tests."""
     soc = np.asarray(soc, dtype=float)
     connection = np.asarray(connection, dtype=np.int8)
@@ -38,11 +37,6 @@ def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0,
     charging = (connection == Connection.CHARGING) | (connection == Connection.FORCED_CHARGING)
     power[charging] = -pc_arr[charging]
     power[connection == Connection.DISCHARGING] = pd_arr[connection == Connection.DISCHARGING]
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0)
-    empty_m = np.empty(0, dtype=np.int8)
-    in_ids, in_soc, in_conn = in_events or (empty_i, empty_f, empty_m)
-    out_ids, out_soc, out_conn = out_events or (empty_i, empty_f, empty_m)
     return FleetSnapshot(
         time_h=time_h,
         ids=np.arange(n, dtype=np.int64),
@@ -51,8 +45,18 @@ def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0,
         power_kw=power,
         rated_charge_kw=pc_arr,
         rated_discharge_kw=pd_arr,
+    )
+
+
+def make_events(in_events=None, out_events=None) -> FleetStep:
+    """Hand-built plug events of one step, each given as (ids, SOC, mode)."""
+    empty = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int8))
+    in_ids, in_soc, in_conn = in_events or empty
+    out_ids, out_soc, out_conn = out_events or empty
+    return FleetStep(
         in_ids=in_ids, in_soc=np.asarray(in_soc, dtype=float), in_connection=in_conn,
         out_ids=out_ids, out_soc=np.asarray(out_soc, dtype=float), out_connection=out_conn,
+        envelope=FlexibilityEnvelope(0.0, 0.0, 0.0),
     )
 
 

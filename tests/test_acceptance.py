@@ -188,18 +188,18 @@ def test_criterion_4_oracle_equivalence():
 
     # (a) k-step open-loop prediction against the per-vehicle baseline.
     fleet = Fleet(params, DT_15S, seed=1)
-    fleet.soc[:] = (np.arange(m) + 0.5) / m
-    fleet.mode[fleet.soc >= 1.0] = Connection.IDLE
+    soc = (np.arange(m) + 0.5) / m
+    fleet.set_state(np.arange(m), soc,
+                    np.where(soc >= 1.0, Connection.IDLE, Connection.CHARGING))
     model = AggregateModel.from_distributions(LAY, dists, DT_15S, n_samples=100, seed=1)
     model.resync(fleet.snapshot())
     checkpoints = {30, 60, 90, 120, 240}
     scale = m * 6.0
     details = []
     for k in range(1, 241):
-        snap = fleet.step(None)
-        model.advance(snap)
+        model.advance(fleet.step(None))
         if k in checkpoints:
-            err = abs(model.envelope().p_ev_kw - imm_power(snap))
+            err = abs(model.envelope().p_ev_kw - imm_power(fleet.snapshot()))
             bound = scale * ((k * delta_s) % width + 0.01)
             assert err <= bound, f"k={k}: {err:.1f} kW > {bound:.1f} kW"
             details.append(f"k={k}: {err:.1f}<= {bound:.0f} kW")
@@ -211,9 +211,9 @@ def test_criterion_4_oracle_equivalence():
     model.resync(fleet.snapshot())
     resync_steps = 20
     for k in range(1, 121):
-        snap = fleet.step(None)
-        model.advance(snap)
+        model.advance(fleet.step(None))
         if k % resync_steps == 0:
+            snap = fleet.snapshot()
             model.resync(snap)
             expected = discretize(snap, LAY)
             assert np.array_equal(model.state.x, expected.x)

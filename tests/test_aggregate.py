@@ -23,7 +23,7 @@ from evflex.aggregate import (
 )
 from evflex.fleet import Connection, Fleet, sample_fleet
 
-from conftest import deterministic_distributions, make_snapshot
+from conftest import deterministic_distributions, make_events, make_snapshot
 
 DT_15S = 15.0 / 3600.0
 LAY10 = StateLayout(10, ESSM)
@@ -355,7 +355,8 @@ class TestComputeNoise:
 class TestResyncAndModel:
     def test_resync_matches_discretize_exactly(self, table_distributions):
         fleet = Fleet(sample_fleet(table_distributions, 200, seed=5), DT_15S, seed=5)
-        snap = fleet.step(None)
+        fleet.step(None)
+        snap = fleet.snapshot()
         model = AggregateModel(LAY10, np.eye(33))
         model.resync(snap)
         np.testing.assert_array_equal(model.state.x, discretize(snap, LAY10).x)
@@ -370,8 +371,7 @@ class TestResyncAndModel:
         model = AggregateModel(LAY10, np.eye(33))
         model.resync(make_snapshot([0.5] * 10, [Connection.CHARGING] * 10))
         arrivals = (np.arange(2), np.full(2, 0.25), np.full(2, Connection.CHARGING, np.int8))
-        snap = make_snapshot([0.5] * 12, [Connection.CHARGING] * 12, in_events=arrivals)
-        model.advance(snap)
+        model.advance(make_events(in_events=arrivals))
         assert model.state.n_ev_connected == 12
         assert model.state.x.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -380,8 +380,7 @@ class TestResyncAndModel:
         model.resync(make_snapshot([0.5, 0.6], [Connection.CHARGING] * 2))
         leaving = (np.arange(2), np.array([0.5, 0.6]),
                    np.full(2, Connection.CHARGING, np.int8))
-        snap = make_snapshot([], [], out_events=leaving)
-        model.advance(snap)
+        model.advance(make_events(out_events=leaving))
         assert model.state.empty
         env = model.envelope()
         assert env.p_ev_kw == 0.0

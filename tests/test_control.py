@@ -284,3 +284,53 @@ class TestActuation:
         with pytest.raises(ValueError, match="outgoing"):
             self.command_with(start_discharging=np.full(10, 0.7),
                               start_charging=np.full(10, 0.7))
+
+
+def full_mask_actuation(mode, soc, command, alpha, soc_min, soc_max):
+    """The actuation rule with every mask evaluated over every vehicle,
+    whatever the command addresses."""
+    layout = command.layout
+    new_mode = mode.copy()
+    iv = layout.interval_index(soc)
+    new_mode[(mode == Connection.CHARGING) & (alpha < command.stop_charging[iv])] = \
+        Connection.IDLE
+    new_mode[(mode == Connection.DISCHARGING) & (alpha < command.stop_discharging[iv])] = \
+        Connection.IDLE
+    idle = mode == Connection.IDLE
+    at_max, at_min = soc >= soc_max, soc <= soc_min
+    regular = idle
+    if layout.variant == ESSM:
+        regular = idle & ~at_max & ~at_min
+        new_mode[idle & at_max & (alpha < command.full_to_discharging)] = Connection.DISCHARGING
+        new_mode[idle & at_min & (alpha < command.empty_to_charging)] = Connection.CHARGING
+    p_b, p_d = command.start_discharging[iv], command.start_charging[iv]
+    new_mode[regular & (alpha < p_b) & ~at_min] = Connection.DISCHARGING
+    new_mode[regular & ~(alpha < p_b) & (alpha < p_b + p_d) & ~at_max] = Connection.CHARGING
+    return new_mode
+
+
+class TestActuationBlocks:
+    @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
+           blocks=st.lists(st.booleans(), min_size=6, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_skipping_zero_blocks_matches_full_masks(self, seed, variant, blocks):
+        rng = np.random.default_rng(seed)
+        m = 60
+        mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
+                           Connection.FORCED_CHARGING], m).astype(np.int8)
+        soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
+        soc[m // 2:] = rng.random(m - m // 2)
+        start = rng.random((2, 10)) * 0.5
+        command = DispatchCommand(
+            StateLayout(10, variant),
+            stop_charging=rng.random(10) * blocks[0],
+            start_discharging=start[0] * blocks[1],
+            stop_discharging=rng.random(10) * blocks[2],
+            start_charging=start[1] * blocks[3],
+            empty_to_charging=float(rng.random()) * blocks[4],
+            full_to_discharging=float(rng.random()) * blocks[5],
+        )
+        alpha = rng.random(m)
+        np.testing.assert_array_equal(
+            actuate_array(mode, soc, command, alpha, 0.0, 1.0),
+            full_mask_actuation(mode, soc, command, alpha, 0.0, 1.0))

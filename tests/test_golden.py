@@ -6,17 +6,23 @@ and a small tracking run with the scripted probes of
 only a change whose stated purpose is a behaviour change may record new ones,
 and CHANGES.md says so.
 
-The digests are pinned to this numpy version's random streams (recorded with
-numpy 2.4.6): the fleet, the transition-matrix estimate, the reference and
-the actuation draws all come from numpy's SeedSequence/PCG64 generators, and
-another numpy release may draw different values for the same seed.
+The digests are pinned to the random streams of the numpy release they were
+recorded with (`PINNED_NUMPY`): the fleet, the transition-matrix estimate,
+the reference and the actuation draws all come from numpy's
+SeedSequence/PCG64 generators, and another numpy release may draw different
+values for the same seed. A failure names the changed CSVs and both numpy
+versions.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from evflex.cli import main
+
+PINNED_NUMPY = "2.4.6"
 
 PROBES = Path(__file__).resolve().parents[1] / "configs" / "tracking_probes.json"
 
@@ -62,21 +68,29 @@ def run_digests(tmp_path: Path, command: str, config: dict, *flags: str) -> dict
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
 
+def assert_digests(actual: dict[str, str], expected: dict[str, str]) -> None:
+    changed = sorted(name for name in actual.keys() | expected.keys()
+                     if actual.get(name) != expected.get(name))
+    assert not changed, (f"changed outputs: {', '.join(changed)} (digests recorded with "
+                         f"numpy {PINNED_NUMPY}, running numpy {np.__version__})")
+
+
 def test_predict_outputs_unchanged(tmp_path):
     config = {"n_ev": 200, "horizon_hours": 6.0, "seed": 33}
-    assert run_digests(tmp_path, "predict", config) == PREDICT_DIGESTS
+    assert_digests(run_digests(tmp_path, "predict", config), PREDICT_DIGESTS)
 
 
 def test_predict_day_outputs_unchanged(tmp_path):
     config = {"n_ev": 200, "horizon_hours": 24.0, "seed": 33}
-    assert run_digests(tmp_path, "predict", config) == PREDICT_DAY_DIGESTS
+    assert_digests(run_digests(tmp_path, "predict", config), PREDICT_DAY_DIGESTS)
 
 
 def test_predict_single_variant_outputs_unchanged(tmp_path):
     config = {"n_ev": 200, "horizon_hours": 6.0, "seed": 33}
-    assert run_digests(tmp_path, "predict", config, "--variants", "ssm") == PREDICT_SSM_DIGESTS
+    assert_digests(run_digests(tmp_path, "predict", config, "--variants", "ssm"),
+                   PREDICT_SSM_DIGESTS)
 
 
 def test_track_outputs_unchanged(tmp_path):
     config = json.loads(PROBES.read_text()) | {"n_ev": 150, "horizon_hours": 3.0}
-    assert run_digests(tmp_path, "track", config) == TRACK_DIGESTS
+    assert_digests(run_digests(tmp_path, "track", config), TRACK_DIGESTS)

@@ -28,7 +28,8 @@ class TestImmPower:
 
     def test_equals_snapshot_power_sum_exactly(self, table_distributions):
         fleet = Fleet(sample_fleet(table_distributions, 300, seed=1), DT_15S, seed=1)
-        snap = fleet.step(None)
+        fleet.step(None)
+        snap = fleet.snapshot()
         assert imm_power(snap) == snap.power_kw.sum()
 
 
@@ -77,16 +78,15 @@ class TestModelConvergence:
         dists = deterministic_distributions(initial=0.5)
         params = sample_fleet(dists, 400, seed=3)
         fleet = Fleet(params, DT_15S, seed=3)
-        fleet.soc[:] = np.linspace(0.05, 0.85, 400)
+        fleet.set_state(np.arange(400), np.linspace(0.05, 0.85, 400), Connection.CHARGING)
         layout = StateLayout(100, "essm")
         rate = 6.0 * 0.9 / 24.0
         p_move = rate * DT_15S / layout.width
         model = AggregateModel(layout, build_transition_matrix(layout, p_move, p_move))
         model.resync(fleet.snapshot())
         for k in range(240):
-            snap = fleet.step(None)
-            model.advance(snap)
-        true_env = imm_flexibility(snap)
+            model.advance(fleet.step(None))
+        true_env = imm_flexibility(fleet.snapshot())
         model_env = model.envelope()
         scale = 400 * 6.0
         assert abs(model_env.p_ev_kw - true_env.p_ev_kw) <= 0.01 * scale

@@ -1,6 +1,10 @@
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from evflex import cli, scenario
 from evflex.aggregate import FlexibilityEnvelope
 from evflex.cli import main
 from evflex.config import (
@@ -11,6 +15,7 @@ from evflex.config import (
     load_config,
     save_config,
 )
+from evflex.fleet import sample_fleet
 from evflex.scenario import (
     ReferenceGenerator,
     error_metrics,
@@ -161,6 +166,62 @@ class TestPredictionExperiment:
                                       again.variants["essm"].model_p_kw)
 
 
+def day_config(**kw):
+    """A whole day with one-minute steps, so the evening plug events count."""
+    return small_config(horizon_hours=24.0, dt_seconds=60.0, **kw)
+
+
+def run_with_fleet(monkeypatch, config, transform):
+    """Prediction run on the sampled fleet after `transform`, which maps its
+    parameters to those of another fleet."""
+    params = transform(sample_fleet(config.distributions, config.n_ev, config.seed))
+    monkeypatch.setattr(scenario, "sample_fleet", lambda *args: params)
+    return run_prediction_experiment(config)
+
+
+def reindexed(index):
+    """A transform giving vehicle i the parameters of vehicle index[i]."""
+    def transform(params):
+        return replace(params, **{f.name: getattr(params, f.name)[index(params.n_ev)]
+                                  for f in fields(params)
+                                  if isinstance(getattr(params, f.name), np.ndarray)})
+    return transform
+
+
+def imm_series(vs):
+    return np.stack([vs.imm_p_kw, vs.imm_u_kw, vs.imm_l_kw])
+
+
+class TestMetamorphic:
+    """Relations between runs on related fleets: the ground truth is a sum
+    over vehicles and the model state a distribution over states."""
+
+    def test_permuting_vehicle_ids(self, monkeypatch):
+        config = day_config(variants=("essm",))
+        base = run_with_fleet(monkeypatch, config, lambda p: p).variants["essm"]
+        perm = run_with_fleet(monkeypatch, config, reindexed(
+            lambda n: np.random.default_rng(3).permutation(n))).variants["essm"]
+        np.testing.assert_allclose(imm_series(perm), imm_series(base), rtol=1e-12)
+        np.testing.assert_array_equal(perm.states, base.states)
+
+    def test_duplicating_every_vehicle(self, monkeypatch):
+        config = day_config(variants=("essm",))
+        base = run_with_fleet(monkeypatch, config, lambda p: p).variants["essm"]
+        twice = run_with_fleet(monkeypatch, config, reindexed(
+            lambda n: np.repeat(np.arange(n), 2))).variants["essm"]
+        np.testing.assert_allclose(imm_series(twice), 2.0 * imm_series(base), rtol=1e-12)
+        np.testing.assert_array_equal(twice.states, base.states)
+
+    def test_variants_share_power_and_upper_bound(self):
+        # Equal up to rounding: the two state vectors have different lengths,
+        # so their output sums round differently in the last bits.
+        res = run_prediction_experiment(day_config())
+        ssm, essm = res.variants["ssm"], res.variants["essm"]
+        np.testing.assert_allclose(ssm.model_p_kw, essm.model_p_kw, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(ssm.model_u_kw, essm.model_u_kw, rtol=1e-12, atol=1e-9)
+        assert np.abs(ssm.model_l_kw - essm.model_l_kw).max() > 1.0
+
+
 class TestTrackingExperiment:
     def test_self_reference_needs_no_commands(self):
         config = small_config(seed=3)
@@ -252,7 +313,7 @@ class TestCsvSurfaces:
         assert lines[0] == "time_h,reference_kw,achieved_kw,model_p_kw,abs_err_kw"
         assert len(lines) == config.n_steps + 2
 
-    def test_reference_replay_checks_time_axis(self, tmp_path):
+    def test_reference_replay_checks_time_axis(self, tmp_path, capsys):
         config = small_config(n_ev=60, horizon_hours=1.0)
         save_config(config, tmp_path / "run.json")
         run = ["track", "--config", str(tmp_path / "run.json")]
@@ -262,9 +323,51 @@ class TestCsvSurfaces:
         # Same sample count, twice the step: refused instead of replayed.
         save_config(config.with_overrides(dt_seconds=30.0, horizon_hours=2.0),
                     tmp_path / "coarse.json")
-        with pytest.raises(ValueError, match="time_h"):
+        with pytest.raises(SystemExit) as exit_info:
             main(["track", "--config", str(tmp_path / "coarse.json"),
                   "--reference", reference, "--out", str(tmp_path / "coarse")])
+        assert exit_info.value.code == 2
+        assert "time_h" in capsys.readouterr().err
+
+
+class TestCli:
+    """Bad input ends in one `evflex: error: ...` line and exit code 2."""
+
+    def error_line(self, capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        return capsys.readouterr().err.strip().splitlines()[-1]
+
+    def test_repeated_variant(self, capsys, tmp_path):
+        line = self.error_line(capsys, ["predict", "--n-ev", "50", "--variants", "essm", "essm",
+                                        "--out", str(tmp_path)])
+        assert line.startswith("evflex: error: variants must be")
+
+    def test_fractional_count_in_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_ev": 5.7}))
+        line = self.error_line(capsys, ["predict", "--config", str(path),
+                                        "--out", str(tmp_path)])
+        assert line.startswith("evflex: error: ") and "n_ev must be" in line
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        line = self.error_line(capsys, ["predict", "--config", missing,
+                                        "--out", str(tmp_path)])
+        assert line.startswith("evflex: error: ") and missing in line
+
+    def test_sweep_rejects_empty_fleet(self, capsys, tmp_path):
+        line = self.error_line(capsys, ["sweep", "--sizes", "0", "--out", str(tmp_path)])
+        assert line.startswith("evflex sweep: error: argument --sizes")
+
+    def test_errors_inside_a_run_propagate(self, monkeypatch, tmp_path):
+        def fail(config):
+            raise ValueError("inside the run")
+
+        monkeypatch.setattr(cli, "run_prediction_experiment", fail)
+        with pytest.raises(ValueError, match="inside the run"):
+            main(["predict", "--n-ev", "5", "--out", str(tmp_path)])
 
 
 class TestConfigIO:
