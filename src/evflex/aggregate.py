@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import CS, DISCONNECTED, DS, FCS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope
+from .fleet import CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope
 
 SSM = "ssm"
 ESSM = "essm"
@@ -52,6 +52,14 @@ class StateLayout:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not self.soc_min < self.soc_max:
             raise ValueError("soc_min must be below soc_max")
+        # State of each (mode code, SOC slot), flat; -1 in the disconnected row.
+        n = self.n_intervals
+        first = np.array([-1, self.charging.start, self.idle.start, self.discharging.start,
+                          self.fcs_index])[:, None]
+        table = first + np.isin(np.arange(5), (CS, IS, DS))[:, None] * np.r_[:n, 0, n - 1]
+        if self.variant == ESSM:
+            table[IS, n:] = self.empty_idle_index, self.full_idle_index
+        object.__setattr__(self, "state_table", table.ravel())
 
     @property
     def dimension(self) -> int:
@@ -98,20 +106,20 @@ class StateLayout:
         raw = np.ceil((soc - self.soc_min) / self.width)
         return np.minimum(np.maximum(raw, 1), self.n_intervals).astype(np.int64) - 1
 
+    def keys(self, connection, soc) -> np.ndarray:
+        """Flat (mode code, SOC slot) keys into `state_table`, the slot being the
+        interval, N at the floor or N + 1 at the ceiling. They depend only on
+        the interval count and SOC range, so layouts sharing those share them."""
+        soc, n = np.asarray(soc, dtype=float), self.n_intervals
+        slot = np.where(soc <= self.soc_min, n,
+                        np.where(soc >= self.soc_max, n + 1, self.interval_index(soc)))
+        return np.asarray(connection, dtype=np.intp) * (n + 2) + slot
+
     def state_index(self, connection, soc) -> np.ndarray:
         """Map (connection mode, SOC) telemetry to state indices."""
-        connection = np.asarray(connection, dtype=np.intp)
-        soc = np.asarray(soc, dtype=float)
-        if (connection == DISCONNECTED).any():
+        out = self.state_table.take(self.keys(connection, soc))
+        if (out < 0).any():
             raise ValueError("cannot discretize disconnected vehicles")
-        # First state of each mode's block, indexed by the mode code.
-        first = np.array([0, self.charging.start, self.idle.start, self.discharging.start,
-                          self.fcs_index])
-        out = first[connection] + self.interval_index(soc) * (connection != FCS)
-        if self.variant == ESSM:
-            idle = connection == IS
-            out[idle & (soc >= self.soc_max)] = self.full_idle_index
-            out[idle & (soc <= self.soc_min)] = self.empty_idle_index
         return out
 
 
@@ -279,44 +287,49 @@ def build_output_matrix(state: AggregateState) -> np.ndarray:
     charging power, +1 entries the average rated discharging power, times the
     connected count."""
     coeff = output_coefficients(state.layout)
-    return _scale_output(coeff, coeff > 0, state)
+    return state.n_ev_connected * _scale_output(coeff, coeff > 0, state)
 
 
 def _scale_output(coeff: np.ndarray, positive: np.ndarray, state: AggregateState) -> np.ndarray:
     if state.p_ac_kw < 0 or state.p_ad_kw < 0:
         raise ValueError("average rated powers must be >= 0")
-    c = np.where(positive, coeff * state.p_ad_kw, coeff * state.p_ac_kw)
-    return state.n_ev_connected * c
+    return np.where(positive, coeff * state.p_ad_kw, coeff * state.p_ac_kw)
+
+
+def measure(c: np.ndarray, x: np.ndarray, noise_std_kw=None,
+            rng: np.random.Generator | None = None) -> np.ndarray:
+    """The output map y = C x (power, upper, lower), plus Gaussian noise of
+    std `noise_std_kw` drawn from `rng` when one is given."""
+    y = c @ x
+    if rng is not None:
+        y += rng.normal(0.0, 1.0, 3) * noise_std_kw
+    return y
 
 
 def output(state: AggregateState, c: np.ndarray | None = None,
            noise_std_kw=None, rng: np.random.Generator | None = None) -> FlexibilityEnvelope:
-    """Evaluate the output map, optionally with additive Gaussian noise."""
-    if c is None:
-        c = build_output_matrix(state)
-    y = c @ state.x
-    if noise_std_kw is not None:
-        std = np.asarray(noise_std_kw, dtype=float)
-        if std.any():
-            if rng is None:
-                raise ValueError("noise requested without a Generator")
-            y = y + rng.normal(0.0, 1.0, 3) * std
+    """`measure` as an envelope, with C built from the state when not given."""
+    y = measure(build_output_matrix(state) if c is None else c, state.x, noise_std_kw, rng)
     return FlexibilityEnvelope(p_ev_kw=float(y[0]), p_u_kw=float(y[1]), p_l_kw=float(y[2]))
 
 
-def compute_noise(n_ev_connected: int, in_soc, in_connection, out_soc,
-                  out_connection, layout: StateLayout) -> np.ndarray:
-    """Churn disturbance from the step's plug events:
+def churn_keys(events: FleetStep, layout: StateLayout) -> np.ndarray:
+    """`StateLayout.keys` of a step's arrivals, then its departures."""
+    return layout.keys(np.concatenate([events.in_connection, events.out_connection]),
+                       np.concatenate([events.in_soc, events.out_soc]))
+
+
+def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
+                  layout: StateLayout) -> np.ndarray:
+    """Churn disturbance from the step's plug events, given as the keys of
+    `n_in` arrivals then of the departures:
     (N_in x_in - N_out x_out) / (N_ev + N_in - N_out)."""
-    n_in = len(in_soc)
-    n_out = len(out_soc)
-    denom = n_ev_connected + n_in - n_out
+    denom = n_ev_connected + 2 * n_in - keys.size
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    idx = layout.state_index(np.concatenate([in_connection, out_connection]),
-                             np.concatenate([in_soc, out_soc]))
-    sign = np.concatenate([np.ones(n_in), np.full(n_out, -1.0)])
-    return np.bincount(idx, weights=sign, minlength=layout.dimension) / denom
+    sign = np.where(np.arange(keys.size) < n_in, 1.0, -1.0)
+    return np.bincount(layout.state_table.take(keys), weights=sign,
+                       minlength=layout.dimension) / denom
 
 
 def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
@@ -344,17 +357,6 @@ def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
     return x1
 
 
-def replace_state(state: AggregateState, x: np.ndarray,
-                  n_ev: int | None = None) -> AggregateState:
-    return AggregateState(
-        layout=state.layout,
-        x=x,
-        n_ev_connected=state.n_ev_connected if n_ev is None else n_ev,
-        p_ac_kw=state.p_ac_kw,
-        p_ad_kw=state.p_ad_kw,
-    )
-
-
 class AggregateModel:
     """One variant's running model: matrices plus the current state, with the
     resync / advance cycle used by the scenario loops."""
@@ -372,9 +374,15 @@ class AggregateModel:
         a = estimate_transition_matrix(distributions, layout, dt_hours, n_samples, seed)
         return cls(layout, a)
 
-    def _set_state(self, state: AggregateState) -> None:
+    def _set_state(self, state: AggregateState, rescale: bool = False) -> None:
+        """Install `state`. C is n times the sign pattern scaled by (p_ac,
+        p_ad), which change only where `rescale` is set, so C is rebuilt only
+        there and where the connected count n changed."""
+        if rescale:
+            self._pattern = _scale_output(self._coeff, self._positive, state)
+        if rescale or state.n_ev_connected != self.state.n_ev_connected:
+            self.mats.C = state.n_ev_connected * self._pattern
         self.state = state
-        self.mats.C = _scale_output(self._coeff, self._positive, state)
 
     def resync(self, snapshot: FleetSnapshot) -> None:
         """Replace the model state with fresh telemetry (periodic hard update).
@@ -383,20 +391,23 @@ class AggregateModel:
         membership; promotion into forced charging is observed here rather
         than modeled in the transition matrix.
         """
-        self._set_state(discretize(snapshot, self.layout))
+        self._set_state(discretize(snapshot, self.layout), rescale=True)
 
     def pre_control(self) -> AggregateState:
         """Predicted state for the upcoming step before any input acts."""
-        return replace_state(self.state, self.mats.A @ self.state.x)
+        st = self.state
+        return AggregateState(self.layout, self.mats.A @ st.x, st.n_ev_connected, st.p_ac_kw,
+                              st.p_ad_kw)
 
     def power_kw(self, state: AggregateState) -> float:
         """Aggregate power of `state` under the current output matrix."""
         return float((self.mats.C @ state.x)[0])
 
     def advance(self, events: FleetStep, u: np.ndarray | None = None,
-                pre: AggregateState | None = None) -> None:
+                pre: AggregateState | None = None, keys: np.ndarray | None = None) -> None:
         """Apply one recursion step with the churn in the plug events of one
-        fleet step.
+        fleet step; `keys` are their `churn_keys`, when the caller bins them
+        once for several models.
 
         An empty model holds the zero vector, so arrivals into it define the
         state outright through the churn term.
@@ -405,14 +416,15 @@ class AggregateModel:
         n_new = st.n_ev_connected + events.n_in - events.n_out
         if n_new <= 0:
             self._set_state(AggregateState(self.layout, np.zeros(self.layout.dimension),
-                                           0, 0.0, 0.0))
+                                           0, 0.0, 0.0), rescale=True)
             return
         w = None
         if events.n_in or events.n_out:
-            w = compute_noise(st.n_ev_connected, events.in_soc, events.in_connection,
-                              events.out_soc, events.out_connection, self.layout)
+            keys = churn_keys(events, self.layout) if keys is None else keys
+            w = compute_noise(st.n_ev_connected, events.n_in, keys, self.layout)
         x_pre = self.mats.A @ st.x if pre is None else pre.x
-        self._set_state(replace_state(st, step(x_pre, self.mats.B, u, w), n_ev=n_new))
+        self._set_state(AggregateState(self.layout, step(x_pre, self.mats.B, u, w), n_new,
+                                       st.p_ac_kw, st.p_ad_kw))
 
-    def envelope(self, noise_std_kw=None, rng=None) -> FlexibilityEnvelope:
-        return output(self.state, self.mats.C, noise_std_kw=noise_std_kw, rng=rng)
+    def envelope(self) -> FlexibilityEnvelope:
+        return output(self.state, self.mats.C)

@@ -56,6 +56,9 @@ class DispatchCommand:
         stop_c, start_d, stop_d, start_c = (p[:-2].reshape(4, -1) != 0.0).any(axis=1)
         idle = start_d or start_c or (self.layout.variant == ESSM and (p[-2:] > 0.0).any())
         object.__setattr__(self, "addressed", np.array([0, stop_c, idle, stop_d, 0], bool))
+        # No draw at or above the largest threshold switches a vehicle.
+        idle_sum = (self.start_discharging + self.start_charging).max()
+        object.__setattr__(self, "threshold", max(p.max(), idle_sum))
 
     @classmethod
     def zero(cls, layout: StateLayout) -> "DispatchCommand":

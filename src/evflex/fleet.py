@@ -168,7 +168,7 @@ class FleetStep:
         return self.out_ids.size
 
 
-_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.int8)
 # Running sums in int64 units of 2**-40 kW (up to 2**22 kW): a vehicle takes
 # out bitwise what it put in, and an emptied set sums to exactly zero.
 _KW_UNITS = 2.0 ** 40
@@ -263,10 +263,10 @@ class Fleet:
         self._held = np.zeros((n, 4), dtype=np.int64)  # each vehicle's share of the sums
         self._sums = np.zeros(4, dtype=np.int64)
 
-        # Carried-over vehicles charged without interruption since plugging in
-        # yesterday; fast-forward that history.
+        # Carried-over vehicles, whose yesterday window holds t = 0, charged
+        # without interruption since plugging in; fast-forward that history.
         connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
-        elapsed = np.where(connected & (m_start < 0.0), -m_start, 0.0)
+        elapsed = np.where(m_ok & (a_m == 0), -m_start, 0.0)
         soc = np.minimum(params.initial_soc + elapsed * self._rate_c, params.soc_max)
         ids = np.flatnonzero(connected)
         self.set_state(ids, soc[ids], np.where(soc[ids] >= params.soc_max, IS, CS))
@@ -344,14 +344,20 @@ class Fleet:
         the envelope after it."""
         params, k0, j = self.params, self.step_index, self.step_index + 1
         t0, t1 = k0 * self.dt_hours, j * self.dt_hours
+        departures, arrivals = _events(self._departures, j), _events(self._arrivals, j)
+        if not (departures.size or arrivals.size or self._touched or command is not None
+                or j in self._calendar or self._watch.any()):
+            # A quiet step: its sums and envelope stand (`__init__` leaves its
+            # vehicles touched, so a step has set `_envelope` before any quiet one).
+            self.step_index = j
+            return FleetStep(_NO_IDS, _NO_SOC, _NO_MODE, _NO_IDS, _NO_SOC, _NO_MODE,
+                             self._envelope)
 
-        departures = _events(self._departures, j)
         out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
         if departures.size:
             self._sums -= self._held[departures].sum(axis=0)
             self._mode[departures], self._due[departures] = DISCONNECTED, -1
             self._held[departures], self._watch[departures] = 0, False
-        arrivals = _events(self._arrivals, j)
         in_soc = params.initial_soc[arrivals]
         self._anchor(arrivals, in_soc, CS, k0)
         in_mode = self._mode[arrivals]
@@ -366,10 +372,10 @@ class Fleet:
                        (self._deadline(check, t1) - t0) * self._rate_c[check])
             self._anchor(check[binding], soc[binding], FCS, k0)
 
-        if command is not None:  # only the vehicles it addresses evaluate their SOC
+        if command is not None:  # only addressed vehicles whose draw can switch them
             from .control import actuate_array
             alpha = step_stream(self.seed, k0).random(params.n_ev)
-            ids = np.flatnonzero(command.addressed.take(self._mode))
+            ids = np.flatnonzero(command.addressed.take(self._mode) & (alpha < command.threshold))
             soc, mode = self._soc(ids, k0), self._mode[ids]
             new = actuate_array(mode, soc, command, alpha[ids],
                                 soc_min=params.soc_min, soc_max=params.soc_max)
@@ -387,5 +393,5 @@ class Fleet:
         self.step_index = j
         self._commit(j)
         power, dischargeable, chargeable, forced = (self._sums / _KW_UNITS).tolist()
-        return FleetStep(arrivals, in_soc, in_mode, departures, out_soc, out_mode,
-                         FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced))
+        self._envelope = FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
+        return FleetStep(arrivals, in_soc, in_mode, departures, out_soc, out_mode, self._envelope)

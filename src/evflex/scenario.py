@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout
+from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout, churn_keys,
+                        measure)
 from .config import ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
@@ -106,26 +107,26 @@ class ReferenceGenerator:
 
 @dataclass
 class VariantSeries:
-    """Per-variant time series of one run (model outputs plus the ground
-    truth of the fleet that run drove)."""
+    """Per-variant time series of one run: model outputs and the ground
+    truth of the fleet that run drove, each as (power, upper, lower) rows."""
 
     variant: str
-    model_p_kw: np.ndarray
-    model_u_kw: np.ndarray
-    model_l_kw: np.ndarray
-    imm_p_kw: np.ndarray
-    imm_u_kw: np.ndarray
-    imm_l_kw: np.ndarray
+    model_kw: np.ndarray
+    imm_kw: np.ndarray
     states: np.ndarray
     n_connected: np.ndarray
     achieved_delta_kw: np.ndarray
     saturated: np.ndarray
 
+    model_p_kw, model_u_kw, model_l_kw = (property(lambda self, i=i: self.model_kw[i])
+                                          for i in range(3))
+    imm_p_kw, imm_u_kw, imm_l_kw = (property(lambda self, i=i: self.imm_kw[i]) for i in range(3))
+
     @classmethod
     def zeros(cls, variant: str, k_steps: int, dimension: int) -> "VariantSeries":
         """Empty series for a run of `k_steps` steps (k_steps + 1 samples)."""
         n = k_steps + 1
-        return cls(variant, *np.zeros((6, n)), states=np.zeros((n, dimension)),
+        return cls(variant, *np.zeros((2, 3, n)), states=np.zeros((n, dimension)),
                    n_connected=np.zeros(n, dtype=np.int64), achieved_delta_kw=np.zeros(k_steps),
                    saturated=np.zeros(k_steps, dtype=bool))
 
@@ -190,10 +191,12 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
 
     _record(config, fleet, series, models, noise, None, 0)
 
+    layout = models[config.variants[0]].layout  # keys depend only on N and the SOC range
     for k in range(k_steps):
         step = fleet.step(None)
+        keys = churn_keys(step, layout) if step.n_in or step.n_out else None
         for model in models.values():
-            model.advance(step)
+            model.advance(step, keys=keys)
         _record(config, fleet, series, models, noise, step, k + 1)
 
     return RunResult(
@@ -206,9 +209,9 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
 
 
 def _record(config: SimulationConfig, fleet: Fleet, series, models, noise, step, k: int) -> None:
-    """Record step k. The ground truth is the step's running sums or, at a
-    resync (k = 0 included), the exact sum over fresh telemetry, which also
-    resets the models."""
+    """Record step k: each model's output C x, and the ground truth, which is
+    the step's running sums or, at a resync (k = 0 included), the exact sum
+    over fresh telemetry, which also resets the models."""
     if k % config.resync_steps:
         env_true = step.envelope
     else:
@@ -217,18 +220,12 @@ def _record(config: SimulationConfig, fleet: Fleet, series, models, noise, step,
             model.resync(snap)
         env_true = imm_flexibility(snap, config.distributions.soc_min,
                                    config.distributions.soc_max)
+    truth = np.array([env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw])
     for name, model in models.items():
         vs = series[name]
-        std, rng = noise[name]
-        env = model.envelope(noise_std_kw=std, rng=rng)
-        vs.model_p_kw[k] = env.p_ev_kw
-        vs.model_u_kw[k] = env.p_u_kw
-        vs.model_l_kw[k] = env.p_l_kw
-        vs.imm_p_kw[k] = env_true.p_ev_kw
-        vs.imm_u_kw[k] = env_true.p_u_kw
-        vs.imm_l_kw[k] = env_true.p_l_kw
-        vs.states[k] = model.state.x
-        vs.n_connected[k] = model.state.n_ev_connected
+        vs.model_kw[:, k] = measure(model.mats.C, model.state.x, *noise[name])
+        vs.imm_kw[:, k] = truth
+        vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
 
 
 def _run_tracking_single(config: SimulationConfig, variant: str,

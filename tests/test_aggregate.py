@@ -78,6 +78,51 @@ class TestLayout:
             StateLayout(10, "other")
 
 
+def branchy_state_index(layout, connection, soc):
+    """The per-mode rule the state table replaced: each mode's block start
+    plus the SOC interval (none for forced charging), and in the extended
+    layout idle vehicles at a bound in that bound's state."""
+    connection = np.asarray(connection, dtype=np.intp)
+    soc = np.asarray(soc, dtype=float)
+    if (connection == Connection.DISCONNECTED).any():
+        raise ValueError("cannot discretize disconnected vehicles")
+    first = np.array([0, layout.charging.start, layout.idle.start, layout.discharging.start,
+                      layout.fcs_index])
+    out = first[connection] + layout.interval_index(soc) * (
+        connection != Connection.FORCED_CHARGING)
+    if layout.variant == ESSM:
+        idle = connection == Connection.IDLE
+        out[idle & (soc >= layout.soc_max)] = layout.full_idle_index
+        out[idle & (soc <= layout.soc_min)] = layout.empty_idle_index
+    return out
+
+
+class TestStateTable:
+    @given(variant=st.sampled_from([SSM, ESSM]), n=st.integers(2, 12),
+           bounds=st.sampled_from([(0.0, 1.0), (0.1, 0.9), (0.05, 0.95)]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_branchy_rule(self, variant, n, bounds, data):
+        layout = StateLayout(n, variant, *bounds)
+        lo, hi = bounds
+        # The bounds, every interval edge and the floats either side of each.
+        edges = [lo + k * layout.width for k in range(n + 1)] + [lo, hi]
+        edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        soc = st.one_of(st.sampled_from(edges), st.floats(lo - 0.05, hi + 0.05))
+        socs = data.draw(st.lists(soc, min_size=1, max_size=40))
+        modes = data.draw(st.lists(st.sampled_from([Connection.CHARGING, Connection.IDLE,
+                                                    Connection.DISCHARGING,
+                                                    Connection.FORCED_CHARGING]),
+                                   min_size=len(socs), max_size=len(socs)))
+        modes = np.array(modes, dtype=np.int8)
+        np.testing.assert_array_equal(layout.state_index(modes, socs),
+                                      branchy_state_index(layout, modes, socs))
+
+    @pytest.mark.parametrize("layout", [LAY10, LAY10_SSM])
+    def test_disconnected_rejected(self, layout):
+        with pytest.raises(ValueError, match="disconnected"):
+            layout.state_index(np.array([Connection.IDLE, Connection.DISCONNECTED]), [0.5, 0.5])
+
+
 class TestDiscretize:
     def test_low_soc_charging_ev_lands_in_first_interval(self):
         snap = make_snapshot([0.05], [Connection.CHARGING])
@@ -327,29 +372,35 @@ class TestPredict:
         assert out.x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def noise_of(n_ev, in_soc, in_conn, out_soc, out_conn, layout):
+    """compute_noise of plug events given as (SOC, mode) sequences."""
+    keys = layout.keys(np.concatenate([in_conn, out_conn]), np.concatenate([in_soc, out_soc]))
+    return compute_noise(n_ev, len(in_soc), keys, layout)
+
+
 class TestComputeNoise:
     def test_no_churn_zero(self):
-        w = compute_noise(100, [], [], [], [], LAY10)
+        w = noise_of(100, [], [], [], [], LAY10)
         np.testing.assert_array_equal(w, 0.0)
 
     def test_arrivals_fraction(self):
         soc_in = np.full(10, 0.05)
         conn_in = np.full(10, Connection.CHARGING, dtype=np.int8)
-        w = compute_noise(100, soc_in, conn_in, [], [], LAY10)
+        w = noise_of(100, soc_in, conn_in, [], [], LAY10)
         assert w[0] == pytest.approx(10.0 / 110.0)
         assert np.count_nonzero(w) == 1
 
     def test_balanced_identical_flows_cancel(self):
         soc = np.full(5, 0.45)
         conn = np.full(5, Connection.CHARGING, dtype=np.int8)
-        w = compute_noise(100, soc, conn, soc, conn, LAY10)
+        w = noise_of(100, soc, conn, soc, conn, LAY10)
         np.testing.assert_array_equal(w, 0.0)
 
     def test_emptied_fleet_raises(self):
         soc = np.full(3, 0.45)
         conn = np.full(3, Connection.CHARGING, dtype=np.int8)
         with pytest.raises(ValueError, match="emptied"):
-            compute_noise(3, [], [], soc, conn, LAY10)
+            noise_of(3, [], [], soc, conn, LAY10)
 
 
 class TestResyncAndModel:
@@ -374,6 +425,30 @@ class TestResyncAndModel:
         model.advance(make_events(in_events=arrivals))
         assert model.state.n_ev_connected == 12
         assert model.state.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("variant", [SSM, ESSM])
+    def test_cached_output_matrix_bitwise_fresh(self, table_distributions, variant):
+        # Sessions of about [0.5, 4), [1, 5), [2, 6) h from yesterday and
+        # [10, 14), [11, 16) h today, off the resync grid: the fleet empties
+        # after 6 h and 16 h and refills after 10 h.
+        dt, resync_steps = 60.0 / 3600.0, 5
+        params = replace(sample_fleet(table_distributions, 5, seed=3),
+                         plug_in_h=np.array([24.52, 25.07, 26.13, 10.02, 11.11]),
+                         plug_out_h=np.array([28.03, 29.09, 30.06, 14.04, 16.07]))
+        fleet = Fleet(params, dt, seed=3)
+        model = AggregateModel.from_distributions(StateLayout(10, variant), table_distributions,
+                                                  dt, n_samples=2000, seed=3)
+        model.resync(fleet.snapshot())
+        connected = []
+        for k in range(1, round(24.0 / dt) + 1):
+            model.advance(fleet.step(None))
+            if k % resync_steps == 0:
+                model.resync(fleet.snapshot())
+            connected.append(model.state.n_ev_connected)
+            assert model.mats.C.tobytes() == build_output_matrix(model.state).tobytes(), k
+        changes = np.flatnonzero(np.diff(connected)) + 2  # steps at which the count changed
+        assert (changes % resync_steps).any()
+        assert connected[-1] == 0 and 0 in connected[:600] and max(connected[600:]) == 2
 
     def test_model_survives_fleet_emptying(self):
         model = AggregateModel(LAY10, np.eye(33))

@@ -334,3 +334,40 @@ class TestActuationBlocks:
         np.testing.assert_array_equal(
             actuate_array(mode, soc, command, alpha, 0.0, 1.0),
             full_mask_actuation(mode, soc, command, alpha, 0.0, 1.0))
+
+    @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
+           scale=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_draws_below_threshold_match_full_addressed_set(self, seed, variant, scale):
+        # The fleet actuates only addressed vehicles drawing below the
+        # command's threshold; every other addressed vehicle must keep its mode.
+        rng = np.random.default_rng(seed)
+        m = 80
+        mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
+                           Connection.FORCED_CHARGING], m).astype(np.int8)
+        soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
+        soc[m // 2:] = rng.random(m - m // 2)
+        start = rng.random((2, 10)) * 0.5 * scale
+        command = DispatchCommand(
+            StateLayout(10, variant),
+            stop_charging=rng.random(10) * scale,
+            start_discharging=start[0],
+            stop_discharging=rng.random(10) * scale,
+            start_charging=start[1],
+            empty_to_charging=float(rng.random()) * scale,
+            full_to_discharging=float(rng.random()) * scale,
+        )
+        alpha = rng.random(m)
+        alpha[:10] = command.threshold  # ties with the threshold never switch
+        alpha[10:20] = np.concatenate([command.stop_charging, command.start_discharging])[
+            rng.integers(0, 20, 10)]
+
+        def actuated(ids):
+            new = mode.copy()
+            new[ids] = actuate_array(mode[ids], soc[ids], command, alpha[ids], 0.0, 1.0)
+            return new
+
+        addressed = command.addressed.take(mode)
+        np.testing.assert_array_equal(
+            actuated(np.flatnonzero(addressed & (alpha < command.threshold))),
+            actuated(np.flatnonzero(addressed)))

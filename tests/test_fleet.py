@@ -135,6 +135,16 @@ class TestFleetStep:
         assert (snap.connection == Connection.CHARGING).all()
         np.testing.assert_array_equal(snap.power_kw, -6.0)
 
+    def test_session_starting_at_zero_is_not_carried_over(self):
+        # Plug-in at 0.0 h opens today's session; only a vehicle whose session
+        # from yesterday holds t = 0 is fast-forwarded, here by 4 h at 0.225/h.
+        today = one_vehicle(initial=0.3, plug_in=0.0, plug_out=10.0).snapshot()
+        np.testing.assert_array_equal(today.soc, 0.3)
+        assert (today.connection == Connection.CHARGING).all()
+        carried = one_vehicle(initial=0.05, plug_in=20.0, plug_out=30.0).snapshot()
+        np.testing.assert_allclose(carried.soc, 0.05 + 4.0 * 0.225, rtol=1e-12)
+        assert (carried.connection == Connection.CHARGING).all()
+
     def test_boundary_absorption_same_step(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 4, seed=1), DT_15S, seed=1)
         fleet.set_state(np.arange(4), 0.9999, Connection.CHARGING)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from evflex.scenario import (
 )
 
 from conftest import deterministic_distributions
+
+
+PROBES = Path(__file__).resolve().parents[1] / "configs" / "tracking_probes.json"
 
 
 def small_config(**kw):
@@ -220,6 +224,27 @@ class TestMetamorphic:
         np.testing.assert_allclose(ssm.model_p_kw, essm.model_p_kw, rtol=1e-12, atol=1e-9)
         np.testing.assert_allclose(ssm.model_u_kw, essm.model_u_kw, rtol=1e-12, atol=1e-9)
         assert np.abs(ssm.model_l_kw - essm.model_l_kw).max() > 1.0
+
+    def test_track_replays_its_own_reference_csv(self, tmp_path):
+        # The probes scenario cut to 3 h. The replayed reference is the online
+        # one rounded to the CSV's 6 significant digits, which may move the
+        # plans and model power by that rounding but switches no vehicle.
+        config = json.loads(PROBES.read_text()) | {"n_ev": 150, "horizon_hours": 3.0}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "config.json")]
+        assert main(["track", *flags, "--out", str(tmp_path / "online")]) == 0
+        reference = tmp_path / "online" / "tracking_essm.csv"
+        assert main(["track", *flags, "--reference", str(reference),
+                     "--out", str(tmp_path / "replay")]) == 0
+        for name in ("essm", "ssm"):
+            online, replay = (np.genfromtxt(tmp_path / run / f"tracking_{name}.csv",
+                                            delimiter=",", names=True)
+                              for run in ("online", "replay"))
+            np.testing.assert_array_equal(replay["achieved_kw"], online["achieved_kw"])
+            # Two roundings to 6 significant digits of the reference level.
+            tol = 1e-5 * np.abs(online["reference_kw"])
+            for column in ("reference_kw", "model_p_kw", "abs_err_kw"):
+                assert (np.abs(replay[column] - online[column]) <= tol).all(), (name, column)
 
 
 class TestTrackingExperiment:
