@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ def _load(args) -> SimulationConfig:
         overrides["n_ev"] = args.n_ev
     if args.variants is not None:
         overrides["variants"] = tuple(args.variants)
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides)
 
 
 def _fleet_size(text: str) -> int:
@@ -76,7 +77,8 @@ def _cmd_predict(args, config: SimulationConfig) -> int:
 def _read_reference(path: Path, config: SimulationConfig) -> np.ndarray:
     """Reference column of a timeseries/tracking CSV. Its time_h column must
     be this run's time axis (to the CSV's 6-digit rounding), so a file
-    written with another dt or horizon is refused rather than replayed."""
+    written with another dt or horizon is refused rather than replayed, and
+    an empty or non-numeric level is refused by its line."""
     data = np.genfromtxt(path, delimiter=",", names=True)
     time_h = np.atleast_1d(data["time_h"])
     expected = np.arange(config.n_steps + 1) * config.dt_hours
@@ -85,7 +87,12 @@ def _read_reference(path: Path, config: SimulationConfig) -> np.ndarray:
         raise ValueError(
             f"{path}: time_h does not match the run's time axis "
             f"({config.n_steps + 1} samples, dt {config.dt_seconds:g} s)")
-    return np.asarray(data["reference_kw"], dtype=float)
+    reference = np.asarray(data["reference_kw"], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(reference))
+    if bad.size:
+        raise ValueError(f"{path}: reference_kw must be a finite number, line {bad[0] + 2} "
+                         f"(time_h {time_h[bad[0]]:g}) is not")
+    return reference
 
 
 def _cmd_track(args, config: SimulationConfig) -> int:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,6 +32,42 @@ def _number(cls, name: str, value, integral: bool = False):
     return int(value) if integral else float(value)
 
 
+def _shaped(cls, name: str, value, shape: type, noun: str):
+    if not isinstance(value, shape):
+        raise ValueError(f"{cls.__name__} {name} must be {noun}, got {value!r}")
+    return value
+
+
+def _parse(cls, name: str, hint, value):
+    """JSON `value` of field `name` of `cls`, parsed by its declared type `hint`:
+    numbers through `_number`, a list into a tuple, a nested config recursively."""
+    if hint in (int, float):
+        return _number(cls, name, value, integral=hint is int)
+    if hint is str:
+        return _shaped(cls, name, value, str, "a string")
+    if get_origin(hint) is tuple:
+        items = _shaped(cls, name, value, list, "a list")
+        return tuple(_parse(cls, name, get_args(hint)[0], v) for v in items)
+    return from_dict(hint, _shaped(cls, name, value, dict, "an object"))
+
+
+def from_dict(cls, data):
+    """The config dataclass `cls` built from parsed JSON. Each key is parsed by
+    its field's declared type; a field left out keeps its default, and a
+    missing required field or an unknown key is an error."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    _reject_unknown_keys(cls, data)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = _parse(cls, f.name, hints[f.name], data[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"{cls.__name__} {f.name} is required")
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A bounded scalar distribution.
@@ -52,13 +89,13 @@ class DistributionSpec:
             raise ValueError(f"empty support: low={self.low} > high={self.high}")
         if self.kind == "normal" and self.std < 0:
             raise ValueError("std must be >= 0")
+        if self.kind == "normal" and self.std == 0 and not self.low <= self.mean <= self.high:
+            raise ValueError(f"degenerate normal {self} has its mean outside [low, high]")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, size)
         if self.std == 0.0:
-            if not self.low <= self.mean <= self.high:
-                raise ValueError(f"degenerate normal {self} lies outside its range")
             return np.full(size, self.mean)
         out = np.empty(size)
         pending = np.ones(size, dtype=bool)
@@ -74,24 +111,6 @@ class DistributionSpec:
         raise ValueError(
             f"rejection budget ({REJECTION_BUDGET}) exceeded for {self}: "
             "truncation range has vanishing probability mass"
-        )
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "low": self.low, "high": self.high}
-        if self.kind == "normal":
-            d["mean"] = self.mean
-            d["std"] = self.std
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DistributionSpec":
-        _reject_unknown_keys(cls, d)
-        return cls(
-            kind=d["kind"],
-            low=_number(cls, "low", d["low"]),
-            high=_number(cls, "high", d["high"]),
-            mean=_number(cls, "mean", d.get("mean", 0.0)),
-            std=_number(cls, "std", d.get("std", 0.0)),
         )
 
 
@@ -129,29 +148,6 @@ class FleetDistributions:
         if self.efficiency.low <= 0 or self.efficiency.high > 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
 
-    _FIELDS = (
-        "rated_power_kw", "efficiency", "capacity_kwh", "initial_soc",
-        "demanded_soc", "plug_in_hour", "plug_out_hour",
-    )
-
-    def to_dict(self) -> dict:
-        d = {name: getattr(self, name).to_dict() for name in self._FIELDS}
-        d["soc_min"] = self.soc_min
-        d["soc_max"] = self.soc_max
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FleetDistributions":
-        _reject_unknown_keys(cls, d)
-        kwargs = {
-            name: DistributionSpec.from_dict(d[name]) for name in cls._FIELDS if name in d
-        }
-        if "soc_min" in d:
-            kwargs["soc_min"] = _number(cls, "soc_min", d["soc_min"])
-        if "soc_max" in d:
-            kwargs["soc_max"] = _number(cls, "soc_max", d["soc_max"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class ScriptedStep:
@@ -170,19 +166,6 @@ class ScriptedStep:
         if self.duration_h <= 0 or not 0.0 <= self.depth <= 1.0:
             raise ValueError("scripted step needs duration > 0 and depth in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "start_h": self.start_h,
-            "duration_h": self.duration_h, "depth": self.depth,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScriptedStep":
-        _reject_unknown_keys(cls, d)
-        return cls(d["kind"], _number(cls, "start_h", d["start_h"]),
-                   _number(cls, "duration_h", d["duration_h"]),
-                   _number(cls, "depth", d.get("depth", 0.9)))
-
 
 @dataclass(frozen=True)
 class ReferenceConfig:
@@ -195,22 +178,6 @@ class ReferenceConfig:
             raise ValueError("reference period must be > 0")
         if not 0.0 < self.central_fraction <= 1.0:
             raise ValueError("central_fraction must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "period_hours": self.period_hours,
-            "central_fraction": self.central_fraction,
-            "scripted": [s.to_dict() for s in self.scripted],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReferenceConfig":
-        _reject_unknown_keys(cls, d)
-        return cls(
-            period_hours=_number(cls, "period_hours", d.get("period_hours", 3.0)),
-            central_fraction=_number(cls, "central_fraction", d.get("central_fraction", 0.8)),
-            scripted=tuple(ScriptedStep.from_dict(s) for s in d.get("scripted", ())),
-        )
 
 
 VARIANTS = ("ssm", "essm")
@@ -231,8 +198,9 @@ class SimulationConfig:
     distributions: FleetDistributions = FleetDistributions()
 
     def __post_init__(self):
-        if self.n_ev < 1:
-            raise ValueError("n_ev must be >= 1")
+        for name in ("n_ev", "transition_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_intervals < 2:
             raise ValueError("n_intervals must be >= 2")
         if self.dt_seconds <= 0 or self.resync_minutes <= 0 or self.horizon_hours <= 0:
@@ -242,8 +210,8 @@ class SimulationConfig:
                 raise ValueError(f"unknown variant {v!r}")
         if not self.variants or len(set(self.variants)) < len(self.variants):
             raise ValueError(f"variants must be non-empty and distinct, got {self.variants!r}")
-        if len(self.measurement_noise_kw) != 3:
-            raise ValueError("measurement_noise_kw must be three standard deviations "
+        if len(self.measurement_noise_kw) != 3 or min(self.measurement_noise_kw) < 0:
+            raise ValueError("measurement_noise_kw must be three standard deviations >= 0 "
                              f"(power, upper, lower), got {self.measurement_noise_kw!r}")
         resync_s = self.resync_minutes * 60.0
         if abs(resync_s / self.dt_seconds - round(resync_s / self.dt_seconds)) > 1e-9:
@@ -265,51 +233,17 @@ class SimulationConfig:
         return round(self.resync_minutes * 60.0 / self.dt_seconds)
 
     def with_overrides(self, **kwargs) -> "SimulationConfig":
+        """`dataclasses.replace`; the program calls that directly, this name
+        stays only for perfbench/setup_probe.py."""
         return replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ev": self.n_ev,
-            "n_intervals": self.n_intervals,
-            "dt_seconds": self.dt_seconds,
-            "resync_minutes": self.resync_minutes,
-            "horizon_hours": self.horizon_hours,
-            "seed": self.seed,
-            "variants": list(self.variants),
-            "transition_samples": self.transition_samples,
-            "measurement_noise_kw": list(self.measurement_noise_kw),
-            "reference": self.reference.to_dict(),
-            "distributions": self.distributions.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationConfig":
-        _reject_unknown_keys(cls, d)
-        kwargs = {}
-        for name in ("n_ev", "n_intervals", "seed", "transition_samples"):
-            if name in d:
-                kwargs[name] = _number(cls, name, d[name], integral=True)
-        for name in ("dt_seconds", "resync_minutes", "horizon_hours"):
-            if name in d:
-                kwargs[name] = _number(cls, name, d[name])
-        if "variants" in d:
-            kwargs["variants"] = tuple(d["variants"])
-        if "measurement_noise_kw" in d:
-            kwargs["measurement_noise_kw"] = tuple(
-                _number(cls, "measurement_noise_kw", v) for v in d["measurement_noise_kw"])
-        if "reference" in d:
-            kwargs["reference"] = ReferenceConfig.from_dict(d["reference"])
-        if "distributions" in d:
-            kwargs["distributions"] = FleetDistributions.from_dict(d["distributions"])
-        return cls(**kwargs)
 
 
 def load_config(path: str | Path) -> SimulationConfig:
     with open(path) as fh:
-        return SimulationConfig.from_dict(json.load(fh))
+        return from_dict(SimulationConfig, json.load(fh))
 
 
 def save_config(config: SimulationConfig, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")

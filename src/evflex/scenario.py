@@ -14,7 +14,7 @@ so their tracking is directly comparable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +295,7 @@ def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:
     """Prediction-error table over fleet sizes."""
     rows = []
     for n in n_ev_list:
-        result = run_prediction_experiment(config.with_overrides(n_ev=int(n)))
+        result = run_prediction_experiment(replace(config, n_ev=int(n)))
         rows.extend(result.prediction_errors())
     return rows
 

@@ -13,6 +13,7 @@ from evflex.config import (
     ReferenceConfig,
     ScriptedStep,
     SimulationConfig,
+    from_dict,
     load_config,
     save_config,
 )
@@ -31,7 +32,8 @@ from evflex.scenario import (
 from conftest import deterministic_distributions
 
 
-PROBES = Path(__file__).resolve().parents[1] / "configs" / "tracking_probes.json"
+ROOT = Path(__file__).resolve().parents[1]
+PROBES = ROOT / "configs" / "tracking_probes.json"
 
 
 def small_config(**kw):
@@ -346,7 +348,7 @@ class TestCsvSurfaces:
         reference = str(tmp_path / "online" / "tracking_essm.csv")
         assert main(run + ["--reference", reference, "--out", str(tmp_path / "replay")]) == 0
         # Same sample count, twice the step: refused instead of replayed.
-        save_config(config.with_overrides(dt_seconds=30.0, horizon_hours=2.0),
+        save_config(replace(config, dt_seconds=30.0, horizon_hours=2.0),
                     tmp_path / "coarse.json")
         with pytest.raises(SystemExit) as exit_info:
             main(["track", "--config", str(tmp_path / "coarse.json"),
@@ -375,6 +377,45 @@ class TestCli:
         line = self.error_line(capsys, ["predict", "--config", str(path),
                                         "--out", str(tmp_path)])
         assert line.startswith("evflex: error: ") and "n_ev must be" in line
+
+    @pytest.mark.parametrize("data, named", [
+        ({"distributions": {"efficiency": {"kind": "uniform", "low": 0.9}}},
+         "DistributionSpec high is required"),
+        ({"reference": {"scripted": [{"kind": "provide", "start_h": 0.0}]}},
+         "ScriptedStep duration_h is required"),
+        ({"reference": 3}, "SimulationConfig reference must be an object"),
+        ({"measurement_noise_kw": 5}, "SimulationConfig measurement_noise_kw must be a list"),
+        ({"variants": "essm"}, "SimulationConfig variants must be a list"),
+        ({"reference": {"scripted": {"kind": "provide"}}}, "ReferenceConfig scripted must be a list"),
+        ([{"n_ev": 50}], "SimulationConfig must be a JSON object"),
+        ({"distributions": {"efficiency": {"kind": 3, "low": 0.9, "high": 0.95}}},
+         "DistributionSpec kind must be a string"),
+        ({"transition_samples": 0}, "transition_samples must be >= 1"),
+        ({"distributions": {"plug_in_hour": {"kind": "normal", "low": 5.5, "high": 29.5,
+                                             "mean": 40.0, "std": 0.0}}}, "degenerate normal"),
+        ({"measurement_noise_kw": [1.0, -1.0, 0.0]}, "measurement_noise_kw must be"),
+    ])
+    def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--config", str(path), "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == [err[-1]]
+        assert err[-1].startswith("evflex: error: ") and named in err[-1]
+
+    @pytest.mark.parametrize("cell", ["", "n/a"])
+    def test_reference_with_missing_level(self, capsys, tmp_path, cell):
+        config = small_config(n_ev=60, horizon_hours=1.0)
+        save_config(config, tmp_path / "run.json")
+        rows = [f"{k * config.dt_hours:.6g},{cell if k == 5 else 10.0}"
+                for k in range(config.n_steps + 1)]
+        (tmp_path / "ref.csv").write_text("time_h,reference_kw\n" + "\n".join(rows) + "\n")
+        line = self.error_line(capsys, ["track", "--config", str(tmp_path / "run.json"),
+                                        "--reference", str(tmp_path / "ref.csv"),
+                                        "--out", str(tmp_path)])
+        assert line.startswith("evflex: error: ") and "reference_kw" in line and "line 7" in line
 
     def test_missing_config_file(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
@@ -405,6 +446,12 @@ class TestConfigIO:
         loaded = load_config(path)
         assert loaded == config
 
+    @pytest.mark.parametrize("name", [
+        "configs/default.json", "configs/tracking_probes.json", "perfbench/track3k.json"])
+    def test_shipped_configs_load(self, name):
+        config = load_config(ROOT / name)
+        assert (config == SimulationConfig()) == (name == "configs/default.json")
+
     def test_grid_constraints_validated(self):
         with pytest.raises(ValueError, match="divide"):
             SimulationConfig(dt_seconds=14.0)
@@ -422,7 +469,7 @@ class TestConfigIO:
     ])
     def test_unknown_keys_rejected(self, d, key):
         with pytest.raises(ValueError, match=f"unknown .* key.*'{key}'"):
-            SimulationConfig.from_dict(d)
+            from_dict(SimulationConfig, d)
 
     @pytest.mark.parametrize("d, name", [
         ({"n_ev": 5.7}, "n_ev"),
@@ -442,10 +489,10 @@ class TestConfigIO:
     ])
     def test_bad_numbers_rejected(self, d, name):
         with pytest.raises(ValueError, match=f"{name} must be"):
-            SimulationConfig.from_dict(d)
+            from_dict(SimulationConfig, d)
 
     def test_integral_float_count_accepted(self):
-        config = SimulationConfig.from_dict({"n_ev": 200.0, "seed": 3})
+        config = from_dict(SimulationConfig, {"n_ev": 200.0, "seed": 3})
         assert config.n_ev == 200 and isinstance(config.n_ev, int)
 
     def test_distribution_spec_validation(self):
