@@ -41,7 +41,7 @@ from .fleet import (
     FleetStep,
     sample_fleet,
 )
-from .imm import imm_flexibility, imm_power
+from .imm import imm_flexibility
 from .scenario import (
     RunResult,
     VariantSeries,

@@ -87,6 +87,9 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not self.low <= self.high:
             raise ValueError(f"empty support: low={self.low} > high={self.high}")
+        if self.kind == "uniform" and (self.mean, self.std) != (0.0, 0.0):
+            name = "mean" if self.mean != 0.0 else "std"
+            raise ValueError(f"uniform distribution takes no {name}: {name}={getattr(self, name)}")
         if self.kind == "normal" and self.std < 0:
             raise ValueError("std must be >= 0")
         if self.kind == "normal" and self.std == 0 and not self.low <= self.mean <= self.high:

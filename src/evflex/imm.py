@@ -20,11 +20,6 @@ def capability(soc: np.ndarray, connection: np.ndarray, soc_min: float, soc_max:
     return forced, (soc > soc_min) & ~forced, (soc < soc_max) & ~forced
 
 
-def imm_power(snapshot: FleetSnapshot) -> float:
-    """Total grid injection in kW, summed over connected vehicles."""
-    return float(snapshot.power_kw.sum())
-
-
 def imm_flexibility(snapshot: FleetSnapshot, soc_min: float = 0.0,
                     soc_max: float = 1.0) -> FlexibilityEnvelope:
     fcs, can_discharge, can_charge = capability(snapshot.soc, snapshot.connection,
@@ -33,7 +28,7 @@ def imm_flexibility(snapshot: FleetSnapshot, soc_min: float = 0.0,
     upper = snapshot.rated_discharge_kw[can_discharge].sum() - forced
     lower = -snapshot.rated_charge_kw[can_charge].sum() - forced
     return FlexibilityEnvelope(
-        p_ev_kw=imm_power(snapshot),
+        p_ev_kw=float(snapshot.power_kw.sum()),
         p_u_kw=float(upper),
         p_l_kw=float(lower),
     )

@@ -12,7 +12,6 @@ Criteria:
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from evflex.config import (
 )
 from evflex.control import DispatchCommand, actuate_array
 from evflex.fleet import Connection, Fleet, sample_fleet, step_stream
-from evflex.imm import imm_power
+from evflex.imm import imm_flexibility
 from evflex.scenario import (
     run_prediction_experiment,
     run_tracking_experiment,
@@ -199,7 +198,7 @@ def test_criterion_4_oracle_equivalence():
     for k in range(1, 241):
         model.advance(fleet.step(None))
         if k in checkpoints:
-            err = abs(model.envelope().p_ev_kw - imm_power(fleet.snapshot()))
+            err = abs(model.envelope().p_ev_kw - imm_flexibility(fleet.snapshot()).p_ev_kw)
             bound = scale * ((k * delta_s) % width + 0.01)
             assert err <= bound, f"k={k}: {err:.1f} kW > {bound:.1f} kW"
             details.append(f"k={k}: {err:.1f}<= {bound:.0f} kW")
@@ -251,7 +250,8 @@ def test_criterion_6_actuation_statistics():
     m = 10_000
     lines = []
     for i, p in enumerate((0.1, 0.5, 0.9)):
-        cmd = replace(DispatchCommand.zero(LAY), start_discharging=np.full(LAY.n_intervals, p))
+        every = np.ones(LAY.n_intervals, bool)
+        cmd = DispatchCommand(LAY, True, 0.0, p, every, every)
         alpha = step_stream(seed=404, step_index=i).random(m)
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)

@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,32 @@ from evflex.fleet import Connection
 
 LAY = StateLayout(10, ESSM)
 LAY_SSM = StateLayout(10, SSM)
+ALL = np.ones(10, bool)
+EPS = np.finfo(float).eps
+
+
+def make_command(layout=LAY, provide=True, stop=0.0, start=0.0, stop_mask=ALL,
+                 start_mask=ALL, boundary=False) -> DispatchCommand:
+    """A command addressing every interval unless told otherwise."""
+    return DispatchCommand(layout, provide, stop, start, stop_mask, start_mask, boundary)
+
+
+def expand(command: DispatchCommand) -> SimpleNamespace:
+    """The per-interval probability vectors a command stands for: each
+    stage's rate on the intervals it addresses and zero elsewhere, the start
+    rate on the boundary input it addresses (extended layout only), and zero
+    for the other direction."""
+    stop = command.stop_rate * command.stop_mask
+    start = command.start_rate * command.start_mask
+    edge = command.start_rate * command.boundary * (command.layout.variant == ESSM)
+    zero = np.zeros(command.layout.n_intervals)
+    if command.provide:
+        return SimpleNamespace(layout=command.layout, stop_charging=stop, start_discharging=start,
+                               stop_discharging=zero, start_charging=zero,
+                               empty_to_charging=0.0, full_to_discharging=edge)
+    return SimpleNamespace(layout=command.layout, stop_charging=zero, start_discharging=zero,
+                           stop_discharging=stop, start_charging=start,
+                           empty_to_charging=edge, full_to_discharging=0.0)
 
 
 def state_from_x(x, layout=LAY, n_ev=100, p_ac=6.0, p_ad=6.0):
@@ -140,8 +167,6 @@ class TestPlanDispatch:
         x1 = x + mats.B @ plan.u
         assert x1.min() >= -1e-12
         assert x1.sum() == pytest.approx(1.0, abs=1e-9)
-        # allocation never exceeds the mass it was drawn against
-        assert (plan.u <= plan.source_mass + 1e-12).all()
         assert (plan.expected_u <= plan.u + 1e-15).all()
         env = output(st_, mats.C)
         headroom = env.p_u_kw - env.p_ev_kw if target > 0 else env.p_ev_kw - env.p_l_kw
@@ -154,45 +179,72 @@ class TestPlanDispatch:
 
 
 class TestSwitchingProbabilities:
-    def test_probability_is_mass_ratio(self):
-        st_ = idle_state(0.2)
-        plan = plan_dispatch(0.0, st_)
-        plan.u[10] = 0.1
-        plan.source_mass[10] = 0.2
+    @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
+           target=st.floats(-5000.0, 5000.0).filter(lambda t: t != 0.0),
+           holes=st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_command_rates_reproduce_expected_input(self, seed, variant, target, holes):
+        # Each stage's rate times the mass its source holds now is the
+        # plan's one-step expected input, element by element, and the command
+        # addresses exactly the intervals that held source mass; stage 2's
+        # source includes what stage 1 moved into idle.
+        layout = StateLayout(10, variant)
+        rng = np.random.default_rng(seed)
+        x = rng.random(layout.dimension) * (rng.random(layout.dimension) >= holes)
+        x[layout.idle.start + rng.integers(10)] += 0.01  # not all empty
+        x /= x.sum()
+        plan = plan_dispatch(target, state_from_x(x, layout, n_ev=500))
         cmd = to_switching_probabilities(plan)
-        assert cmd.start_discharging[0] == pytest.approx(0.5)
+        n = layout.n_intervals
+        assert cmd.provide == (target > 0.0)
+        assert cmd.stop_rate <= 1.0 and cmd.start_rate <= 1.0
+        if cmd.provide:
+            active, stage1, stage2, edge, edge_input = (
+                layout.charging, slice(0, n), slice(n, 2 * n), layout.full_idle_index, 4 * n + 1)
+        else:
+            active, stage1, stage2, edge, edge_input = (
+                layout.discharging, slice(2 * n, 3 * n), slice(3 * n, 4 * n),
+                layout.empty_idle_index, 4 * n)
+        np.testing.assert_array_equal(cmd.stop_mask, x[active] > 0.0)
+        np.testing.assert_array_equal(cmd.start_mask, x[layout.idle] + plan.u[stage1] > 0.0)
+        assert cmd.boundary == (edge is not None and x[edge] > 0.0)
+
+        reached = np.zeros(layout.input_dimension)
+        reached[stage1] = cmd.stop_rate * x[active]
+        reached[stage2] = cmd.start_rate * x[layout.idle]
+        if edge is not None:
+            reached[edge_input] = cmd.start_rate * x[edge]
+        np.testing.assert_allclose(reached, plan.expected_u, rtol=4 * EPS, atol=0.0)
 
     def test_full_interval_switch_probability_one(self):
         st_ = idle_state(0.1)
         plan = plan_dispatch(600.0, st_)
         cmd = to_switching_probabilities(plan)
-        np.testing.assert_allclose(cmd.start_discharging, 1.0)
+        np.testing.assert_allclose(expand(cmd).start_discharging, 1.0)
 
     def test_zero_input_zero_probability(self):
         st_ = idle_state()
         cmd = to_switching_probabilities(plan_dispatch(0.0, st_))
-        np.testing.assert_array_equal(cmd.start_discharging, 0.0)
+        np.testing.assert_array_equal(expand(cmd).start_discharging, 0.0)
 
     def test_boundary_inputs_give_frozen_checked_command(self):
         x = np.zeros(LAY.dimension)
         x[LAY.empty_idle_index] = x[LAY.full_idle_index] = 0.5
-        plan = plan_dispatch(0.0, state_from_x(x))
-        n = LAY.n_intervals
-        plan.u[4 * n:] = [0.125, 0.5]
-        plan.source_mass[4 * n:] = 0.5
-        cmd = to_switching_probabilities(plan)
-        assert (cmd.empty_to_charging, cmd.full_to_discharging) == (0.25, 1.0)
+        st_ = state_from_x(x)
+        absorb = to_switching_probabilities(plan_dispatch(-0.125 * 600.0, st_))
+        provide = to_switching_probabilities(plan_dispatch(0.5 * 600.0, st_))
+        assert (expand(absorb).empty_to_charging, expand(provide).full_to_discharging) \
+            == (0.25, 1.0)
+        assert absorb.boundary and provide.boundary and not provide.start_mask.any()
         with pytest.raises(FrozenInstanceError):
-            cmd.full_to_discharging = 0.0
-        assert cmd in {cmd}  # hashable despite its array fields
+            provide.start_rate = 0.0
+        assert provide in {provide}  # hashable despite its array fields
         with pytest.raises(ValueError, match="lie in"):
-            replace(cmd, empty_to_charging=1.5)
+            replace(absorb, start_rate=1.5)
 
     def test_overdraw_raises(self):
         st_ = idle_state()
-        plan = plan_dispatch(0.0, st_)
-        plan.u[10] = 0.2
-        plan.source_mass[10] = 0.1
+        plan = replace(plan_dispatch(300.0, st_), start_rate=2.0)
         with pytest.raises(ValueError, match="admissibility"):
             to_switching_probabilities(plan)
 
@@ -206,48 +258,40 @@ def actuate(mode: Connection, soc: float, command: DispatchCommand,
 
 
 class TestActuation:
-    def command_with(self, **kw):
-        return replace(DispatchCommand.zero(LAY), **kw)
-
     def test_zero_probability_never_switches(self):
-        cmd = self.command_with()
+        cmd = make_command()
         assert actuate(Connection.IDLE, 0.5, cmd, alpha=0.0) == Connection.IDLE
 
     def test_unit_probability_always_switches(self):
-        cmd = self.command_with(start_discharging=np.ones(10))
+        cmd = make_command(start=1.0)
         assert actuate(Connection.IDLE, 0.5, cmd, alpha=0.999999) == Connection.DISCHARGING
 
-    def test_stacked_idle_thresholds(self):
-        cmd = self.command_with(start_discharging=np.full(10, 0.3),
-                                start_charging=np.full(10, 0.3))
-        assert actuate(Connection.IDLE, 0.5, cmd, alpha=0.2) == Connection.DISCHARGING
-        assert actuate(Connection.IDLE, 0.5, cmd, alpha=0.4) == Connection.CHARGING
-        assert actuate(Connection.IDLE, 0.5, cmd, alpha=0.7) == Connection.IDLE
-
     def test_forced_charging_ignores_commands(self):
-        cmd = self.command_with(stop_charging=np.ones(10))
+        cmd = make_command(stop=1.0)
         assert actuate(Connection.FORCED_CHARGING, 0.5, cmd, alpha=0.0) \
             == Connection.FORCED_CHARGING
 
     def test_refusal_at_soc_bounds_under_plain_layout(self):
-        cmd = replace(DispatchCommand.zero(LAY_SSM), start_charging=np.ones(10))
+        cmd = make_command(LAY_SSM, provide=False, start=1.0)
         assert actuate(Connection.IDLE, 1.0, cmd, alpha=0.0) == Connection.IDLE
-        cmd2 = replace(DispatchCommand.zero(LAY_SSM), start_discharging=np.ones(10))
+        cmd2 = make_command(LAY_SSM, start=1.0)
         assert actuate(Connection.IDLE, 0.0, cmd2, alpha=0.0) == Connection.IDLE
 
     def test_extended_layout_boundary_inputs(self):
-        cmd = self.command_with(full_to_discharging=1.0, empty_to_charging=1.0)
+        none = np.zeros(10, bool)
+        cmd = make_command(start=1.0, start_mask=none, boundary=True)
         assert actuate(Connection.IDLE, 1.0, cmd, alpha=0.5) == Connection.DISCHARGING
-        assert actuate(Connection.IDLE, 0.0, cmd, alpha=0.5) == Connection.CHARGING
+        cmd2 = make_command(provide=False, start=1.0, start_mask=none, boundary=True)
+        assert actuate(Connection.IDLE, 0.0, cmd2, alpha=0.5) == Connection.CHARGING
 
     def test_boundary_vehicles_not_addressed_by_interval_modes(self):
-        cmd = self.command_with(start_discharging=np.ones(10))
+        cmd = make_command(start=1.0)
         assert actuate(Connection.IDLE, 1.0, cmd, alpha=0.0) == Connection.IDLE
 
     def test_charging_stop_applies_per_interval(self):
-        probs = np.zeros(10)
-        probs[3] = 1.0
-        cmd = self.command_with(stop_charging=probs)
+        mask = np.zeros(10, bool)
+        mask[3] = True
+        cmd = make_command(stop=1.0, stop_mask=mask)
         assert actuate(Connection.CHARGING, 0.35, cmd, alpha=0.5) == Connection.IDLE
         assert actuate(Connection.CHARGING, 0.55, cmd, alpha=0.5) == Connection.CHARGING
 
@@ -255,7 +299,7 @@ class TestActuation:
         m = 20_000
         rng = np.random.default_rng(7)
         alpha = rng.random(m)
-        cmd = self.command_with(start_discharging=np.full(10, 0.25))
+        cmd = make_command(start=0.25)
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)
         new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
@@ -276,19 +320,14 @@ class TestActuation:
         alpha = np.random.default_rng(12).random(m)
         new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
         realized_kw = 6.0 * (new == Connection.DISCHARGING).sum()
-        p = cmd.start_discharging[4]
+        p = cmd.start_rate
         sigma_kw = 6.0 * np.sqrt(m * p * (1 - p))
         assert abs(realized_kw - plan.achieved_delta_kw) <= 4.0 * sigma_kw
 
-    def test_validation_rejects_oversubscribed_idle(self):
-        with pytest.raises(ValueError, match="outgoing"):
-            self.command_with(start_discharging=np.full(10, 0.7),
-                              start_charging=np.full(10, 0.7))
-
 
 def full_mask_actuation(mode, soc, command, alpha, soc_min, soc_max):
-    """The actuation rule with every mask evaluated over every vehicle,
-    whatever the command addresses."""
+    """The six-vector actuation rule, with every mask evaluated over every
+    vehicle: `command` holds the per-interval probabilities of `expand`."""
     layout = command.layout
     new_mode = mode.copy()
     iv = layout.interval_index(soc)
@@ -309,65 +348,59 @@ def full_mask_actuation(mode, soc, command, alpha, soc_min, soc_max):
     return new_mode
 
 
+def random_case(rng, m: int, variant: str, provide: bool, scale: float = 1.0, on=(True, True)):
+    """Modes and SOCs of `m` vehicles (half at bounds and interval edges),
+    and a command with random rates (scaled, each off unless `on`) whose
+    interval masks and boundary flag have random holes."""
+    mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
+                       Connection.FORCED_CHARGING], m).astype(np.int8)
+    soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
+    soc[m // 2:] = rng.random(m - m // 2)
+    stop, start = rng.random(2) * scale * np.asarray(on)
+    masks = rng.random((2, 10)) < 0.6
+    cmd = DispatchCommand(StateLayout(10, variant), provide, float(stop), float(start),
+                          masks[0], masks[1], bool(rng.random() < 0.6))
+    return mode, soc, cmd
+
+
+def tie_draws(rng, alpha: np.ndarray, cmd: DispatchCommand) -> None:
+    """Set the first third of the draws to one of the command's rates."""
+    k = alpha.size // 3
+    alpha[:k] = rng.choice([cmd.stop_rate, cmd.start_rate], k)
+
+
 class TestActuationBlocks:
     @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
-           blocks=st.lists(st.booleans(), min_size=6, max_size=6))
+           provide=st.booleans(), on=st.tuples(st.booleans(), st.booleans()))
     @settings(max_examples=120, deadline=None)
-    def test_skipping_zero_blocks_matches_full_masks(self, seed, variant, blocks):
+    def test_skipping_zero_blocks_matches_full_masks(self, seed, variant, provide, on):
         rng = np.random.default_rng(seed)
-        m = 60
-        mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
-                           Connection.FORCED_CHARGING], m).astype(np.int8)
-        soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
-        soc[m // 2:] = rng.random(m - m // 2)
-        start = rng.random((2, 10)) * 0.5
-        command = DispatchCommand(
-            StateLayout(10, variant),
-            stop_charging=rng.random(10) * blocks[0],
-            start_discharging=start[0] * blocks[1],
-            stop_discharging=rng.random(10) * blocks[2],
-            start_charging=start[1] * blocks[3],
-            empty_to_charging=float(rng.random()) * blocks[4],
-            full_to_discharging=float(rng.random()) * blocks[5],
-        )
-        alpha = rng.random(m)
+        mode, soc, cmd = random_case(rng, 60, variant, provide, on=on)
+        alpha = rng.random(60)
+        tie_draws(rng, alpha, cmd)
         np.testing.assert_array_equal(
-            actuate_array(mode, soc, command, alpha, 0.0, 1.0),
-            full_mask_actuation(mode, soc, command, alpha, 0.0, 1.0))
+            actuate_array(mode, soc, cmd, alpha, 0.0, 1.0),
+            full_mask_actuation(mode, soc, expand(cmd), alpha, 0.0, 1.0))
 
     @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
-           scale=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+           provide=st.booleans(), scale=st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
     @settings(max_examples=120, deadline=None)
-    def test_draws_below_threshold_match_full_addressed_set(self, seed, variant, scale):
+    def test_draws_below_threshold_match_full_addressed_set(self, seed, variant, provide, scale):
         # The fleet actuates only addressed vehicles drawing below the
         # command's threshold; every other addressed vehicle must keep its mode.
         rng = np.random.default_rng(seed)
         m = 80
-        mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
-                           Connection.FORCED_CHARGING], m).astype(np.int8)
-        soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
-        soc[m // 2:] = rng.random(m - m // 2)
-        start = rng.random((2, 10)) * 0.5 * scale
-        command = DispatchCommand(
-            StateLayout(10, variant),
-            stop_charging=rng.random(10) * scale,
-            start_discharging=start[0],
-            stop_discharging=rng.random(10) * scale,
-            start_charging=start[1],
-            empty_to_charging=float(rng.random()) * scale,
-            full_to_discharging=float(rng.random()) * scale,
-        )
+        mode, soc, cmd = random_case(rng, m, variant, provide, scale)
         alpha = rng.random(m)
-        alpha[:10] = command.threshold  # ties with the threshold never switch
-        alpha[10:20] = np.concatenate([command.stop_charging, command.start_discharging])[
-            rng.integers(0, 20, 10)]
+        tie_draws(rng, alpha, cmd)  # ties with a rate never switch
 
         def actuated(ids):
             new = mode.copy()
-            new[ids] = actuate_array(mode[ids], soc[ids], command, alpha[ids], 0.0, 1.0)
+            new[ids] = actuate_array(mode[ids], soc[ids], cmd, alpha[ids], 0.0, 1.0)
             return new
 
-        addressed = command.addressed.take(mode)
-        np.testing.assert_array_equal(
-            actuated(np.flatnonzero(addressed & (alpha < command.threshold))),
-            actuated(np.flatnonzero(addressed)))
+        addressed = cmd.addressed.take(mode)
+        below = actuated(np.flatnonzero(addressed & (alpha < cmd.threshold)))
+        np.testing.assert_array_equal(below, actuated(np.flatnonzero(addressed)))
+        np.testing.assert_array_equal(below, full_mask_actuation(mode, soc, expand(cmd), alpha,
+                                                                 0.0, 1.0))

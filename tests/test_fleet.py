@@ -1,4 +1,3 @@
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -236,9 +235,9 @@ class TestFleetStep:
 
     def test_malformed_command_rejected(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1)
-        layout = StateLayout(10, "essm")
+        every = np.ones(10, bool)
         with pytest.raises(ValueError, match="probabilities"):
-            fleet.step(replace(DispatchCommand.zero(layout), start_charging=np.full(10, 1.5)))
+            fleet.step(DispatchCommand(StateLayout(10, "essm"), False, 0.0, 1.5, every, every))
 
 
 class StepwiseOracle:
@@ -394,10 +393,10 @@ class TestEventKernel:
         fleet = StepwiseOracle(Fleet(params, dt, seed=21))
         oracle = WindowOracle(fleet)
         np.testing.assert_array_equal(fleet.connected, oracle.connected)
-        command = DispatchCommand(StateLayout(10, "essm"), np.full(10, 0.2), np.full(10, 0.1),
-                                  np.full(10, 0.1), np.full(10, 0.2), 0.3, 0.3)
+        # Directions alternate over the controlled (odd) steps.
+        commands = random_commands("essm", n_steps, seed=5, fleet=fleet, hold=2)
         events = 0
-        for k in range(n_steps):
+        for k, command in enumerate(commands):
             cmd = command if k % 2 else None
             in_ids, out_ids, deadline = oracle.step(cmd)
             snap = fleet.step(cmd)
@@ -428,24 +427,26 @@ def sampled_edge_fleet(distributions, seed: int) -> Fleet:
     return Fleet(params, DT_5MIN, seed=seed)
 
 
-def random_commands(variant, n_steps: int, seed: int):
-    """A command per step (None when uncontrolled). The direction holds for
-    four hours at a time, so vehicles reach both SOC bounds; within a
-    direction each block is switched off at random."""
+def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MIN // 6):
+    """A command per step of `fleet` (None when uncontrolled). The direction
+    holds for `hold` steps at a time (four hours at 5 min steps), so vehicles
+    reach both SOC bounds. Each rate is switched off at random, and each
+    interval and the boundary input are left out at random. A rate that is
+    on equals one of the step's draws below 0.4, so a vehicle's draw ties
+    with it."""
     if variant is None:
         yield from [None] * n_steps
         return
     layout = StateLayout(10, variant)
     rng = np.random.default_rng(seed)
-    zero = np.zeros(10)
     for k in range(n_steps):
-        on = rng.random(3) < 0.7
-        stop, start = rng.random(10) * 0.2 * on[0], rng.random(10) * 0.4 * on[1]
-        edge = 0.3 * on[2] if variant == "essm" else 0.0
-        if (k * DT_5MIN) // 4.0 % 2 == 0:  # provide: stop charging, start discharging
-            yield DispatchCommand(layout, stop, start, zero, zero, full_to_discharging=edge)
-        else:  # absorb: stop discharging, start charging
-            yield DispatchCommand(layout, zero, zero, stop, start, empty_to_charging=edge)
+        alpha = step_stream(fleet.seed, k).random(fleet.params.n_ev)
+        low = alpha[alpha < 0.4]
+        stop, start = low[rng.integers(low.size, size=2)] * (rng.random(2) < 0.7)
+        masks = rng.random((2, 10)) < 0.8
+        provide = k // hold % 2 == 0  # else absorb
+        yield DispatchCommand(layout, provide, float(stop), float(start), masks[0], masks[1],
+                              bool(rng.random() < 0.7))
 
 
 def float_edge(oracle: StepwiseOracle, soc: np.ndarray, ids: np.ndarray, k: int) -> bool:
@@ -478,7 +479,7 @@ class TestEventDrivenKernel:
         fleet = sampled_edge_fleet(table_distributions, seed=21)
         oracle = StepwiseOracle(fleet)
         edges = []
-        for k, command in enumerate(random_commands(variant, DAY_5MIN, seed=4)):
+        for k, command in enumerate(random_commands(variant, DAY_5MIN, seed=4, fleet=fleet)):
             soc_before = oracle.soc.copy()
             ref = oracle.step(command)
             step = fleet.step(command)
@@ -510,7 +511,7 @@ class TestEventDrivenKernel:
         fleet.set_state(placed[2:], p.soc_max, Connection.DISCHARGING)
         prev = fleet.snapshot()
         floor_arrivals = left_floor = left_ceiling = 0
-        for command in random_commands(variant, DAY_5MIN, seed=8):
+        for command in random_commands(variant, DAY_5MIN, seed=8, fleet=fleet):
             step = fleet.step(command)
             snap = fleet.snapshot()
             exact = imm_flexibility(snap, p.soc_min, p.soc_max)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from evflex.aggregate import AggregateModel, StateLayout, build_transition_matrix
 from evflex.fleet import Connection, Fleet, sample_fleet
-from evflex.imm import imm_flexibility, imm_power
+from evflex.imm import imm_flexibility
 
 from conftest import deterministic_distributions, make_snapshot
 
@@ -15,22 +15,22 @@ DT_15S = 15.0 / 3600.0
 class TestImmPower:
     def test_uniform_charging_fleet(self):
         snap = make_snapshot([0.5] * 100, [Connection.CHARGING] * 100, pc=6.0)
-        assert imm_power(snap) == pytest.approx(-600.0)
+        assert imm_flexibility(snap).p_ev_kw == pytest.approx(-600.0)
 
     def test_idle_fleet_zero(self):
         snap = make_snapshot([0.5] * 10, [Connection.IDLE] * 10)
-        assert imm_power(snap) == 0.0
+        assert imm_flexibility(snap).p_ev_kw == 0.0
 
     def test_mixed_fleet_cancels(self):
         conn = [Connection.DISCHARGING] * 50 + [Connection.CHARGING] * 50
         snap = make_snapshot([0.5] * 100, conn, pc=6.0)
-        assert imm_power(snap) == pytest.approx(0.0)
+        assert imm_flexibility(snap).p_ev_kw == pytest.approx(0.0)
 
     def test_equals_snapshot_power_sum_exactly(self, table_distributions):
         fleet = Fleet(sample_fleet(table_distributions, 300, seed=1), DT_15S, seed=1)
         fleet.step(None)
         snap = fleet.snapshot()
-        assert imm_power(snap) == snap.power_kw.sum()
+        assert imm_flexibility(snap).p_ev_kw == snap.power_kw.sum()
 
 
 class TestImmFlexibility:

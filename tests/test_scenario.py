@@ -394,6 +394,8 @@ class TestCli:
         ({"distributions": {"plug_in_hour": {"kind": "normal", "low": 5.5, "high": 29.5,
                                              "mean": 40.0, "std": 0.0}}}, "degenerate normal"),
         ({"measurement_noise_kw": [1.0, -1.0, 0.0]}, "measurement_noise_kw must be"),
+        ({"distributions": {"efficiency": {"kind": "uniform", "low": 0.9, "high": 0.95,
+                                           "std": 0.01}}}, "uniform distribution takes no std"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
