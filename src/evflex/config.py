@@ -12,6 +12,7 @@ import numpy as np
 
 # Rejection-sampling budget for truncated normals, draws per value.
 REJECTION_BUDGET = 1000
+HOURS_PER_DAY = 24.0
 
 
 def _reject_unknown_keys(cls, d: dict) -> None:
@@ -150,6 +151,12 @@ class FleetDistributions:
             raise ValueError("rated power and capacity must be strictly positive")
         if self.efficiency.low <= 0 or self.efficiency.high > 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
+        # The fleet models each session twice, as yesterday's tail and as
+        # today's session, which covers a day only for sessions inside [0, 48) h.
+        if self.plug_in_hour.low < 0:
+            raise ValueError(f"plug_in_hour low must be >= 0 h, got {self.plug_in_hour.low}")
+        if self.plug_out_hour.high > 2 * HOURS_PER_DAY:
+            raise ValueError(f"plug_out_hour high must be <= 48 h, got {self.plug_out_hour.high}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +175,12 @@ class ScriptedStep:
             raise ValueError(f"unknown scripted step kind {self.kind!r}")
         if self.duration_h <= 0 or not 0.0 <= self.depth <= 1.0:
             raise ValueError("scripted step needs duration > 0 and depth in [0, 1]")
+        if self.start_h < 0:  # its level is frozen at its start step, which never comes
+            raise ValueError(f"ScriptedStep start_h must be >= 0, got {self.start_h}")
+
+    def steps(self, dt_hours: float) -> tuple[int, int]:
+        """The window [start, end) on the step grid of `dt_hours`."""
+        return round(self.start_h / dt_hours), round((self.start_h + self.duration_h) / dt_hours)
 
 
 @dataclass(frozen=True)
@@ -208,6 +221,9 @@ class SimulationConfig:
             raise ValueError("n_intervals must be >= 2")
         if self.dt_seconds <= 0 or self.resync_minutes <= 0 or self.horizon_hours <= 0:
             raise ValueError("time settings must be strictly positive")
+        if self.horizon_hours > HOURS_PER_DAY:
+            raise ValueError(f"horizon_hours must be <= 24 (the fleet's schedule covers one "
+                             f"day), got {self.horizon_hours}")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
@@ -222,6 +238,14 @@ class SimulationConfig:
         horizon_s = self.horizon_hours * 3600.0
         if abs(horizon_s / resync_s - round(horizon_s / resync_s)) > 1e-9:
             raise ValueError("resync period must divide the horizon")
+        # A step sits in at most one window: overlapping ones have no level.
+        grid = sorted(w for w in (s.steps(self.dt_hours) for s in self.reference.scripted)
+                      if w[0] < w[1])
+        for (_, end), (start, _) in zip(grid, grid[1:]):
+            if start < end:
+                raise ValueError(f"reference.scripted windows overlap: one starts at "
+                                 f"{start * self.dt_hours:g} h, before the previous one ends "
+                                 f"at {end * self.dt_hours:g} h")
 
     @property
     def dt_hours(self) -> float:

@@ -21,9 +21,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .config import REJECTION_BUDGET, FleetDistributions
-
-HOURS_PER_DAY = 24.0
+from .config import HOURS_PER_DAY, REJECTION_BUDGET, FleetDistributions
 
 # Independent per-step random streams, keyed by (seed, stream tag, step), so
 # skipping a stream on one step never shifts draws on later steps.

@@ -1,14 +1,16 @@
 """Experiment orchestration: 24 h prediction and tracking loops, reference
 generation, error metrics and CSV surfaces.
 
-The prediction loop runs the fleet uncontrolled and propagates every
-configured model variant alongside it (recursion each step with the observed
-plug-in/out churn, hard resync from telemetry every resync period). The
-tracking loop closes the loop per variant: each step the controller plans a
-dispatch against the model's predicted pre-control state, broadcasts
-switching probabilities, and the fleet actuates them; variants drive clones
-of the same fleet (same seed, same per-step draws) against the same reference
-so their tracking is directly comparable.
+Both experiments run one step loop. The prediction run steps the fleet
+uncontrolled and propagates every configured model variant alongside it
+(recursion each step with the observed plug-in/out churn, hard resync from
+telemetry every resync period). The tracking run closes the loop per
+variant: each step the controller plans a dispatch against the model's
+predicted pre-control state, broadcasts switching rates, and the fleet
+actuates them. Variants drive clones of the same fleet (same seed, same
+per-step draws) that step in lockstep against one reference, so their
+tracking is directly comparable. Scripted reference windows lie on the step
+grid and never overlap (checked at load time).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout, churn_keys,
                         measure)
-from .config import ReferenceConfig, ScriptedStep, SimulationConfig
+from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
 from .imm import imm_flexibility
@@ -67,8 +69,8 @@ def _scripted_windows(scripted: tuple[ScriptedStep, ...], dt_h: float,
                       k_steps: int) -> list[_ScriptedWindow]:
     windows = []
     for s in scripted:
-        start = round(s.start_h / dt_h)
-        end = min(k_steps, round((s.start_h + s.duration_h) / dt_h))
+        start, end = s.steps(dt_h)
+        end = min(k_steps, end)
         if start < end:
             windows.append(_ScriptedWindow(start, end, s.kind, s.depth))
     return sorted(windows, key=lambda w: w.start_step)
@@ -133,7 +135,6 @@ class VariantSeries:
 
 @dataclass
 class RunResult:
-    kind: str
     config: SimulationConfig
     time_h: np.ndarray
     reference_kw: np.ndarray
@@ -158,11 +159,6 @@ class RunResult:
         return float(np.sqrt(np.mean(err ** 2)))
 
 
-def _fleet(config: SimulationConfig) -> Fleet:
-    params = sample_fleet(config.distributions, config.n_ev, config.seed)
-    return Fleet(params, config.dt_hours, config.seed)
-
-
 def _model(config: SimulationConfig, variant: str) -> AggregateModel:
     d = config.distributions
     layout = StateLayout(config.n_intervals, variant, d.soc_min, d.soc_max)
@@ -170,125 +166,104 @@ def _model(config: SimulationConfig, variant: str) -> AggregateModel:
         layout, d, config.dt_hours, n_samples=config.transition_samples, seed=config.seed)
 
 
-def _noise_rng_or_none(config: SimulationConfig, variant_idx: int):
+def _noise_rng_or_none(config: SimulationConfig, variant: str):
+    """The variant's measurement noise, keyed by the variant itself, so a run
+    of a subset of the variants draws the same noise for each."""
     std = np.asarray(config.measurement_noise_kw, dtype=float)
     if not std.any():
         return None, None
     rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(_STREAM_NOISE, variant_idx)))
+        entropy=config.seed, spawn_key=(_STREAM_NOISE, VARIANTS.index(variant))))
     return std, rng
 
 
-def run_prediction_experiment(config: SimulationConfig) -> RunResult:
-    """Uncontrolled 24 h run: every vehicle charges until full or gone, every
-    variant's model predicts alongside from telemetry."""
-    k_steps = config.n_steps
-    fleet = _fleet(config)
-    models = {name: _model(config, name) for name in config.variants}
+def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | None) -> RunResult:
+    """The step loop of both experiments. Uncontrolled, one fleet serves every
+    variant's model. Controlled, each variant plans for its own clone of the
+    fleet, and the clones step in lockstep: plan, step, advance, record.
+    Without a `reference`, each step's level is drawn once, from the live
+    envelope of the extended model (the first variant when it is not run),
+    before any clone plans. Every random stream is keyed by seed, step or
+    stream tag, never by run order, so each clone's run equals its solo run."""
+    k_steps, names = config.n_steps, config.variants
+    lanes = [(name,) for name in names] if controlled else [names]
+    # The clones share their read-only parameters. Fleets are built before
+    # the models, whose estimate's temporaries would otherwise raise peak RSS.
+    params = sample_fleet(config.distributions, config.n_ev, config.seed)
+    fleets = [Fleet(params, config.dt_hours, config.seed) for _ in lanes]
+    models = {name: _model(config, name) for name in names}
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
-              for name in config.variants}
-    noise = {name: _noise_rng_or_none(config, i) for i, name in enumerate(config.variants)}
+              for name in names}
+    noise = {name: _noise_rng_or_none(config, name) for name in names}
+    generator = None
+    if reference is None:
+        reference = np.zeros(k_steps + 1)
+        if controlled:
+            generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
+            lead = models[ESSM if ESSM in models else names[0]]
+    for fleet, lane in zip(fleets, lanes):
+        _record(config, fleet, lane, series, models, noise, None, 0)
 
-    _record(config, fleet, series, models, noise, None, 0)
-
-    layout = models[config.variants[0]].layout  # keys depend only on N and the SOC range
+    layout = models[names[0]].layout  # keys depend only on N and the SOC range
     for k in range(k_steps):
-        step = fleet.step(None)
-        keys = churn_keys(step, layout) if step.n_in or step.n_out else None
-        for model in models.values():
-            model.advance(step, keys=keys)
-        _record(config, fleet, series, models, noise, step, k + 1)
+        if generator is not None:
+            reference[k + 1] = generator.level(k, lead.envelope())
+        for fleet, lane in zip(fleets, lanes):
+            command = pre = u = None
+            if controlled:
+                model, vs = models[lane[0]], series[lane[0]]
+                pre = model.pre_control()
+                plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
+                command, u = to_switching_probabilities(plan), plan.expected_u
+                vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
+            step = fleet.step(command)
+            keys = churn_keys(step, layout) if step.n_in or step.n_out else None
+            for name in lane:
+                models[name].advance(step, u=u, pre=pre, keys=keys)
+            _record(config, fleet, lane, series, models, noise, step, k + 1)
+    if generator is not None:
+        reference[0] = reference[1]
+    return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
-    return RunResult(
-        kind="prediction",
-        config=config,
-        time_h=np.arange(k_steps + 1) * config.dt_hours,
-        reference_kw=np.zeros(k_steps + 1),
-        variants=series,
-    )
 
-
-def _record(config: SimulationConfig, fleet: Fleet, series, models, noise, step, k: int) -> None:
-    """Record step k: each model's output C x, and the ground truth, which is
-    the step's running sums or, at a resync (k = 0 included), the exact sum
-    over fresh telemetry, which also resets the models."""
+def _record(config: SimulationConfig, fleet: Fleet, names, series, models, noise, step,
+            k: int) -> None:
+    """Record step k of the variants `names` that `fleet` serves: each model's
+    output C x, and the ground truth, which is the step's running sums or, at
+    a resync (k = 0 included), the exact sum over fresh telemetry, which also
+    resets the models."""
     if k % config.resync_steps:
         env_true = step.envelope
     else:
         snap = fleet.snapshot()
-        for model in models.values():
-            model.resync(snap)
+        for name in names:
+            models[name].resync(snap)
         env_true = imm_flexibility(snap, config.distributions.soc_min,
                                    config.distributions.soc_max)
     truth = np.array([env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw])
-    for name, model in models.items():
-        vs = series[name]
+    for name in names:
+        model, vs = models[name], series[name]
         vs.model_kw[:, k] = measure(model.mats.C, model.state.x, *noise[name])
         vs.imm_kw[:, k] = truth
         vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
 
 
-def _run_tracking_single(config: SimulationConfig, variant: str,
-                         reference: np.ndarray | None, variant_idx: int):
-    """Drive one fleet with one variant's controller. When no reference is
-    given, levels are drawn online from the live model envelope (plus the
-    configured scripted windows) and the generated series is returned."""
-    k_steps = config.n_steps
-    fleet = _fleet(config)
-    model = _model(config, variant)
-    vs = VariantSeries.zeros(variant, k_steps, model.layout.dimension)
-    noise = {variant: _noise_rng_or_none(config, variant_idx)}
-    series = {variant: vs}
-    models = {variant: model}
-
-    online = reference is None
-    if online:
-        generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
-        reference = np.zeros(k_steps + 1)
-
-    _record(config, fleet, series, models, noise, None, 0)
-
-    for k in range(k_steps):
-        if online:
-            reference[k + 1] = generator.level(k, model.envelope())
-            if k == 0:
-                reference[0] = reference[1]
-
-        pre = model.pre_control()
-        plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
-        command = to_switching_probabilities(plan)
-        vs.achieved_delta_kw[k] = plan.achieved_delta_kw
-        vs.saturated[k] = plan.saturated
-
-        step = fleet.step(command)
-        model.advance(step, u=plan.expected_u, pre=pre)
-        _record(config, fleet, series, models, noise, step, k + 1)
-
-    return vs, reference
+def run_prediction_experiment(config: SimulationConfig) -> RunResult:
+    """Uncontrolled 24 h run: every vehicle charges until full or gone, every
+    variant's model predicts alongside from telemetry."""
+    return _run(config, False, None)
 
 
 def run_tracking_experiment(config: SimulationConfig,
                             reference: np.ndarray | None = None) -> RunResult:
     """Closed-loop tracking for every configured variant against one shared
-    reference. Without an explicit reference, the extended-variant run
-    generates it online from its live envelope and the others replay it."""
-    k_steps = config.n_steps
+    reference, each variant on its own clone of the fleet. Without an explicit
+    reference, it is generated online from the extended model's live envelope."""
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
-        if reference.shape != (k_steps + 1,):
+        if reference.shape != (config.n_steps + 1,):
             raise ValueError("reference must cover the horizon (n_steps + 1 samples)")
-    series: dict[str, VariantSeries] = {}
-    for name in sorted(config.variants, key=lambda v: v != ESSM):
-        series[name], reference = _run_tracking_single(
-            config, name, reference, config.variants.index(name))
-
-    return RunResult(
-        kind="tracking",
-        config=config,
-        time_h=np.arange(k_steps + 1) * config.dt_hours,
-        reference_kw=reference,
-        variants={name: series[name] for name in config.variants},
-    )
+    return _run(config, True, reference)
 
 
 def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:

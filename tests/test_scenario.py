@@ -284,6 +284,24 @@ class TestTrackingExperiment:
         with pytest.raises(ValueError, match="horizon"):
             run_tracking_experiment(config, np.zeros(5))
 
+    def test_variants_in_lockstep_equal_their_solo_runs(self):
+        # The pair steps two clones in lockstep; each equals its solo run byte
+        # for byte: essm online with the same reference, ssm replaying it.
+        # Measurement noise is on, so its streams must not depend on which
+        # variants run either.
+        config = replace(load_config(PROBES), n_ev=150, horizon_hours=3.0,
+                         measurement_noise_kw=(25.0, 25.0, 25.0))
+        pair = run_tracking_experiment(config)
+        essm = run_tracking_experiment(replace(config, variants=("essm",)))
+        ssm = run_tracking_experiment(replace(config, variants=("ssm",)), pair.reference_kw)
+        assert essm.reference_kw.tobytes() == pair.reference_kw.tobytes()
+        for name, solo in (("essm", essm), ("ssm", ssm)):
+            for field in ("model_kw", "imm_kw", "states", "n_connected", "achieved_delta_kw",
+                          "saturated"):
+                ours, theirs = (getattr(r.variants[name], field) for r in (solo, pair))
+                assert ours.dtype == theirs.dtype, (name, field)
+                assert ours.tobytes() == theirs.tobytes(), (name, field)
+
     def test_tracking_follows_reference(self):
         config = small_config(n_ev=400, horizon_hours=6.0, seed=8,
                               reference=ReferenceConfig(period_hours=1.0,
@@ -396,16 +414,25 @@ class TestCli:
         ({"measurement_noise_kw": [1.0, -1.0, 0.0]}, "measurement_noise_kw must be"),
         ({"distributions": {"efficiency": {"kind": "uniform", "low": 0.9, "high": 0.95,
                                            "std": 0.01}}}, "uniform distribution takes no std"),
+        # Windows [1, 2) h and [1.5, 2.5) h: from 2 h on no window froze a level.
+        ({"n_ev": 100, "horizon_hours": 3.0, "transition_samples": 2000,
+          "reference": {"scripted": [{"kind": "provide", "start_h": 1.0, "duration_h": 1.0},
+                                     {"kind": "consume", "start_h": 1.5, "duration_h": 1.0}]}},
+         "reference.scripted windows overlap"),
+        ({"n_ev": 100, "horizon_hours": 3.0, "transition_samples": 2000,
+          "reference": {"scripted": [{"kind": "provide", "start_h": -1.0, "duration_h": 1.5}]}},
+         "ScriptedStep start_h must be >= 0"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(SystemExit) as exit_info:
-            main(["predict", "--config", str(path), "--out", str(tmp_path)])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert [line for line in err if "error" in line] == [err[-1]]
-        assert err[-1].startswith("evflex: error: ") and named in err[-1]
+        for command in ("predict", "track"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--config", str(path), "--out", str(tmp_path)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert [line for line in err if "error" in line] == [err[-1]]
+            assert err[-1].startswith("evflex: error: ") and named in err[-1]
 
     @pytest.mark.parametrize("cell", ["", "n/a"])
     def test_reference_with_missing_level(self, capsys, tmp_path, cell):
@@ -488,10 +515,33 @@ class TestConfigIO:
         ({"variants": ["essm", "essm"]}, "variants"),
         ({"measurement_noise_kw": [1.0, 2.0]}, "measurement_noise_kw"),
         ({"measurement_noise_kw": [1.0]}, "measurement_noise_kw"),
+        # Outside the one-day schedule: a 48 h run has no vehicle connected
+        # from about 40 h on, a session at [-3, 10) h would start at t = 0 at
+        # its initial SOC, one at [47, 70) h would miss its connection over
+        # [0, 22) h.
+        ({"horizon_hours": 48.0}, "horizon_hours"),
+        ({"distributions": {"plug_in_hour": {"kind": "uniform", "low": -3.0,
+                                             "high": 10.0}}}, "plug_in_hour low"),
+        ({"distributions": {"plug_out_hour": {"kind": "uniform", "low": 50.0,
+                                              "high": 70.0}}}, "plug_out_hour high"),
     ])
     def test_bad_numbers_rejected(self, d, name):
         with pytest.raises(ValueError, match=f"{name} must be"):
             from_dict(SimulationConfig, d)
+
+    def test_scripted_windows_may_touch_but_not_overlap(self):
+        def config(*windows):
+            scripted = tuple(ScriptedStep("provide", start, duration) for start, duration in windows)
+            return SimulationConfig(reference=ReferenceConfig(scripted=scripted))
+
+        config((0.0, 0.5), (0.5, 0.25), (0.75, 4.25))
+        with pytest.raises(ValueError, match="overlap"):
+            config((1.0, 2.0), (1.5, 0.25))  # nested
+        # Checked on the 15 s step grid: a 5 s overlap rounds to touching
+        # windows, a 10 s one to a shared step.
+        config((1.0, 1.0), (2.0 - 5 / 3600, 1.0))
+        with pytest.raises(ValueError, match="overlap"):
+            config((1.0, 1.0), (2.0 - 10 / 3600, 1.0))
 
     def test_integral_float_count_accepted(self):
         config = from_dict(SimulationConfig, {"n_ev": 200.0, "seed": 3})
