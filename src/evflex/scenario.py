@@ -187,8 +187,8 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     stream tag, never by run order, so each clone's run equals its solo run."""
     k_steps, names = config.n_steps, config.variants
     lanes = [(name,) for name in names] if controlled else [names]
-    # The clones share their read-only parameters. Fleets are built before
-    # the models, whose estimate's temporaries would otherwise raise peak RSS.
+    # The clones share their read-only parameters. The fleets are built
+    # before the models: the other order measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     fleets = [Fleet(params, config.dt_hours, config.seed) for _ in lanes]
     models = {name: _model(config, name) for name in names}
