@@ -115,9 +115,9 @@ class StateLayout:
                         np.where(soc >= self.soc_max, n + 1, self.interval_index(soc)))
         return np.asarray(connection, dtype=np.intp) * (n + 2) + slot
 
-    def state_index(self, connection, soc) -> np.ndarray:
-        """Map (connection mode, SOC) telemetry to state indices."""
-        out = self.state_table.take(self.keys(connection, soc))
+    def state_index(self, connection, soc, keys=None) -> np.ndarray:
+        """Map (connection mode, SOC) telemetry, or its `keys`, to state indices."""
+        out = self.state_table.take(self.keys(connection, soc) if keys is None else keys)
         if (out < 0).any():
             raise ValueError("cannot discretize disconnected vehicles")
         return out
@@ -143,8 +143,8 @@ class SystemMatrices:
     C: np.ndarray
 
 
-def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
-    """Bin connected vehicles into the layout's states.
+def discretize(snapshot: FleetSnapshot, layout: StateLayout, keys=None) -> AggregateState:
+    """Bin connected vehicles (or their `keys`, binned already) into the layout's states.
 
     Average rated powers are taken over the charging / discharging sets; when
     a set is empty they fall back to the mean over all connected vehicles so
@@ -153,7 +153,7 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
     n_conn = snapshot.n_connected
     if n_conn == 0:
         return AggregateState(layout, np.zeros(layout.dimension), 0, 0.0, 0.0)
-    idx = layout.state_index(snapshot.connection, snapshot.soc)
+    idx = layout.state_index(snapshot.connection, snapshot.soc, keys)
     counts = np.bincount(idx, minlength=layout.dimension).astype(float)
     x = counts / n_conn
     cs = snapshot.connection == CS
@@ -314,9 +314,13 @@ def output(state: AggregateState, c: np.ndarray | None = None,
 
 
 def churn_keys(events: FleetStep, layout: StateLayout) -> np.ndarray:
-    """`StateLayout.keys` of a step's arrivals, then its departures."""
-    return layout.keys(np.concatenate([events.in_connection, events.out_connection]),
-                       np.concatenate([events.in_soc, events.out_soc]))
+    """`StateLayout.keys` of a step's plug events, binned once for all its
+    lanes: one row per lane, the shared arrivals, then the lane's departures."""
+    lanes, d = len(events.envelopes), events.n_out
+    conn, soc = (np.concatenate([part for r in range(lanes) for part in (a, b[r * d:(r + 1) * d])])
+                 for a, b in ((events.in_connection, events.out_connection),
+                              (events.in_soc, events.out_soc)))
+    return layout.keys(conn, soc).reshape(lanes, -1)
 
 
 def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
@@ -384,14 +388,15 @@ class AggregateModel:
             self.mats.C = state.n_ev_connected * self._pattern
         self.state = state
 
-    def resync(self, snapshot: FleetSnapshot) -> None:
-        """Replace the model state with fresh telemetry (periodic hard update).
+    def resync(self, snapshot: FleetSnapshot, keys: np.ndarray | None = None) -> None:
+        """Replace the model state with fresh telemetry (periodic hard update);
+        `keys`: as for `discretize`.
 
         Re-bins every vehicle, which also refreshes forced-charging
         membership; promotion into forced charging is observed here rather
         than modeled in the transition matrix.
         """
-        self._set_state(discretize(snapshot, self.layout), rescale=True)
+        self._set_state(discretize(snapshot, self.layout, keys), rescale=True)
 
     def pre_control(self) -> AggregateState:
         """Predicted state for the upcoming step before any input acts."""
@@ -406,8 +411,8 @@ class AggregateModel:
     def advance(self, events: FleetStep, u: np.ndarray | None = None,
                 pre: AggregateState | None = None, keys: np.ndarray | None = None) -> None:
         """Apply one recursion step with the churn in the plug events of one
-        fleet step; `keys` are their `churn_keys`, when the caller bins them
-        once for several models.
+        fleet step; `keys` are this model's lane's row of their `churn_keys`
+        (without them, the step's first lane's).
 
         An empty model holds the zero vector, so arrivals into it define the
         state outright through the churn term.
@@ -420,7 +425,7 @@ class AggregateModel:
             return
         w = None
         if events.n_in or events.n_out:
-            keys = churn_keys(events, self.layout) if keys is None else keys
+            keys = churn_keys(events, self.layout)[0] if keys is None else keys
             w = compute_noise(st.n_ev_connected, events.n_in, keys, self.layout)
         x_pre = self.mats.A @ st.x if pre is None else pre.x
         self._set_state(AggregateState(self.layout, step(x_pre, self.mats.B, u, w), n_new,

@@ -179,8 +179,11 @@ class ScriptedStep:
             raise ValueError(f"ScriptedStep start_h must be >= 0, got {self.start_h}")
 
     def steps(self, dt_hours: float) -> tuple[int, int]:
-        """The window [start, end) on the step grid of `dt_hours`."""
-        return round(self.start_h / dt_hours), round((self.start_h + self.duration_h) / dt_hours)
+        """The window [start, end) on the step grid of `dt_hours`: not empty."""
+        start, end = (round(h / dt_hours) for h in (self.start_h, self.start_h + self.duration_h))
+        if start >= end:  # shorter than half a step
+            raise ValueError(f"ScriptedStep duration_h {self.duration_h:g} h holds no step")
+        return start, end
 
 
 @dataclass(frozen=True)
@@ -239,8 +242,7 @@ class SimulationConfig:
         if abs(horizon_s / resync_s - round(horizon_s / resync_s)) > 1e-9:
             raise ValueError("resync period must divide the horizon")
         # A step sits in at most one window: overlapping ones have no level.
-        grid = sorted(w for w in (s.steps(self.dt_hours) for s in self.reference.scripted)
-                      if w[0] < w[1])
+        grid = sorted(s.steps(self.dt_hours) for s in self.reference.scripted)
         for (_, end), (start, _) in zip(grid, grid[1:]):
             if start < end:
                 raise ValueError(f"reference.scripted windows overlap: one starts at "

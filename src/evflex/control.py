@@ -101,6 +101,7 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
         return DispatchPlan(layout, u, 0.0, state.empty and delta_kw != 0.0, u, delta_kw > 0.0,
                             0.0, 0.0, np.zeros(n, bool), np.zeros(n, bool), False)
 
+    # Python scalars; sums stay numpy's reductions, which Python's sum() is not.
     scale = float(state.n_ev_connected)
     kw_ac = state.p_ac_kw * scale  # kW change per unit mass for charge-side moves
     kw_ad = state.p_ad_kw * scale
@@ -118,39 +119,40 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
         stage1, stage2 = slice(2 * n, 3 * n), slice(3 * n, 4 * n)
         edge_input, edge_state = 4 * n, layout.empty_idle_index
     x = state.x
-    want = abs(delta_kw)
+    want = abs(float(delta_kw))
 
     # Each stage spreads its mass over its source in proportion: one rate.
     active_mass = x[active]
-    active_total = active_mass.sum()
+    active_total = float(np.add.reduce(active_mass))
     take1_kw = min(want, kw1 * active_total)
-    moved, rate1 = np.zeros(n), 0.0
+    moved, moved_sum, rate1 = 0.0, 0.0, 0.0
     if kw1 > 0.0 and take1_kw > 0.0:
-        rate1 = float(take1_kw / kw1 / active_total)
+        rate1 = take1_kw / kw1 / active_total
         moved = active_mass * rate1
         u[stage1] = moved
+        moved_sum = float(np.add.reduce(moved))
 
     # Stage 2 may draw on the mass stage 1 just moved into idle.
     idle_mass = x[layout.idle] + moved
-    edge_mass = 0.0 if edge_state is None else x[edge_state]
-    take2_kw = min(want - take1_kw, kw2 * (idle_mass.sum() + edge_mass))
+    edge_mass = 0.0 if edge_state is None else float(x[edge_state])
     taken_sum, rate2 = 0.0, 0.0
     expected = u
+    take2_kw = min(want - take1_kw, kw2 * (float(np.add.reduce(idle_mass)) + edge_mass)) \
+        if want > take1_kw else 0.0  # nothing left for it where stage 1 meets the target
     if kw2 > 0.0 and take2_kw > 0.0:
-        pool = np.concatenate([idle_mass, [edge_mass]]) if edge_state is not None \
-            else idle_mass
-        rate2 = float(take2_kw / kw2 / pool.sum())
+        pool = np.concatenate([idle_mass, [edge_mass]]) if edge_state is not None else idle_mass
+        rate2 = take2_kw / kw2 / float(np.add.reduce(pool))
         taken = pool * rate2
         u[stage2] = taken[:n]
         if edge_state is not None:
             u[edge_input] = taken[n]
-        taken_sum = taken.sum()
+        taken_sum = float(np.add.reduce(taken))
         if rate1 > 0.0:  # one broadcast moves only the part backed by current occupancy
             expected = u.copy()
             expected[stage2] = taken[:n] * np.divide(x[layout.idle], idle_mass, out=np.zeros(n),
                                                      where=idle_mass > 0.0)
 
-    achieved = sign * (kw1 * moved.sum() + kw2 * taken_sum)
+    achieved = sign * (kw1 * moved_sum + kw2 * taken_sum)
     shortfall = abs(delta_kw - achieved)
     sat_tol = 1e-9 * max(1.0, scale * max(state.p_ac_kw, state.p_ad_kw))
     return DispatchPlan(layout, u, achieved, shortfall > sat_tol, expected, provide,
@@ -178,14 +180,16 @@ def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
     plain layout addresses boundary-parked vehicles through its edge idle
     intervals, so its commands can land on vehicles that must refuse.
     """
-    at_max, at_min = soc >= soc_max, soc <= soc_min
-    src, dst, pinned, edge = (CS, DS, at_min, at_max) if command.provide \
-        else (DS, CS, at_max, at_min)
+    src, dst = (CS, DS) if command.provide else (DS, CS)
     iv = command.layout.interval_index(soc)
-    start = command.start_mask[iv]
-    if command.layout.variant == ESSM:  # the boundary state has its own input
-        start = np.where(edge, command.boundary, start)
     new_mode = mode.copy()
-    new_mode[(mode == src) & command.stop_mask[iv] & (alpha < command.stop_rate)] = IS
-    new_mode[(mode == IS) & start & ~pinned & (alpha < command.start_rate)] = dst
+    if command.stop_rate > 0.0:  # no draw lies below a zero rate
+        new_mode[(mode == src) & command.stop_mask[iv] & (alpha < command.stop_rate)] = IS
+    if command.start_rate > 0.0:
+        at_max, at_min = soc >= soc_max, soc <= soc_min
+        pinned, edge = (at_min, at_max) if command.provide else (at_max, at_min)
+        start = command.start_mask[iv]
+        if command.layout.variant == ESSM:  # the boundary state has its own input
+            start = np.where(edge, command.boundary, start)
+        new_mode[(mode == IS) & start & ~pinned & (alpha < command.start_rate)] = dst
     return new_mode

@@ -147,7 +147,8 @@ class FleetSnapshot:
 
 @dataclass
 class FleetStep:
-    """One step's plug events (SOC and mode at each) and the envelope after it."""
+    """One step of a fleet's lanes: the shared plug events (ids, arrivals' SOC and mode), each
+    lane's departure SOC and mode (lane-major, n_out each) and envelope after the step."""
 
     in_ids: np.ndarray
     in_soc: np.ndarray
@@ -155,7 +156,7 @@ class FleetStep:
     out_ids: np.ndarray
     out_soc: np.ndarray
     out_connection: np.ndarray
-    envelope: FlexibilityEnvelope
+    envelopes: tuple[FlexibilityEnvelope, ...]
 
     @property
     def n_in(self) -> int:
@@ -173,24 +174,25 @@ _KW_UNITS = 2.0 ** 40
 
 
 def _term_table(soc_min: float, soc_max: float) -> np.ndarray:
-    """The capability rule of `imm` as coefficients of (P_c, P_d) in the
-    running sums (power, dischargeable, chargeable, forced), indexed [mode +
-    5 * SOC position (0 inside, 1 floor, 2 ceiling), rated power, sum]."""
+    """The capability rule of `imm` as coefficients of (P_c, P_d) in the running sums (power,
+    dischargeable, chargeable, forced), indexed [SOC position, mode, rated power, sum]."""
     from .imm import capability  # imm reads this module's mode codes
-    mode = np.tile(np.arange(5), 3)
-    soc = np.repeat([0.5 * (soc_min + soc_max), soc_min, soc_max], 5)
+    mode = np.tile(np.arange(5), 4)
+    soc = np.repeat([soc_min, soc_min, 0.5 * (soc_min + soc_max), soc_max], 5)
     forced, can_discharge, can_charge = capability(soc, mode, soc_min, soc_max)
     on, none = mode != DISCONNECTED, np.zeros(mode.size, dtype=bool)
     table = [[-1 * ((mode == CS) | forced), none, can_charge & on, forced],
              [mode == DS, can_discharge & on, none, none]]
-    return np.array(table, dtype=np.int64).transpose(2, 0, 1)
+    return np.array(table, dtype=np.int64).transpose(2, 0, 1).reshape(4, 5, 2, 4)
 
 
-def _bucket(events, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _bucket(events, n_steps: int, n: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR buckets of plug events given as (step of each vehicle, fires)
-    pairs: the ids firing at step j are ids[ptr[j]:ptr[j + 1]], ascending."""
-    steps = np.concatenate([step[fires] for step, fires in events])
-    ids = np.concatenate([np.flatnonzero(fires) for _, fires in events])
+    pairs, for every lane: the flat ids firing at step j are
+    ids[ptr[j]:ptr[j + 1]], ascending, so lane by lane."""
+    steps = np.tile(np.concatenate([step[fires] for step, fires in events]), lanes)
+    ids = (np.concatenate([np.flatnonzero(fires) for _, fires in events])
+           + n * np.arange(lanes)[:, None]).ravel()
     ptr = np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))])
     ids = ids[np.lexsort((ids, steps))]
     ids.flags.writeable = False  # step results hand out slices of it
@@ -203,27 +205,29 @@ def _events(bucket: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
 
 
 class Fleet:
-    """Event-driven fleet state machine.
+    """Event-driven fleet state machine over one or more lanes.
 
     Each vehicle has up to two connection windows inside a 0-24 h run: the
     tail of yesterday's session ([plug_in - 24, plug_out - 24), SOC
     fast-forwarded through the pre-run uncontrolled charging) and today's
-    session ([plug_in, plug_out)). A connected vehicle is an anchor (SOC,
-    step, mode); plug events and the steps at which anchors reach full or
-    empty are filed by step, so a step touches only its events, the vehicles
-    whose deadline can bind and those a command addresses, and keeps the imm
-    envelope as running sums over them. Actuation draws are keyed by step
-    and vehicle id.
+    session ([plug_in, plug_out)). Each lane is a clone of the fleet with its
+    own SOC, modes and running sums, sharing parameters, plug events and
+    actuation draws; vehicle v of lane r has the flat id r * n + v. A
+    connected vehicle is an anchor (SOC, step, mode). One calendar files by
+    step when each anchor reaches full or empty and when its forced-charging
+    rule is next checked, so a step touches only its events, its filed
+    vehicles and those a command addresses, and keeps each lane's imm
+    envelope as running sums over them. Draws are keyed by step and vehicle.
     """
 
-    def __init__(self, params: FleetParams, dt_hours: float, seed: int):
+    def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
         if dt_hours <= 0:
             raise ValueError("dt must be > 0")
-        self.params, self.dt_hours, self.seed, self.step_index = params, dt_hours, seed, 0
+        self.params, self.dt_hours, self.seed, self.lanes = params, dt_hours, seed, lanes
+        self.step_index = 0
         n = params.n_ev
         m_start = params.plug_in_h - HOURS_PER_DAY
-        self._m_end = params.plug_out_h - HOURS_PER_DAY
-        self._rate_c = params.charge_rate_per_h
+        m_end = params.plug_out_h - HOURS_PER_DAY
 
         # Window [s, e) holds the vehicle after steps a <= j < b, a and b the
         # first grid points at or after s and e. The grid holds the step
@@ -231,43 +235,59 @@ class Fleet:
         last = max(float(params.plug_out_h.max()), 0.0)
         grid = np.arange(int(np.ceil(last / dt_hours)) + 2) * dt_hours
         a_m, b_m, a_e, b_e = np.searchsorted(grid, np.stack(
-            [m_start, self._m_end, params.plug_in_h, params.plug_out_h]))
+            [m_start, m_end, params.plug_in_h, params.plug_out_h]))
         m_ok, e_ok = b_m > a_m, b_e > a_e  # a window shorter than a step is empty
         # Yesterday's session ending on the step today's starts is one
         # continuous connection: no departure, no arrival, no SOC reset.
         merged = m_ok & e_ok & (b_m >= a_e)
         self._arrivals = _bucket([(a_m, m_ok & (a_m > 0)),
-                                  (a_e, e_ok & ~merged & (a_e > 0))], grid.size)
-        self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size)
+                                  (a_e, e_ok & ~merged & (a_e > 0))], grid.size, n, lanes)
+        self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size, n, lanes)
 
-        # Per [mode, vehicle]: SOC change per step, and the SOC below which an
-        # anchor is checked for forced charging (charging once; see `step`).
-        zero, never = np.zeros(n), np.full(n, -np.inf)
-        dsoc_c, dsoc_d = self._rate_c * dt_hours, params.discharge_rate_per_h * dt_hours
+        # Per flat id, the parameters the steps read; per [mode, flat id], the
+        # SOC change per step and the SOC below which an anchor is checked
+        # for forced charging (charging once; see `_file_check`).
+        self._m_end, self._plug_out, self._demanded, self._rate_c, rate_d = np.tile([
+            m_end, params.plug_out_h, params.demanded_soc, params.charge_rate_per_h,
+            params.discharge_rate_per_h], lanes)
+        zero, never = np.zeros(n * lanes), np.full(n * lanes, -np.inf)
+        dsoc_c, dsoc_d = self._rate_c * dt_hours, rate_d * dt_hours
         self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
-        self._watch_below = np.stack([never, -never, params.demanded_soc, -never, never])
-        # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in
-        # `_soc`) in `_mode`; `_due`, filed in `_calendar`: full or empty.
-        self._soc_a, self._k_a, self._slope = np.zeros(n), np.zeros(n), np.zeros(n)
-        self._mode = np.full(n, DISCONNECTED, dtype=np.int8)
-        self._due = np.full(n, -1, dtype=np.int64)
-        self._calendar, self._touched = defaultdict(set), []  # step -> ids; ids since commit
-        self._watch = np.zeros(n, dtype=bool)
+        self._watch_below = np.stack([never, -never, self._demanded, -never, never])
+        # Forced-charging slack demanded - soc - (deadline - t) * rate: deadline * rate - demanded
+        # per [yesterday's or today's session, flat id]; what a step closes per [mode, flat id].
+        self._slack = np.stack([self._m_end, self._plug_out]) * self._rate_c - self._demanded
+        self._closing = np.stack([-never, -never, dsoc_c, dsoc_c + dsoc_d, -never])
+        # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in `_soc`) in `_mode`;
+        # calendar steps (-1: none) `_due`, full or empty, and `_check`; `_dirty`: to commit.
+        self._soc_a, self._k_a, self._slope = np.zeros((3, n * lanes))
+        self._mode = np.full(n * lanes, DISCONNECTED, dtype=np.int8)
+        self._due, self._check = np.full((2, n * lanes), -1, dtype=np.int64)
+        self._dirty, self._pending = np.zeros(n * lanes, dtype=bool), False
+        self._calendar = defaultdict(set)  # step -> flat ids
         rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
         if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
             raise ValueError("fleet rated power exceeds the running sums' range")
-        self._units = np.rint(rated * _KW_UNITS).astype(np.int64)
+        self._units = np.tile(np.rint(rated * _KW_UNITS).astype(np.int64), (lanes, 1))
         self._term_table = _term_table(params.soc_min, params.soc_max)
-        self._held = np.zeros((n, 4), dtype=np.int64)  # each vehicle's share of the sums
-        self._sums = np.zeros(4, dtype=np.int64)
+        # Per mode, the bound a moving anchor heads for; a SOC's position in the term table is
+        # how many of `_reach` it reaches (1 at the floor, 2 inside, 3 at the ceiling).
+        lo, hi = params.soc_min, params.soc_max
+        self._bound = np.array([lo, hi, lo, lo, hi])
+        self._reach = np.array([lo, np.nextafter(lo, hi), hi])
+        from .control import actuate_array  # control reads this module's mode codes
+        self._actuate = actuate_array
+        self._held = np.zeros((n * lanes, 4), dtype=np.int64)  # each vehicle's share of the sums
+        self._sums = np.zeros((lanes, 4), dtype=np.int64)  # per lane
 
         # Carried-over vehicles, whose yesterday window holds t = 0, charged
         # without interruption since plugging in; fast-forward that history.
         connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
         elapsed = np.where(m_ok & (a_m == 0), -m_start, 0.0)
-        soc = np.minimum(params.initial_soc + elapsed * self._rate_c, params.soc_max)
+        soc = np.minimum(params.initial_soc + elapsed * params.charge_rate_per_h, params.soc_max)
         ids = np.flatnonzero(connected)
-        self.set_state(ids, soc[ids], np.where(soc[ids] >= params.soc_max, IS, CS))
+        self.set_state((ids + n * np.arange(lanes)[:, None]).ravel(), np.tile(soc[ids], lanes),
+                       np.tile(np.where(soc[ids] >= params.soc_max, IS, CS), lanes))
 
     def _soc(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The SOC law: SOC at step k of the vehicles `ids` from their
@@ -275,121 +295,149 @@ class Fleet:
         soc = self._soc_a[ids] + self._slope[ids] * (k - self._k_a[ids])
         return np.minimum(np.maximum(soc, self.params.soc_min), self.params.soc_max)
 
-    def _anchor(self, ids: np.ndarray, soc, mode, k: int) -> None:
-        """Re-anchor `ids` at (soc, mode) as of step k, file the step at
-        which each moving one reaches full or empty, and mark them touched."""
-        if not ids.size:
-            return
-        self._touched.append(ids)
+    def _anchor(self, ids: np.ndarray, soc, mode, k: int, after: int) -> None:
+        """Re-anchor `ids` at (soc, mode) as of step k for the commit, and set
+        the step at which each moving one reaches full or empty, filing those
+        after step `after` (a step off by one where SOC lands within rounding
+        of the bound: a float edge)."""
         self._soc_a[ids], self._k_a[ids], self._mode[ids] = soc, k, mode
+        slope = self._slope[ids] = self._slopes[self._mode[ids], ids]
+        self._dirty[ids], self._due[ids] = True, -1
+        moving = slope.nonzero()[0]
+        if moving.size:
+            ids, slope = ids[moving], slope[moving]
+            bound = self._bound.take(self._mode[ids])
+            due = self._due[ids] = k + np.maximum(np.ceil((bound - self._soc_a[ids]) / slope),
+                                                  1.0).astype(np.int64)
+            for step, i in zip(due[due > after].tolist(), ids[due > after].tolist()):
+                self._calendar[step].add(i)
+
+    def _file_check(self, ids: np.ndarray, first: int) -> None:
+        """Set and file each watched anchor's next forced-charging check from step `first` on: at
+        `first` for a charging one, whose slack stays put, so it is checked once; else 2 steps
+        before the float estimate of its first binding step, filed again if it does not bind,
+        as the rule is monotone in the step for a fixed anchor and the deadline only moves later."""
         soc, mode = self._soc_a[ids], self._mode[ids]
-        slope = self._slope[ids] = self._slopes[mode, ids]
-        self._watch[ids] = soc < self._watch_below[mode, ids]
-        self._due[ids] = -1
-        if not (moving := np.flatnonzero(slope)).size:
-            return
-        ids, soc, slope = ids[moving], soc[moving], slope[moving]
-        # Steps until the law reaches its bound; rounding may file a step off
-        # by one where SOC lands within rounding of it: a float edge.
-        bound = np.where(slope > 0.0, self.params.soc_max, self.params.soc_min)
-        due = self._due[ids] = k + np.maximum(np.ceil((bound - soc) / slope), 1.0).astype(np.int64)
-        for step, i in zip(due.tolist(), ids.tolist()):
-            self._calendar[step].add(i)
+        watched = soc < self._watch_below[mode, ids]
+        self._check[ids] = -1
+        if watched.any():
+            ids, soc, mode = ids[watched], soc[watched], mode[watched]
+            today = (first + 1) * self.dt_hours >= self._m_end[ids]  # as `_deadline`
+            estimate = ((self._slack[today.view(np.int8), ids] + soc
+                         - self._slope[ids] * self._k_a[ids]) / self._closing[mode, ids])
+            self._check[ids] = np.maximum(np.ceil(estimate) - 1.0, first + 1)
+            for step, i in zip(self._check[ids].tolist(), ids.tolist()):
+                self._calendar[step].add(i)
 
     def _commit(self, k: int) -> None:
-        """Move the touched vehicles' shares of the running sums to step k."""
-        if not self._touched:
-            return
-        ids, more = self._touched[0], self._touched[1:]  # each array holds distinct ids
-        if more:  # each vehicle once (np.unique would import numpy.ma)
-            ids = np.sort(np.concatenate([ids, *more]))
-            ids = ids[np.diff(ids, prepend=-1) > 0]
-        self._touched = []
-        soc = self._soc(ids, k)
-        position = (soc <= self.params.soc_min) + 2 * (soc >= self.params.soc_max)
-        coef = self._term_table[self._mode[ids] + 5 * position]
-        terms = np.einsum("mk,mks->ms", self._units[ids], coef)
-        self._sums += terms.sum(axis=0) - self._held[ids].sum(axis=0)
-        self._held[ids] = terms
+        """Move the marked vehicles' shares of their lane's sums to step k; refresh envelopes."""
+        ids = self._dirty.nonzero()[0]
+        if ids.size:
+            self._dirty[ids], self._pending = False, False
+            coef = self._term_table[self._reach.searchsorted(self._soc(ids, k), "right"),
+                                    self._mode[ids]]
+            terms = np.matmul(self._units[ids, None], coef)[:, 0]
+            np.add.at(self._sums, ids // self.params.n_ev, terms - self._held[ids])
+            self._held[ids] = terms
+        self._envelopes = tuple([
+            FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
+            for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
 
     def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
         """Plug-out time of the session that holds each vehicle of `idx` at t."""
         m_end = self._m_end[idx]
-        return np.where(t < m_end, m_end, self.params.plug_out_h[idx])
+        return np.where(t < m_end, m_end, self._plug_out[idx])
 
     def set_state(self, ids, soc, mode) -> None:
-        """Place connected vehicles at (soc, mode); the next step touches them."""
-        ids = np.asarray(ids, dtype=np.int64)
-        later, self._touched = self._touched + [ids], []
-        self._anchor(ids, soc, mode, self.step_index)
-        self._commit(self.step_index)
-        self._touched = later
+        """Place connected vehicles (flat ids) at (soc, mode); the next step commits them."""
+        ids, k = np.asarray(ids, dtype=np.int64), self.step_index
+        self._anchor(ids, soc, mode, k, k)
+        self._file_check(ids, k)
+        self._pending = True
 
-    def snapshot(self) -> FleetSnapshot:
-        ids = np.flatnonzero(self._mode != DISCONNECTED)
-        mode = self._mode[ids]
+    def snapshot(self, lane: int = 0) -> FleetSnapshot:
+        n, k = self.params.n_ev, self.step_index
+        ids = (self._mode[lane * n:(lane + 1) * n] != DISCONNECTED).nonzero()[0]
+        mode = self._mode[ids + lane * n]
         rated_c, rated_d = self.params.rated_charge_kw[ids], self.params.rated_discharge_kw[ids]
         power = np.where((mode == CS) | (mode == FCS), -rated_c,
                          np.where(mode == DS, rated_d, 0.0))
-        k = self.step_index
-        return FleetSnapshot(time_h=k * self.dt_hours, ids=ids, soc=self._soc(ids, k),
+        return FleetSnapshot(time_h=k * self.dt_hours, ids=ids, soc=self._soc(ids + lane * n, k),
                              connection=mode, power_kw=power, rated_charge_kw=rated_c,
                              rated_discharge_kw=rated_d)
 
-    def step(self, command=None) -> FleetStep:
-        """Advance one step: plug events, forced-charging promotion, command
-        actuation, boundary absorption. Returns the step's plug events and
-        the envelope after it."""
-        params, k0, j = self.params, self.step_index, self.step_index + 1
+    def step(self, *commands) -> FleetStep:
+        """Advance every lane one step under its command (one per lane; none: all uncontrolled):
+        plug events, forced-charging checks, actuation, boundary absorption. Returns the
+        step's plug events and each lane's envelope after it."""
+        params, n, lanes = self.params, self.params.n_ev, self.lanes
+        if len(commands) not in (0, lanes):
+            raise ValueError(f"{lanes} lanes take {lanes} commands, not {len(commands)}")
+        k0 = self.step_index
+        j = self.step_index = k0 + 1
         t0, t1 = k0 * self.dt_hours, j * self.dt_hours
         departures, arrivals = _events(self._departures, j), _events(self._arrivals, j)
-        if not (departures.size or arrivals.size or self._touched or command is not None
-                or j in self._calendar or self._watch.any()):
-            # A quiet step: its sums and envelope stand (`__init__` leaves its
-            # vehicles touched, so a step has set `_envelope` before any quiet one).
-            self.step_index = j
+        filed = self._calendar.pop(j, None)
+        # A command can switch only vehicles whose draw lies below its threshold.
+        live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
+        in_ids, out_ids = arrivals[:arrivals.size // lanes], departures[:departures.size // lanes]
+        if not (in_ids.size or out_ids.size or filed or live or self._pending):
+            # A quiet step: its sums and envelopes stand.
             return FleetStep(_NO_IDS, _NO_SOC, _NO_MODE, _NO_IDS, _NO_SOC, _NO_MODE,
-                             self._envelope)
+                             self._envelopes)
 
-        out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
-        if departures.size:
-            self._sums -= self._held[departures].sum(axis=0)
-            self._mode[departures], self._due[departures] = DISCONNECTED, -1
-            self._held[departures], self._watch[departures] = 0, False
-        in_soc = params.initial_soc[arrivals]
-        self._anchor(arrivals, in_soc, CS, k0)
-        in_mode = self._mode[arrivals]
+        out_soc, out_mode = _NO_SOC, _NO_MODE
+        if departures.size:  # the commit takes out their shares
+            out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
+            self._mode[departures] = DISCONNECTED
+            self._due[departures] = self._check[departures] = -1
+            self._dirty[departures] = True
+        in_soc = params.initial_soc[in_ids]
+        if arrivals.size:
+            self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)
 
-        # Forced-charging promotion, sticky until plug-out or full; a charging
-        # vehicle's slack demanded - soc - (deadline - t0) * rate stays put.
-        check = np.flatnonzero(self._watch)
+        # Forced-charging promotion, sticky until plug-out or full: arrivals
+        # and the vehicles filed for a check at this step.
+        filed = np.fromiter(filed, np.int64, len(filed)) if filed else _NO_IDS
+        check = np.concatenate([arrivals, filed[self._check[filed] == j]])
+        promoted = again = switched = _NO_IDS
         if check.size:
             soc = self._soc(check, k0)
-            self._watch[check[self._mode[check] == CS]] = False  # checked once
-            binding = (params.demanded_soc[check] - soc >=
+            binding = (self._demanded[check] - soc >=
                        (self._deadline(check, t1) - t0) * self._rate_c[check])
-            self._anchor(check[binding], soc[binding], FCS, k0)
+            if binding.any():
+                promoted = check[binding]
+                self._anchor(promoted, soc[binding], FCS, k0, j)
+            if filed.size:  # a charging one is checked once
+                again = check[~binding & (self._mode[check] != CS)]
 
-        if command is not None:  # only addressed vehicles whose draw can switch them
-            from .control import actuate_array
-            alpha = step_stream(self.seed, k0).random(params.n_ev)
-            ids = np.flatnonzero(command.addressed.take(self._mode) & (alpha < command.threshold))
-            soc, mode = self._soc(ids, k0), self._mode[ids]
-            new = actuate_array(mode, soc, command, alpha[ids],
-                                soc_min=params.soc_min, soc_max=params.soc_max)
-            switched = new != mode
-            self._anchor(ids[switched], soc[switched], new[switched], k0)
+        if live:  # each lane's candidates, switched by one rule in one pass
+            alpha = step_stream(self.seed, k0).random(n)
+            low = (alpha < max(command.threshold for _, command in live)).nonzero()[0]
+            bases = [low[alpha[low] < command.threshold] for _, command in live]
+            bases = [b[c.addressed.take(self._mode[b + r * n])] for (r, c), b in zip(live, bases)]
+            ids = np.concatenate([base + r * n for (r, _), base in zip(live, bases)])
+            if ids.size:
+                soc, mode, new, at = self._soc(ids, k0), self._mode[ids], [], 0
+                for (_, command), base in zip(live, bases):
+                    if base.size:
+                        cut = slice(at, at := at + base.size)
+                        new.append(self._actuate(mode[cut], soc[cut], command, alpha[base],
+                                                 soc_min=params.soc_min, soc_max=params.soc_max))
+                moved = (new := np.concatenate(new)) != mode
+                switched = ids[moved]
+                self._anchor(switched, soc[moved], new[moved], k0, j)
 
-        # Boundary absorption, filed when anchored: clamp and go idle.
-        due = self._calendar.pop(j, None)
-        if due is not None:
-            ids = np.fromiter(due, np.int64, len(due))
-            ids = ids[self._due[ids] == j]  # anchors replaced since filing are stale
-            self._anchor(ids, np.where(self._slope[ids] > 0.0, params.soc_max, params.soc_min),
-                         IS, j)
-
-        self.step_index = j
+        # Boundary absorption, clamp and go idle: the vehicles filed or placed
+        # this step that are due now. Each anchor's next check is filed when
+        # it was placed after this step's checks or did not bind.
+        due = np.concatenate([arrivals, promoted, switched, filed])
+        absorbed = due[self._due[due] == j]
+        if absorbed.size:
+            self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)
+        watched = np.concatenate([switched, absorbed, again])
+        if watched.size:
+            self._file_check(watched, j)
         self._commit(j)
-        power, dischargeable, chargeable, forced = (self._sums / _KW_UNITS).tolist()
-        self._envelope = FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
-        return FleetStep(arrivals, in_soc, in_mode, departures, out_soc, out_mode, self._envelope)
+        return FleetStep(in_ids, in_soc, np.full(in_ids.size, CS, dtype=np.int8), out_ids, out_soc,
+                         out_mode, self._envelopes)

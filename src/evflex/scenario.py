@@ -67,13 +67,9 @@ class _ScriptedWindow:
 
 def _scripted_windows(scripted: tuple[ScriptedStep, ...], dt_h: float,
                       k_steps: int) -> list[_ScriptedWindow]:
-    windows = []
-    for s in scripted:
-        start, end = s.steps(dt_h)
-        end = min(k_steps, end)
-        if start < end:
-            windows.append(_ScriptedWindow(start, end, s.kind, s.depth))
-    return sorted(windows, key=lambda w: w.start_step)
+    spans = [(s, *s.steps(dt_h)) for s in scripted]
+    return sorted((_ScriptedWindow(start, min(k_steps, end), s.kind, s.depth)
+                   for s, start, end in spans if start < k_steps), key=lambda w: w.start_step)
 
 
 class ReferenceGenerator:
@@ -178,19 +174,19 @@ def _noise_rng_or_none(config: SimulationConfig, variant: str):
 
 
 def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | None) -> RunResult:
-    """The step loop of both experiments. Uncontrolled, one fleet serves every
-    variant's model. Controlled, each variant plans for its own clone of the
-    fleet, and the clones step in lockstep: plan, step, advance, record.
-    Without a `reference`, each step's level is drawn once, from the live
-    envelope of the extended model (the first variant when it is not run),
-    before any clone plans. Every random stream is keyed by seed, step or
-    stream tag, never by run order, so each clone's run equals its solo run."""
+    """The step loop of both experiments, over one fleet with a lane per
+    group of variants. Uncontrolled, one lane serves every variant's model.
+    Controlled, each variant plans for its own lane, a clone of the fleet:
+    plan, step, advance, record. Without a `reference`, each step's level is
+    drawn once, from the live envelope of the extended model (the first
+    variant when it is not run), before any lane plans. Every random stream
+    is keyed by seed, step or stream tag, never by run order, so each lane's
+    run equals its solo run."""
     k_steps, names = config.n_steps, config.variants
     lanes = [(name,) for name in names] if controlled else [names]
-    # The clones share their read-only parameters. The fleets are built
-    # before the models: the other order measured a higher peak RSS.
+    # The fleet first: building the models first measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
-    fleets = [Fleet(params, config.dt_hours, config.seed) for _ in lanes]
+    fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
     models = {name: _model(config, name) for name in names}
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
@@ -201,43 +197,48 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
         if controlled:
             generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
             lead = models[ESSM if ESSM in models else names[0]]
-    for fleet, lane in zip(fleets, lanes):
-        _record(config, fleet, lane, series, models, noise, None, 0)
+    for r, lane in enumerate(lanes):
+        _record(config, fleet, r, lane, series, models, noise, None, 0)
 
     layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    inputs = [(None, None)] * len(lanes)
     for k in range(k_steps):
-        if generator is not None:
-            reference[k + 1] = generator.level(k, lead.envelope())
-        for fleet, lane in zip(fleets, lanes):
-            command = pre = u = None
-            if controlled:
-                model, vs = models[lane[0]], series[lane[0]]
+        commands = []
+        if controlled:
+            if generator is not None:
+                reference[k + 1] = generator.level(k, lead.envelope())
+            for r, (name,) in enumerate(lanes):
+                model, vs = models[name], series[name]
                 pre = model.pre_control()
                 plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
-                command, u = to_switching_probabilities(plan), plan.expected_u
+                commands.append(to_switching_probabilities(plan))
+                inputs[r] = plan.expected_u, pre
                 vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
-            step = fleet.step(command)
-            keys = churn_keys(step, layout) if step.n_in or step.n_out else None
+        step = fleet.step(*commands)
+        keys = churn_keys(step, layout) if step.n_in or step.n_out else None
+        for r, lane in enumerate(lanes):
+            u, pre = inputs[r]
             for name in lane:
-                models[name].advance(step, u=u, pre=pre, keys=keys)
-            _record(config, fleet, lane, series, models, noise, step, k + 1)
+                models[name].advance(step, u=u, pre=pre, keys=None if keys is None else keys[r])
+            _record(config, fleet, r, lane, series, models, noise, step, k + 1)
     if generator is not None:
         reference[0] = reference[1]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
-def _record(config: SimulationConfig, fleet: Fleet, names, series, models, noise, step,
-            k: int) -> None:
-    """Record step k of the variants `names` that `fleet` serves: each model's
-    output C x, and the ground truth, which is the step's running sums or, at
-    a resync (k = 0 included), the exact sum over fresh telemetry, which also
-    resets the models."""
+def _record(config: SimulationConfig, fleet: Fleet, lane: int, names, series, models, noise,
+            step, k: int) -> None:
+    """Record step k of the variants `names` that the fleet's `lane` serves:
+    each model's output C x, and the ground truth, which is the lane's
+    running sums or, at a resync (k = 0 included), the exact sum over fresh
+    telemetry, which also resets the models from keys binned once."""
     if k % config.resync_steps:
-        env_true = step.envelope
+        env_true = step.envelopes[lane]
     else:
-        snap = fleet.snapshot()
+        snap = fleet.snapshot(lane)
+        keys = models[names[0]].layout.keys(snap.connection, snap.soc)
         for name in names:
-            models[name].resync(snap)
+            models[name].resync(snap, keys)
         env_true = imm_flexibility(snap, config.distributions.soc_min,
                                    config.distributions.soc_max)
     truth = np.array([env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw])

@@ -56,7 +56,7 @@ def make_events(in_events=None, out_events=None) -> FleetStep:
     return FleetStep(
         in_ids=in_ids, in_soc=np.asarray(in_soc, dtype=float), in_connection=in_conn,
         out_ids=out_ids, out_soc=np.asarray(out_soc, dtype=float), out_connection=out_conn,
-        envelope=FlexibilityEnvelope(0.0, 0.0, 0.0),
+        envelopes=(FlexibilityEnvelope(0.0, 0.0, 0.0),),
     )
 
 

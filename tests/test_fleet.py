@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +27,9 @@ def one_vehicle(soc=None, mode=None, **dists) -> Fleet:
     return fleet
 
 
-def stepped(fleet: Fleet) -> FleetSnapshot:
-    """Telemetry after one more uncontrolled step."""
-    fleet.step(None)
+def stepped(fleet: Fleet, command=None) -> FleetSnapshot:
+    """Telemetry after one more step, uncontrolled by default."""
+    fleet.step(command)
     return fleet.snapshot()
 
 
@@ -107,17 +108,19 @@ class TestStepSoc:
 class TestFcsRequired:
     """Forced-charging promotion on the first step of a session [0, plug_out)."""
 
-    def promoted(self, soc, plug_out_h):
-        fleet = one_vehicle(initial=soc, demanded=0.8, plug_in=24.0,
-                            plug_out=24.0 + plug_out_h)
+    def promoted(self, soc, plug_out_h, demanded=0.8, **dists):
+        fleet = one_vehicle(initial=soc, demanded=demanded, plug_in=24.0,
+                            plug_out=24.0 + plug_out_h, **dists)
         return stepped(fleet).connection[0] == Connection.FORCED_CHARGING
 
     def test_deadline_already_met(self):
         assert not self.promoted(0.8, plug_out_h=10.0)
 
     def test_equality_point_enters(self):
-        # 0.10 needed, 0.4444 h at 0.225/h supplies 0.09999: binding.
-        assert self.promoted(0.70, plug_out_h=0.4444)
+        # 0.125 missing, and 0.5 h at 0.25 /h (6 kW, efficiency 1, 24 kWh)
+        # supplies exactly 0.125: every number is a binary fraction, so the
+        # rule compares two equal floats, and binds.
+        assert self.promoted(0.625, plug_out_h=0.5, demanded=0.75, eff=1.0)
 
     def test_ample_slack_stays_out(self):
         assert not self.promoted(0.70, plug_out_h=10.0)
@@ -158,6 +161,16 @@ class TestFleetStep:
         snap = stepped(fleet)
         np.testing.assert_array_equal(snap.soc, 0.0)
         assert (snap.connection == Connection.IDLE).all()
+
+    def test_switch_and_absorption_in_one_step(self):
+        # Idle less than one step's discharge above the floor and told to
+        # discharge: the vehicle starts and reaches the floor in that step.
+        fleet = one_vehicle(0.001, Connection.IDLE)
+        fleet.step(None)
+        every = np.ones(10, bool)
+        snap = stepped(fleet, DispatchCommand(StateLayout(10, "essm"), True, 0.0, 1.0, every,
+                                              every))
+        assert snap.connection[0] == Connection.IDLE and snap.soc[0] == 0.0
 
     def test_fcs_promotion_from_discharging(self):
         # Session [0, 1.0): 0.225 SOC/h of charging cannot close a 0.3 gap.
@@ -232,6 +245,19 @@ class TestFleetStep:
             runs.append((snap.soc, snap.connection))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    def test_yesterday_plug_out_on_the_grid(self):
+        # Yesterday's session [-2, 8) h ends on a point of the 0.25 h grid:
+        # the vehicle leaves at that step. Windows are half-open, so at 8 h
+        # the session that holds it is today's [22, 32) h. No check reads
+        # the deadline there, as the vehicle is gone, so the rule is pinned
+        # directly.
+        dists = deterministic_distributions(initial=0.1, demanded=0.9, plug_in=22.0,
+                                            plug_out=32.0)
+        fleet = Fleet(sample_fleet(dists, 1, seed=1), 0.25, seed=1)
+        assert [k + 1 for k in range(40) if fleet.step().n_out] == [32]
+        np.testing.assert_array_equal(fleet._deadline(np.array([0]), np.array([7.75, 8.0])),
+                                      [8.0, 32.0])
 
     def test_malformed_command_rejected(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1)
@@ -427,22 +453,26 @@ def sampled_edge_fleet(distributions, seed: int) -> Fleet:
     return Fleet(params, DT_5MIN, seed=seed)
 
 
-def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MIN // 6):
+def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MIN // 6,
+                    ties: bool = True):
     """A command per step of `fleet` (None when uncontrolled). The direction
     holds for `hold` steps at a time (four hours at 5 min steps), so vehicles
     reach both SOC bounds. Each rate is switched off at random, and each
     interval and the boundary input are left out at random. A rate that is
-    on equals one of the step's draws below 0.4, so a vehicle's draw ties
-    with it."""
+    on lies below 0.4 and, with `ties`, equals one of the step's draws, so a
+    vehicle's draw ties with it."""
     if variant is None:
         yield from [None] * n_steps
         return
     layout = StateLayout(10, variant)
     rng = np.random.default_rng(seed)
     for k in range(n_steps):
-        alpha = step_stream(fleet.seed, k).random(fleet.params.n_ev)
-        low = alpha[alpha < 0.4]
-        stop, start = low[rng.integers(low.size, size=2)] * (rng.random(2) < 0.7)
+        if ties:
+            alpha = step_stream(fleet.seed, k).random(fleet.params.n_ev)
+            low = alpha[alpha < 0.4]
+            stop, start = low[rng.integers(low.size, size=2)] * (rng.random(2) < 0.7)
+        else:
+            stop, start = 0.4 * rng.random(2) * (rng.random(2) < 0.7)
         masks = rng.random((2, 10)) < 0.8
         provide = k // hold % 2 == 0  # else absorb
         yield DispatchCommand(layout, provide, float(stop), float(start), masks[0], masks[1],
@@ -468,6 +498,37 @@ def float_edge(oracle: StepwiseOracle, soc: np.ndarray, ids: np.ndarray, k: int)
     return bool((margins.min(axis=0) < 1e-9).all())
 
 
+def matches_stepwise_oracle(fleet: Fleet, commands) -> list:
+    """Step `fleet` and the stepwise oracle under `commands` and compare them
+    at every step: plug events and their SOC and modes, the connected set,
+    and SOC; modes may differ only at a float edge, where the oracle takes
+    the fleet's state. Returns the float-edge steps."""
+    oracle = StepwiseOracle(fleet)
+    edges = []
+    for k, command in enumerate(commands):
+        soc_before = oracle.soc.copy()
+        ref = oracle.step(command)
+        step = fleet.step(command)
+        snap = fleet.snapshot()
+        assert np.array_equal(step.in_ids, ref.in_ids), k
+        assert np.array_equal(step.in_soc, ref.in_soc), k
+        assert np.array_equal(step.out_ids, ref.out_ids), k
+        assert np.abs(step.out_soc - ref.out_soc).max(initial=0.0) <= 1e-12, k
+        assert np.array_equal(step.out_connection, ref.out_connection), k
+        assert np.array_equal(snap.ids, ref.ids), k
+        differ = snap.ids[snap.connection != oracle.mode[snap.ids]]
+        if differ.size:
+            assert float_edge(oracle, soc_before, differ, k), (
+                f"step {k}: modes of vehicles {differ.tolist()} differ off any float edge")
+            edges.append((k, differ.tolist()))
+            agree = snap.connection == oracle.mode[snap.ids]
+            np.testing.assert_allclose(snap.soc[agree], oracle.soc[snap.ids][agree],
+                                       rtol=0, atol=1e-12)
+            oracle.soc[snap.ids], oracle.mode[snap.ids] = snap.soc, snap.connection
+        assert np.abs(snap.soc - oracle.soc[snap.ids]).max(initial=0.0) <= 1e-12, k
+    return edges
+
+
 class TestEventDrivenKernel:
     """The event-driven kernel against the stepwise oracle and its running
     sums against the exact per-vehicle sum, on sampled fleets with the
@@ -477,30 +538,19 @@ class TestEventDrivenKernel:
     @pytest.mark.parametrize("variant", [None, "ssm", "essm"])
     def test_matches_stepwise_oracle(self, table_distributions, variant):
         fleet = sampled_edge_fleet(table_distributions, seed=21)
-        oracle = StepwiseOracle(fleet)
-        edges = []
-        for k, command in enumerate(random_commands(variant, DAY_5MIN, seed=4, fleet=fleet)):
-            soc_before = oracle.soc.copy()
-            ref = oracle.step(command)
-            step = fleet.step(command)
-            snap = fleet.snapshot()
-            np.testing.assert_array_equal(step.in_ids, ref.in_ids)
-            np.testing.assert_array_equal(step.in_soc, ref.in_soc)
-            np.testing.assert_array_equal(step.out_ids, ref.out_ids)
-            np.testing.assert_allclose(step.out_soc, ref.out_soc, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(step.out_connection, ref.out_connection)
-            np.testing.assert_array_equal(snap.ids, ref.ids)
-            differ = snap.ids[snap.connection != oracle.mode[snap.ids]]
-            if differ.size:
-                assert float_edge(oracle, soc_before, differ, k), (
-                    f"step {k}: modes of vehicles {differ.tolist()} differ off any float edge")
-                edges.append((k, differ.tolist()))
-                agree = snap.connection == oracle.mode[snap.ids]
-                np.testing.assert_allclose(snap.soc[agree], oracle.soc[snap.ids][agree],
-                                           rtol=0, atol=1e-12)
-                oracle.soc[snap.ids], oracle.mode[snap.ids] = snap.soc, snap.connection
-            np.testing.assert_allclose(snap.soc, oracle.soc[snap.ids], rtol=0, atol=1e-12)
+        edges = matches_stepwise_oracle(
+            fleet, random_commands(variant, DAY_5MIN, seed=4, fleet=fleet))
         print(f"\n{len(edges)} float-edge steps: {edges}")
+
+    @pytest.mark.parametrize("variant", [None, "essm"])
+    def test_matches_stepwise_oracle_over_a_day(self, table_distributions, variant):
+        # 500 vehicles, 24 h at 15 s steps: a day of quiet steps between the
+        # events, which must still run the forced-charging checks filed there.
+        # Commands, when on, act on every other step.
+        fleet = Fleet(sample_fleet(table_distributions, 500, seed=7), DT_15S, seed=7)
+        commands = random_commands(variant, 24 * 240, seed=4, fleet=fleet, hold=4 * 240,
+                                   ties=False)
+        matches_stepwise_oracle(fleet, (c if k % 2 else None for k, c in enumerate(commands)))
 
     @pytest.mark.parametrize("variant", [None, "ssm", "essm"])
     def test_running_envelope_matches_exact_sum(self, table_distributions, variant):
@@ -516,7 +566,7 @@ class TestEventDrivenKernel:
             snap = fleet.snapshot()
             exact = imm_flexibility(snap, p.soc_min, p.soc_max)
             np.testing.assert_allclose(
-                [step.envelope.p_ev_kw, step.envelope.p_u_kw, step.envelope.p_l_kw],
+                astuple(step.envelopes[0]),
                 [exact.p_ev_kw, exact.p_u_kw, exact.p_l_kw], rtol=1e-9)
             floor_arrivals += np.count_nonzero(step.in_soc == p.soc_min)
             mode = np.full(p.n_ev, Connection.DISCONNECTED, dtype=np.int8)
@@ -531,6 +581,45 @@ class TestEventDrivenKernel:
         assert floor_arrivals > 0
         if variant is not None:
             assert left_floor > 0 and left_ceiling > 0
+
+
+class TestLanes:
+    """A fleet of several lanes steps each lane as its own fleet would."""
+
+    def test_two_lanes_equal_two_solo_fleets(self, table_distributions):
+        params = sampled_edge_fleet(table_distributions, seed=21).params
+        solo = [Fleet(params, DT_5MIN, seed=21) for _ in range(2)]
+        pair = Fleet(params, DT_5MIN, seed=21, lanes=2)
+        # Different streams per lane; lane 1 is uncontrolled on every third step.
+        streams = zip(random_commands("essm", DAY_5MIN, seed=4, fleet=pair),
+                      random_commands("ssm", DAY_5MIN, seed=9, fleet=pair, hold=DAY_5MIN // 5))
+        events = 0
+        for k, (first, second) in enumerate(streams):
+            commands = (first, second if k % 3 else None)
+            both = pair.step(*commands)
+            d = both.n_out
+            for r, (fleet, command) in enumerate(zip(solo, commands)):
+                one = fleet.step(command)
+                lane = slice(r * d, (r + 1) * d)
+                assert np.array(astuple(both.envelopes[r])).tobytes() == \
+                    np.array(astuple(one.envelopes[0])).tobytes(), (k, r)
+                for ours, theirs in [(both.in_ids, one.in_ids), (both.in_soc, one.in_soc),
+                                     (both.in_connection, one.in_connection),
+                                     (both.out_ids, one.out_ids), (both.out_soc[lane], one.out_soc),
+                                     (both.out_connection[lane], one.out_connection),
+                                     *zip(astuple(pair.snapshot(r)), astuple(fleet.snapshot()))]:
+                    assert np.asarray(ours).dtype == np.asarray(theirs).dtype, (k, r)
+                    assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), (k, r)
+            events += both.n_in + both.n_out
+        assert events > 100
+
+    def test_lanes_take_one_command_each(self):
+        fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1,
+                      lanes=2)
+        with pytest.raises(ValueError, match="2 lanes take 2 commands, not 1"):
+            fleet.step(None)
+        fleet.step()
+        fleet.step(None, None)
 
 
 class TestTypes:

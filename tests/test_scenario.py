@@ -422,6 +422,10 @@ class TestCli:
         ({"n_ev": 100, "horizon_hours": 3.0, "transition_samples": 2000,
           "reference": {"scripted": [{"kind": "provide", "start_h": -1.0, "duration_h": 1.5}]}},
          "ScriptedStep start_h must be >= 0"),
+        # 7.2 s at 15 s steps: both ends round to the same step.
+        ({"n_ev": 100, "horizon_hours": 3.0, "transition_samples": 2000,
+          "reference": {"scripted": [{"kind": "provide", "start_h": 1.0, "duration_h": 0.002}]}},
+         "ScriptedStep duration_h 0.002 h holds no step"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
