@@ -16,7 +16,7 @@ from .aggregate import (
     compute_noise,
     discretize,
     estimate_transition_matrix,
-    output,
+    measure,
 )
 from .config import (
     DistributionSpec,

@@ -11,11 +11,12 @@ layouts share one interface:
 * extended variant ("essm"): two extra absorbing states for idle-at-floor and
   idle-at-ceiling vehicles, with dedicated control inputs back out of them.
 
-The population moves under a column-stochastic transition matrix estimated by
-Monte Carlo from the parameter distributions, is steered by a signed
-incidence input matrix (one column per responding mode and interval), and
-maps to (power, upper bound, lower bound) through a per-state coefficient
-matrix scaled by the connected count.
+That fold, in `StateLayout.state_table` (the state of each mode and SOC
+slot), is the one place where the variants differ; every other structure is
+read off the table. The population moves under a column-stochastic transition
+matrix estimated by Monte Carlo, is steered by a signed incidence input matrix
+(one column per switch between two states), and maps to (power, upper bound,
+lower bound) through `imm`'s capability rule scaled by the connected count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .config import FleetDistributions
 from .fleet import CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope
+from .imm import term_table
 
 SSM = "ssm"
 ESSM = "essm"
@@ -60,6 +62,16 @@ class StateLayout:
         if self.variant == ESSM:
             table[IS, n:] = self.empty_idle_index, self.full_idle_index
         object.__setattr__(self, "state_table", table.ravel())
+        # For `keys`: the least SOC of each slot rank past the floor: above the floor, then
+        # (soc - floor)/width > k for each interval k = 1..N-1, then the ceiling.
+        lo, hi, k = self.soc_min, self.soc_max, np.arange(1.0, n)
+        edge = lo + k * self.width
+        while ((edge - lo) / self.width > k).any():  # lower them all below their edges,
+            edge = np.nextafter(edge, lo)
+        while ((edge - lo) / self.width <= k).any():  # then raise each to its edge
+            edge = np.where((edge - lo) / self.width <= k, np.nextafter(edge, hi), edge)
+        object.__setattr__(self, "_edges", np.r_[np.nextafter(lo, hi), edge, hi])
+        object.__setattr__(self, "_slots", np.r_[n, :n, n + 1])
 
     @property
     def dimension(self) -> int:
@@ -100,20 +112,13 @@ class StateLayout:
     def fcs_index(self) -> int:
         return self.dimension - 1
 
-    def interval_index(self, soc) -> np.ndarray:
-        """0-based SOC interval: ceil((soc - floor)/width) clamped to [1, N]."""
-        soc = np.asarray(soc, dtype=float)
-        raw = np.ceil((soc - self.soc_min) / self.width)
-        return np.minimum(np.maximum(raw, 1), self.n_intervals).astype(np.int64) - 1
-
     def keys(self, connection, soc) -> np.ndarray:
-        """Flat (mode code, SOC slot) keys into `state_table`, the slot being the
-        interval, N at the floor or N + 1 at the ceiling. They depend only on
-        the interval count and SOC range, so layouts sharing those share them."""
-        soc, n = np.asarray(soc, dtype=float), self.n_intervals
-        slot = np.where(soc <= self.soc_min, n,
-                        np.where(soc >= self.soc_max, n + 1, self.interval_index(soc)))
-        return np.asarray(connection, dtype=np.intp) * (n + 2) + slot
+        """Flat (mode code, SOC slot) keys into `state_table`. The slot is N at
+        the floor, N + 1 at the ceiling, and else the 0-based interval
+        ceil((soc - floor)/width) - 1, at most N - 1. Keys depend only on the
+        interval count and SOC range, so layouts sharing those share them."""
+        rank, n = self._edges.searchsorted(soc, "right"), self.n_intervals  # edges reached
+        return np.asarray(connection, dtype=np.intp) * (n + 2) + self._slots.take(rank)
 
     def state_index(self, connection, soc, keys=None) -> np.ndarray:
         """Map (connection mode, SOC) telemetry, or its `keys`, to state indices."""
@@ -174,9 +179,7 @@ def estimate_transition_matrix(distributions: FleetDistributions, layout: StateL
     the uniform-within-interval assumption turns the mean move into an
     adjacent-interval transfer probability move/width: upward through the
     charging block, downward through the discharging block, identity for
-    idle. Block edges feed the boundary states (extended variant) or fold
-    into the edge idle intervals (plain variant). Boundary and
-    forced-charging states are absorbing.
+    idle (see `build_transition_matrix`).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -201,85 +204,51 @@ def estimate_transition_matrix(distributions: FleetDistributions, layout: StateL
 
 def build_transition_matrix(layout: StateLayout, p_up: float, p_down: float) -> np.ndarray:
     """Assemble the column-stochastic transition matrix from the two
-    adjacent-interval move probabilities."""
+    adjacent-interval move probabilities: a charging interval moves up one SOC
+    slot and a discharging one down one; off the edge of its block a vehicle
+    lands where the state table puts an idle one at the ceiling or the floor.
+    Every other state holds."""
     if not (0.0 <= p_up <= 1.0 and 0.0 <= p_down <= 1.0):
         raise ValueError("move probabilities must lie in [0, 1]")
-    n = layout.n_intervals
-    dim = layout.dimension
-    a = np.eye(dim)
-    for k in range(n - 1):  # charging block, upward
-        a[k, k] = 1.0 - p_up
-        a[k + 1, k] = p_up
-    top = n - 1
-    a[top, top] = 1.0 - p_up
-    if layout.variant == ESSM:
-        a[layout.full_idle_index, top] = p_up
-    else:
-        a[layout.idle.stop - 1, top] = p_up  # fold into the top idle interval
-    ds0 = layout.discharging.start
-    for k in range(1, n):  # discharging block, downward
-        col = ds0 + k
-        a[col, col] = 1.0 - p_down
-        a[col - 1, col] = p_down
-    a[ds0, ds0] = 1.0 - p_down
-    if layout.variant == ESSM:
-        a[layout.empty_idle_index, ds0] = p_down
-    else:
-        a[layout.idle.start, ds0] = p_down  # fold into the bottom idle interval
+    n, table = layout.n_intervals, layout.state_table.reshape(5, -1)
+    a = np.eye(layout.dimension)
+    for src, dst, p in ((table[CS, :n], np.r_[table[CS, 1:n], table[IS, n + 1]], p_up),
+                        (table[DS, :n], np.r_[table[IS, n], table[DS, :n - 1]], p_down)):
+        a[src, src] = 1.0 - p
+        a[dst, src] = p
     return a
 
 
 def build_input_matrix(layout: StateLayout) -> np.ndarray:
-    """Signed incidence matrix of the responding modes.
-
-    Column blocks: stop-charging (charging -> idle), start-discharging
-    (idle -> discharging), stop-discharging (discharging -> idle),
-    start-charging (idle -> charging); the extended variant appends one
-    column from idle-at-floor into the lowest charging interval and one from
-    idle-at-ceiling into the highest discharging interval. No column touches
-    the forced-charging state.
-    """
-    n = layout.n_intervals
-    b = np.zeros((layout.dimension, layout.input_dimension))
-    cs, idle, ds = layout.charging.start, layout.idle.start, layout.discharging.start
-    for k in range(n):
-        b[cs + k, k] = -1.0          # stop charging
-        b[idle + k, k] = 1.0
-        b[idle + k, n + k] = -1.0    # start discharging
-        b[ds + k, n + k] = 1.0
-        b[ds + k, 2 * n + k] = -1.0  # stop discharging
-        b[idle + k, 2 * n + k] = 1.0
-        b[idle + k, 3 * n + k] = -1.0  # start charging
-        b[cs + k, 3 * n + k] = 1.0
-    if layout.variant == ESSM:
-        b[cs, 4 * n] = 1.0  # idle-at-floor -> lowest charging interval
-        b[layout.empty_idle_index, 4 * n] = -1.0
-        b[ds + n - 1, 4 * n + 1] = 1.0  # idle-at-ceiling -> top discharging interval
-        b[layout.full_idle_index, 4 * n + 1] = -1.0
+    """Signed incidence matrix of the responding modes: one column per switch
+    of a (mode, SOC slot) to another mode between the states the table gives:
+    stop charging, start discharging, stop discharging, start charging over
+    the intervals, then start charging at the floor and discharging at the
+    ceiling, which the plain table folds into switches listed before."""
+    n, table = layout.n_intervals, layout.state_table.reshape(5, -1)
+    inside = range(n)
+    switches = ((CS, IS, inside), (IS, DS, inside), (DS, IS, inside), (IS, CS, inside),
+                (IS, CS, [n]), (IS, DS, [n + 1]))
+    moves = dict.fromkeys((table[a, k], table[b, k]) for a, b, slots in switches for k in slots)
+    b = np.zeros((layout.dimension, len(moves)))
+    for col, (src, dst) in enumerate(moves):
+        b[src, col], b[dst, col] = -1.0, 1.0
     return b
 
 
 def output_coefficients(layout: StateLayout) -> np.ndarray:
     """Per-state output coefficients before scaling, rows (power, upper,
-    lower), unit average rated powers. Multiply rows by (p_ac, p_ad) and the
-    connected count to get the output matrix."""
-    dim = layout.dimension
-    coeff = np.zeros((3, dim))
-    cs, idle, ds = layout.charging, layout.idle, layout.discharging
-    coeff[0, cs] = -1.0   # charging injects -P_ac
-    coeff[0, ds] = 1.0
-    coeff[1, cs] = 1.0    # anything not pinned low can discharge
-    coeff[1, idle] = 1.0
-    coeff[1, ds] = 1.0
-    coeff[2, cs] = -1.0   # anything not pinned high can charge
-    coeff[2, idle] = -1.0
-    coeff[2, ds] = -1.0
-    if layout.variant == ESSM:
-        coeff[2, layout.empty_idle_index] = -1.0  # can only charge
-        coeff[1, layout.full_idle_index] = 1.0    # can only discharge
-    fcs = layout.fcs_index
-    coeff[:, fcs] = -1.0  # forced charging pins all three at -P_ac
-    return coeff
+    lower), unit average rated powers: `imm`'s term table at each state's
+    representative (mode, SOC position), its smallest key in the state table.
+    A negative entry draws on P_ac and a positive one on P_ad; multiply them
+    by (p_ac, p_ad) and the connected count to get the output matrix."""
+    n = layout.n_intervals
+    first = np.unique(layout.state_table, return_index=True)[1][1:]  # [0]: disconnected
+    mode, slot = np.divmod(first, n + 2)
+    position = np.r_[np.ones(n, np.intp), 0, 2].take(slot)  # inside, the floor, the ceiling
+    terms = term_table(layout.soc_min, layout.soc_max)[position, mode].sum(axis=1)
+    power, dischargeable, chargeable, forced = terms.T
+    return np.array([power, dischargeable - forced, -chargeable - forced], dtype=float)
 
 
 def build_output_matrix(state: AggregateState) -> np.ndarray:
@@ -304,13 +273,6 @@ def measure(c: np.ndarray, x: np.ndarray, noise_std_kw=None,
     if rng is not None:
         y += rng.normal(0.0, 1.0, 3) * noise_std_kw
     return y
-
-
-def output(state: AggregateState, c: np.ndarray | None = None,
-           noise_std_kw=None, rng: np.random.Generator | None = None) -> FlexibilityEnvelope:
-    """`measure` as an envelope, with C built from the state when not given."""
-    y = measure(build_output_matrix(state) if c is None else c, state.x, noise_std_kw, rng)
-    return FlexibilityEnvelope(p_ev_kw=float(y[0]), p_u_kw=float(y[1]), p_l_kw=float(y[2]))
 
 
 def churn_keys(events: FleetStep, layout: StateLayout) -> np.ndarray:
@@ -432,4 +394,4 @@ class AggregateModel:
                                        st.p_ac_kw, st.p_ad_kw))
 
     def envelope(self) -> FlexibilityEnvelope:
-        return output(self.state, self.mats.C)
+        return FlexibilityEnvelope(*measure(self.mats.C, self.state.x).tolist())

@@ -17,11 +17,12 @@ idle boundary state on the start side shares the stage-2 rate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .aggregate import ESSM, AggregateState, StateLayout
-from .fleet import CS, DS, IS
+from .aggregate import AggregateState, StateLayout
+from .fleet import CS, DISCONNECTED, DS, FCS, IS
 
 PROB_TOL = 1e-12
 
@@ -32,9 +33,10 @@ class DispatchCommand:
     when built. Providing stops charging vehicles and starts idle ones
     discharging; absorbing stops discharging ones and starts charging.
 
-    A vehicle is addressed by its (mode, SOC interval) under this layout, or
-    by `boundary` when idle at the SOC bound on the start side (extended
-    layout only), and switches when its uniform draw is below its stage's rate.
+    A vehicle is addressed by the state this layout bins it into: an interval
+    state a mask marks or, by `boundary`, the idle boundary state on the start
+    side (extended layout only). It switches when its uniform draw is below
+    its stage's rate.
     """
 
     layout: StateLayout
@@ -50,6 +52,8 @@ class DispatchCommand:
             raise ValueError("interval masks must have one entry per interval")
         if not (0.0 <= self.stop_rate <= 1.0 and 0.0 <= self.start_rate <= 1.0):
             raise ValueError("switching probabilities must lie in [0, 1]")
+        if self.boundary and self.layout.full_idle_index is None:
+            raise ValueError("the plain layout has no boundary state to address")
         # Per mode code, whether the command can switch a vehicle in that
         # mode; actuation leaves the other modes alone.
         addressed = np.zeros(5, bool)
@@ -168,28 +172,40 @@ def to_switching_probabilities(plan: DispatchPlan) -> DispatchCommand:
                            plan.boundary)
 
 
+# Per direction (absorb, provide) and mode, the mode a switch leads to (itself if none).
+_SWITCHED = np.array([[DISCONNECTED, CS, CS, IS, FCS], [DISCONNECTED, IS, DS, DS, FCS]], np.int8)
+
+
+@cache
+def _rate_slots(layout: StateLayout, provide: bool) -> np.ndarray:
+    """Per key of `layout`, the entry of a command's rates (stage 1, stage 2,
+    boundary input, none) in direction `provide` that addresses the key's
+    state; an idle vehicle at the bound behind the start side cannot start."""
+    n, table = layout.n_intervals, layout.state_table.reshape(5, -1)
+    active, edge, behind = (CS, n + 1, n) if provide else (DS, n, n + 1)
+    by_state = np.full(layout.dimension + 1, 2 * n + 1)  # [-1]: the disconnected row
+    by_state[table[IS, edge]] = 2 * n  # an interval's entry below overrides a folded edge
+    by_state[table[IS, :n]] = n + np.arange(n)
+    by_state[table[active, :n]] = np.arange(n)
+    by_key = by_state.take(table)
+    by_key[IS, behind] = 2 * n + 1
+    by_key.flags.writeable = False  # cached: every call shares it
+    return by_key.ravel()
+
+
 def actuate_array(mode: np.ndarray, soc: np.ndarray, command: DispatchCommand,
-                  alpha: np.ndarray, soc_min: float, soc_max: float) -> np.ndarray:
-    """Vectorized actuation: each responding vehicle (forced and disconnected
-    ones match no mode) locates its (mode, interval) under the command's
-    layout and switches when its interval is addressed and its uniform draw
-    falls below its stage's rate; at most one switch per step.
+                  alpha: np.ndarray) -> np.ndarray:
+    """Vectorized actuation: each vehicle is addressed by the state the
+    command's layout bins it into, and switches (at most once per step) when
+    its uniform draw falls below the rate of that state's stage, if addressed.
 
     Physically impossible switches are refused: a vehicle at the SOC ceiling
     cannot start charging, one at the floor cannot start discharging. The
-    plain layout addresses boundary-parked vehicles through its edge idle
-    intervals, so its commands can land on vehicles that must refuse.
-    """
-    src, dst = (CS, DS) if command.provide else (DS, CS)
-    iv = command.layout.interval_index(soc)
-    new_mode = mode.copy()
-    if command.stop_rate > 0.0:  # no draw lies below a zero rate
-        new_mode[(mode == src) & command.stop_mask[iv] & (alpha < command.stop_rate)] = IS
-    if command.start_rate > 0.0:
-        at_max, at_min = soc >= soc_max, soc <= soc_min
-        pinned, edge = (at_min, at_max) if command.provide else (at_max, at_min)
-        start = command.start_mask[iv]
-        if command.layout.variant == ESSM:  # the boundary state has its own input
-            start = np.where(edge, command.boundary, start)
-        new_mode[(mode == IS) & start & ~pinned & (alpha < command.start_rate)] = dst
-    return new_mode
+    plain layout folds boundary-parked vehicles into its edge idle intervals,
+    so its commands can land on vehicles that must refuse."""
+    layout = command.layout
+    rates = np.concatenate((command.stop_rate * command.stop_mask,
+                            command.start_rate * command.start_mask,
+                            (command.start_rate * command.boundary, 0.0)))
+    slot = _rate_slots(layout, command.provide).take(layout.keys(mode, soc))
+    return np.where(alpha < rates.take(slot), _SWITCHED[int(command.provide)].take(mode), mode)

@@ -173,19 +173,6 @@ _NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.
 _KW_UNITS = 2.0 ** 40
 
 
-def _term_table(soc_min: float, soc_max: float) -> np.ndarray:
-    """The capability rule of `imm` as coefficients of (P_c, P_d) in the running sums (power,
-    dischargeable, chargeable, forced), indexed [SOC position, mode, rated power, sum]."""
-    from .imm import capability  # imm reads this module's mode codes
-    mode = np.tile(np.arange(5), 4)
-    soc = np.repeat([soc_min, soc_min, 0.5 * (soc_min + soc_max), soc_max], 5)
-    forced, can_discharge, can_charge = capability(soc, mode, soc_min, soc_max)
-    on, none = mode != DISCONNECTED, np.zeros(mode.size, dtype=bool)
-    table = [[-1 * ((mode == CS) | forced), none, can_charge & on, forced],
-             [mode == DS, can_discharge & on, none, none]]
-    return np.array(table, dtype=np.int64).transpose(2, 0, 1).reshape(4, 5, 2, 4)
-
-
 def _bucket(events, n_steps: int, n: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR buckets of plug events given as (step of each vehicle, fires)
     pairs, for every lane: the flat ids firing at step j are
@@ -269,14 +256,14 @@ class Fleet:
         if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
             raise ValueError("fleet rated power exceeds the running sums' range")
         self._units = np.tile(np.rint(rated * _KW_UNITS).astype(np.int64), (lanes, 1))
-        self._term_table = _term_table(params.soc_min, params.soc_max)
-        # Per mode, the bound a moving anchor heads for; a SOC's position in the term table is
-        # how many of `_reach` it reaches (1 at the floor, 2 inside, 3 at the ceiling).
+        from .control import actuate_array  # control and imm read this module's mode codes
+        from .imm import term_table
+        self._actuate, self._term_table = actuate_array, term_table(params.soc_min, params.soc_max)
+        # Per mode, the bound a moving anchor heads for; the range a command's layout must span;
+        # a SOC's position in the term table: how many of `_reach` it reaches.
         lo, hi = params.soc_min, params.soc_max
-        self._bound = np.array([lo, hi, lo, lo, hi])
-        self._reach = np.array([lo, np.nextafter(lo, hi), hi])
-        from .control import actuate_array  # control reads this module's mode codes
-        self._actuate = actuate_array
+        self._bound, self._range = np.array([lo, hi, lo, lo, hi]), (lo, hi)
+        self._reach = np.array([np.nextafter(lo, hi), hi])
         self._held = np.zeros((n * lanes, 4), dtype=np.int64)  # each vehicle's share of the sums
         self._sums = np.zeros((lanes, 4), dtype=np.int64)  # per lane
 
@@ -373,6 +360,9 @@ class Fleet:
         params, n, lanes = self.params, self.params.n_ev, self.lanes
         if len(commands) not in (0, lanes):
             raise ValueError(f"{lanes} lanes take {lanes} commands, not {len(commands)}")
+        for c in commands:
+            if c is not None and (c.layout.soc_min, c.layout.soc_max) != self._range:
+                raise ValueError("a command's layout must span the fleet's SOC range")
         k0 = self.step_index
         j = self.step_index = k0 + 1
         t0, t1 = k0 * self.dt_hours, j * self.dt_hours
@@ -422,8 +412,7 @@ class Fleet:
                 for (_, command), base in zip(live, bases):
                     if base.size:
                         cut = slice(at, at := at + base.size)
-                        new.append(self._actuate(mode[cut], soc[cut], command, alpha[base],
-                                                 soc_min=params.soc_min, soc_max=params.soc_max))
+                        new.append(self._actuate(mode[cut], soc[cut], command, alpha[base]))
                 moved = (new := np.concatenate(new)) != mode
                 switched = ids[moved]
                 self._anchor(switched, soc[moved], new[moved], k0, j)

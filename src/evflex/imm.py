@@ -2,14 +2,15 @@
 
 Ground truth for power and flexibility. Power sums the snapshot's telemetry
 directly; the envelope applies each vehicle's one-step capability rule
-(`capability`), which the fleet's running sums apply too.
+(`capability`), which `term_table` restates as the coefficients that the
+fleet's running sums and the aggregate models' output matrices read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fleet import FCS, FlexibilityEnvelope, FleetSnapshot
+from .fleet import CS, DISCONNECTED, DS, FCS, FlexibilityEnvelope, FleetSnapshot
 
 
 def capability(soc: np.ndarray, connection: np.ndarray, soc_min: float, soc_max: float):
@@ -18,6 +19,20 @@ def capability(soc: np.ndarray, connection: np.ndarray, soc_min: float, soc_max:
     can discharge unless at its SOC floor and charge unless at its ceiling."""
     forced = connection == FCS
     return forced, (soc > soc_min) & ~forced, (soc < soc_max) & ~forced
+
+
+def term_table(soc_min: float, soc_max: float) -> np.ndarray:
+    """`capability` as coefficients of (P_c, P_d) in the sums (power, dischargeable, chargeable,
+    forced), indexed [SOC position (floor, inside, ceiling), mode, rated power, sum]. The envelope
+    is (power, dischargeable - forced, -chargeable - forced), as in `imm_flexibility`; each of its
+    terms draws on P_c with a negative sign or on P_d with a positive one."""
+    mode = np.tile(np.arange(5), 3)
+    soc = np.repeat([soc_min, 0.5 * (soc_min + soc_max), soc_max], 5)
+    forced, can_discharge, can_charge = capability(soc, mode, soc_min, soc_max)
+    on, none = mode != DISCONNECTED, np.zeros(mode.size, dtype=bool)
+    table = [[-1 * ((mode == CS) | forced), none, can_charge & on, forced],
+             [mode == DS, can_discharge & on, none, none]]
+    return np.array(table, dtype=np.int64).transpose(2, 0, 1).reshape(3, 5, 2, 4)
 
 
 def imm_flexibility(snapshot: FleetSnapshot, soc_min: float = 0.0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evflex.aggregate import AggregateState, build_output_matrix, measure
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.fleet import Connection, FleetSnapshot, FleetStep, FlexibilityEnvelope
 
@@ -58,6 +59,20 @@ def make_events(in_events=None, out_events=None) -> FleetStep:
         out_ids=out_ids, out_soc=np.asarray(out_soc, dtype=float), out_connection=out_conn,
         envelopes=(FlexibilityEnvelope(0.0, 0.0, 0.0),),
     )
+
+
+def output(state: AggregateState, c: np.ndarray | None = None, noise_std_kw=None,
+           rng: np.random.Generator | None = None) -> FlexibilityEnvelope:
+    """`measure` as an envelope, with C built from the state when not given."""
+    y = measure(build_output_matrix(state) if c is None else c, state.x, noise_std_kw, rng)
+    return FlexibilityEnvelope(p_ev_kw=float(y[0]), p_u_kw=float(y[1]), p_l_kw=float(y[2]))
+
+
+def interval_index(layout, soc) -> np.ndarray:
+    """0-based SOC interval of `layout`: ceil((soc - floor)/width) clamped to
+    [1, N], minus one; the rule `StateLayout.keys` implements."""
+    raw = np.ceil((np.asarray(soc, dtype=float) - layout.soc_min) / layout.width)
+    return np.minimum(np.maximum(raw, 1), layout.n_intervals).astype(np.int64) - 1
 
 
 @pytest.fixture

@@ -1,0 +1,173 @@
+"""Mutant catalogue of the physical rules.
+
+Each entry names the rule it breaks, a file under `src/evflex` and a patch
+that replaces one exact text there. For each entry the script copies the tree
+(`src`, `tests`, `configs`, `perfbench`) into a temporary directory, applies
+the patch and runs tier-1 there with `-x`; the unpatched copy must pass it.
+Where tier-1 passes, it compares the CSV digests of predict-500 (seed 7) and
+of the tracking probes at 1,000 vehicles with those of the unpatched tree.
+It prints each mutant as killed, or as surviving with the reason it is
+equivalent; a survivor that changes a digest, or one with no stated reason,
+is a hole in tier-1 and makes the script exit non-zero.
+
+Run from anywhere, optionally naming mutants by a substring:
+
+    python tests/mutants.py [substring ...]
+
+pytest does not collect this file: its name does not start with `test_`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = {
+    "predict-500": ["predict", "--n-ev", "500", "--seed", "7"],
+    "probes-1k": ["track", "--config", "configs/tracking_probes.json", "--n-ev", "1000"],
+}
+
+
+@dataclass(frozen=True)
+class Mutant:
+    rule: str
+    name: str
+    file: str  # under src/evflex
+    old: str
+    new: str
+    equivalent: str | None = None  # why it survives without changing a workload
+
+
+MUTANTS = (
+    # The rules read off the state table and imm's capability rule.
+    Mutant("state table", "the fold sends the ceiling into the bottom idle interval",
+           "aggregate.py", "np.r_[:n, 0, n - 1]", "np.r_[:n, 0, 0]"),
+    Mutant("state table", "an interval edge is never lowered to its first float",
+           "aggregate.py", "while ((edge - lo) / self.width > k).any():", "while False:"),
+    Mutant("capability", "a forced vehicle can discharge", "imm.py",
+           "(soc > soc_min) & ~forced", "(soc > soc_min)"),
+    Mutant("actuation", "the boundary state on the wrong side is addressed", "control.py",
+           "(CS, n + 1, n) if provide else (DS, n, n + 1)",
+           "(CS, n, n + 1) if provide else (DS, n + 1, n)"),
+    Mutant("state step", "the transition's next slot is off by one", "aggregate.py",
+           "np.r_[table[CS, 1:n], table[IS, n + 1]]", "np.r_[table[CS, :n - 1], table[IS, n + 1]]"),
+    # The fleet kernel: forced charging, the calendar, lanes and absorption.
+    Mutant("deadline rule", "the binding rule is strict", "fleet.py",
+           "binding = (self._demanded[check] - soc >=", "binding = (self._demanded[check] - soc >"),
+    Mutant("deadline rule", "yesterday's deadline holds at its own plug-out", "fleet.py",
+           "return np.where(t < m_end, m_end, self._plug_out[idx])",
+           "return np.where(t <= m_end, m_end, self._plug_out[idx])"),
+    Mutant("SOC law", "the calendar is popped only on steps busy otherwise", "fleet.py",
+           "        filed = self._calendar.pop(j, None)\n",
+           "        filed = self._calendar.pop(j, None) if arrivals.size or departures.size or any("
+           "commands) else None\n"),
+    Mutant("SOC law", "quiet steps ignore the calendar", "fleet.py",
+           "out_ids.size or filed or live", "out_ids.size or live"),
+    Mutant("deadline rule", "checks are filed one step late", "fleet.py",
+           "np.maximum(np.ceil(estimate) - 1.0, first + 1)",
+           "np.maximum(np.ceil(estimate) - 1.0, first + 1) + 1"),
+    Mutant("deadline rule", "a check that does not bind is not filed again", "fleet.py",
+           "            if filed.size:  # a charging one is checked once",
+           "            if False:  # a charging one is checked once"),
+    Mutant("running sums", "every lane's sums are lane 0's", "fleet.py",
+           "np.add.at(self._sums, ids // self.params.n_ev,", "np.add.at(self._sums, 0 * ids,"),
+    Mutant("SOC law", "no absorption on the step a vehicle is placed", "fleet.py",
+           "due = np.concatenate([arrivals, promoted, switched, filed])", "due = filed"),
+    Mutant("SOC law", "departures keep their due step", "fleet.py",
+           "self._due[departures] = self._check[departures] = -1",
+           "self._check[departures] = -1"),
+    Mutant("deadline rule", "arrivals are not checked", "fleet.py",
+           "check = np.concatenate([arrivals, filed[self._check[filed] == j]])",
+           "check = filed[self._check[filed] == j]"),
+    Mutant("capability", "the floor is read as inside", "fleet.py",
+           "self._reach = np.array([np.nextafter(lo, hi), hi])",
+           "self._reach = np.array([lo, hi])"),
+    Mutant("deadline rule", "switched vehicles are not filed again", "fleet.py",
+           "watched = np.concatenate([switched, absorbed, again])",
+           "watched = np.concatenate([absorbed, again])"),
+    Mutant("deadline rule", "charging vehicles are checked on every step", "fleet.py",
+           "again = check[~binding & (self._mode[check] != CS)]", "again = check[~binding]",
+           equivalent="a charging anchor's slack does not change but for float rounding, so the "
+                      "first check decides it"),
+    Mutant("deadline rule", "departures keep a stale check step", "fleet.py",
+           "self._due[departures] = self._check[departures] = -1",
+           "self._due[departures] = -1",
+           equivalent="a check is filed no later than the binding step, which lies before the "
+                      "session ends, so no pending check outlives a connection"),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    for part in ("src", "tests", "configs", "perfbench"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".work"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def environment(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def tier1_passes(root: Path) -> bool:
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+                         cwd=root, env=environment(root), capture_output=True, text=True)
+    return run.returncode == 0
+
+
+def digests(root: Path) -> dict[str, str]:
+    """sha256 of every CSV the workloads write, keyed by workload and file."""
+    out = {}
+    for name, argv in WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            subprocess.run([sys.executable, "-m", "evflex", *argv, "--out", tmp], cwd=root,
+                           env=environment(root), check=True, capture_output=True)
+            for csv in sorted(Path(tmp).glob("*.csv")):
+                out[f"{name}/{csv.name}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    return out
+
+
+def main(selected: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not selected or any(s in m.name for s in selected)]
+    holes = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        if not tier1_passes(base):
+            print("tier-1 fails on the unpatched tree; no mutant can be judged")
+            return 1
+        reference = digests(base)
+        for i, mutant in enumerate(mutants):
+            root = Path(tmp) / f"m{i}"
+            copy_tree(root)
+            path = root / "src" / "evflex" / mutant.file
+            text = path.read_text()
+            if text.count(mutant.old) != 1:
+                print(f"STALE     [{mutant.rule}] {mutant.name}: the patch no longer applies")
+                holes += 1
+                continue
+            path.write_text(text.replace(mutant.old, mutant.new))
+            if not tier1_passes(root):
+                print(f"killed    [{mutant.rule}] {mutant.name}")
+            else:
+                moved = sorted(k for k, v in digests(root).items() if reference.get(k) != v)
+                if moved or mutant.equivalent is None:
+                    holes += 1
+                    print(f"SURVIVED  [{mutant.rule}] {mutant.name}: changes {moved or 'nothing'}"
+                          + ("" if mutant.equivalent is None else f" ({mutant.equivalent})"))
+                else:
+                    print(f"survived  [{mutant.rule}] {mutant.name}: equivalent on the "
+                          f"workloads; {mutant.equivalent}")
+            shutil.rmtree(root)
+    print(f"{len(mutants)} mutants, {holes} holes")
+    return 1 if holes else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

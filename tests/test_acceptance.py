@@ -25,7 +25,6 @@ from evflex.aggregate import (
     build_input_matrix,
     discretize,
     estimate_transition_matrix,
-    output,
 )
 from evflex.config import (
     DistributionSpec,
@@ -46,7 +45,7 @@ from evflex.scenario import (
     write_tracking_csv,
 )
 
-from conftest import deterministic_distributions
+from conftest import deterministic_distributions, output
 
 DT_15S = 15.0 / 3600.0
 LAY = StateLayout(10, ESSM)
@@ -255,7 +254,7 @@ def test_criterion_6_actuation_statistics():
         alpha = step_stream(seed=404, step_index=i).random(m)
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)
-        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha)
         frac = float((new == Connection.DISCHARGING).mean())
         tol = 4.0 * np.sqrt(p * (1 - p) / m)
         assert abs(frac - p) <= tol

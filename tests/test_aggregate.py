@@ -15,15 +15,17 @@ from evflex.aggregate import (
     build_input_matrix,
     build_output_matrix,
     build_transition_matrix,
+    churn_keys,
     compute_noise,
     discretize,
     estimate_transition_matrix,
-    output,
+    output_coefficients,
     step,
 )
 from evflex.fleet import Connection, Fleet, sample_fleet
 
-from conftest import deterministic_distributions, make_events, make_snapshot
+from conftest import (deterministic_distributions, interval_index, make_events, make_snapshot,
+                      output)
 
 DT_15S = 15.0 / 3600.0
 LAY10 = StateLayout(10, ESSM)
@@ -55,10 +57,12 @@ class TestLayout:
         np.testing.assert_allclose(b.sum(axis=0), 0.0)
 
     def test_interval_index(self):
-        assert LAY10.interval_index(0.05) == 0
-        assert LAY10.interval_index(0.0) == 0
-        assert LAY10.interval_index(1.0) == 9
-        assert LAY10.interval_index(0.35) == 3
+        def charging(soc):  # a charging vehicle's state is its interval
+            return LAY10.state_index(Connection.CHARGING, soc)
+        assert charging(0.05) == 0
+        assert charging(0.0) == 0
+        assert charging(1.0) == 9
+        assert charging(0.35) == 3
 
     def test_state_index_boundary_split(self):
         conn = np.full(3, Connection.IDLE, dtype=np.int8)
@@ -88,7 +92,7 @@ def branchy_state_index(layout, connection, soc):
         raise ValueError("cannot discretize disconnected vehicles")
     first = np.array([0, layout.charging.start, layout.idle.start, layout.discharging.start,
                       layout.fcs_index])
-    out = first[connection] + layout.interval_index(soc) * (
+    out = first[connection] + interval_index(layout, soc) * (
         connection != Connection.FORCED_CHARGING)
     if layout.variant == ESSM:
         idle = connection == Connection.IDLE
@@ -117,10 +121,84 @@ class TestStateTable:
         np.testing.assert_array_equal(layout.state_index(modes, socs),
                                       branchy_state_index(layout, modes, socs))
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.9), (0.05, 0.95), (0.15, 1.0)])
+    def test_keys_follow_the_ceil_rule_at_every_edge(self, bounds):
+        # `keys` bins by precomputed SOC edges; at every interval edge and the
+        # floats either side of it they must reproduce the ceil rule exactly.
+        for n in range(2, 41):
+            layout = StateLayout(n, ESSM, *bounds)
+            edges = [bounds[0] + k * layout.width for k in range(n + 1)] + list(bounds)
+            soc = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
+            modes = np.full(len(soc), Connection.IDLE, dtype=np.int8)
+            np.testing.assert_array_equal(layout.state_index(modes, soc),
+                                          branchy_state_index(layout, modes, soc))
+
     @pytest.mark.parametrize("layout", [LAY10, LAY10_SSM])
     def test_disconnected_rejected(self, layout):
         with pytest.raises(ValueError, match="disconnected"):
             layout.state_index(np.array([Connection.IDLE, Connection.DISCONNECTED]), [0.5, 0.5])
+
+
+def fold_of(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plain state each extended state of an N-interval layout folds into
+    (the empty and full idle states into the bottom and top idle intervals),
+    and the extended states that are not boundary states."""
+    return np.r_[:3 * n, n, 2 * n - 1, 3 * n], np.r_[:3 * n, 3 * n + 2]
+
+
+class TestFold:
+    """The plain model is the extended one with its two boundary states folded
+    into the edge idle intervals (F), as structure and, uncontrolled, at run time."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.9)])
+    def test_plain_structure_is_the_extended_one_folded(self, n, bounds):
+        plain, ext = StateLayout(n, SSM, *bounds), StateLayout(n, ESSM, *bounds)
+        fold, keep = fold_of(n)
+        f = np.zeros((plain.dimension, ext.dimension))
+        f[fold, np.arange(ext.dimension)] = 1.0
+
+        def same(a, b):  # bitwise, signed zeros included
+            return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        p_up, p_down = 0.0093751, 0.0115741
+        assert same(build_transition_matrix(plain, p_up, p_down),
+                    f @ build_transition_matrix(ext, p_up, p_down)[:, keep])
+        assert same(build_input_matrix(plain), f @ build_input_matrix(ext)[:, :4 * n])
+        assert same(output_coefficients(plain), output_coefficients(ext)[:, keep])
+        assert same(np.r_[fold, -1][ext.state_table], plain.state_table)
+
+    def test_uncontrolled_plain_model_is_the_extended_one_folded(self, table_distributions):
+        # 300 vehicles for 4 h at 15 s steps, resynced every 5 min as the scenarios do.
+        dt, resync_steps, n = DT_15S, 20, 10
+        fleet = Fleet(sample_fleet(table_distributions, 300, seed=13), dt, seed=13)
+        ext, plain = (AggregateModel.from_distributions(StateLayout(n, v), table_distributions,
+                                                        dt, n_samples=20_000, seed=13)
+                      for v in (ESSM, SSM))
+        fold, _ = fold_of(n)
+        full_steps = 0
+        for k in range(4 * 240 + 1):
+            if k:
+                events = fleet.step()
+                keys = churn_keys(events, ext.layout)[0] if events.n_in or events.n_out else None
+                ext.advance(events, keys=keys)
+                plain.advance(events, keys=keys)
+            if k % resync_steps == 0:
+                snap = fleet.snapshot()
+                keys = ext.layout.keys(snap.connection, snap.soc)
+                ext.resync(snap, keys)
+                plain.resync(snap, keys)
+            x, st_ = ext.state.x, ext.state
+            folded = np.bincount(fold, weights=x, minlength=plain.layout.dimension)
+            assert np.abs(folded - plain.state.x).max() <= 1e-12, k
+            env_e, env_s = ext.envelope(), plain.envelope()
+            x_full, x_empty = x[ext.layout.full_idle_index], x[ext.layout.empty_idle_index]
+            lower_gap = -st_.n_ev_connected * st_.p_ac_kw * x_full
+            upper_gap = st_.n_ev_connected * st_.p_ad_kw * x_empty
+            assert abs(env_s.p_l_kw - env_e.p_l_kw - lower_gap) <= 1e-9 * abs(env_e.p_l_kw), k
+            assert abs(env_s.p_u_kw - env_e.p_u_kw - upper_gap) <= 1e-9 * abs(env_e.p_u_kw), k
+            full_steps += x_full > 0.0
+        assert full_steps > 100  # the fold is exercised, not only trivially true
 
 
 class TestDiscretize:

@@ -15,7 +15,6 @@ from evflex.aggregate import (
     build_input_matrix,
     build_output_matrix,
     build_transition_matrix,
-    output,
 )
 from evflex.control import (
     DispatchCommand,
@@ -24,6 +23,8 @@ from evflex.control import (
     to_switching_probabilities,
 )
 from evflex.fleet import Connection
+
+from conftest import interval_index, output
 
 LAY = StateLayout(10, ESSM)
 LAY_SSM = StateLayout(10, SSM)
@@ -110,7 +111,7 @@ class TestPlanDispatch:
         assert not plan.saturated  # claims feasibility
         cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(0).random(200)
-        new_mode = actuate_array(conn, soc, cmd, alpha, 0.0, 1.0)
+        new_mode = actuate_array(conn, soc, cmd, alpha)
         np.testing.assert_array_equal(new_mode, conn)  # nothing switched
 
         x_essm = np.zeros(LAY.dimension)
@@ -253,7 +254,7 @@ def actuate(mode: Connection, soc: float, command: DispatchCommand,
             alpha: float) -> Connection:
     """actuate_array on a single connected vehicle."""
     out = actuate_array(np.array([mode], dtype=np.int8), np.array([soc]), command,
-                        np.array([alpha]), 0.0, 1.0)
+                        np.array([alpha]))
     return Connection(int(out[0]))
 
 
@@ -284,6 +285,23 @@ class TestActuation:
         cmd2 = make_command(provide=False, start=1.0, start_mask=none, boundary=True)
         assert actuate(Connection.IDLE, 0.0, cmd2, alpha=0.5) == Connection.CHARGING
 
+    def test_plain_layout_rejects_boundary_flag(self):
+        none = np.zeros(10, bool)
+        with pytest.raises(ValueError, match="no boundary state"):
+            DispatchCommand(LAY_SSM, True, 0.0, 1.0, none, none, True)
+
+    def test_soc_bounds_come_from_the_layout(self):
+        # On (0.1, 0.9) the extended layout bins an idle vehicle at 0.95 as
+        # full and one at 0.05 as empty; actuation addresses those states.
+        layout = StateLayout(10, ESSM, 0.1, 0.9)
+        none = np.zeros(10, bool)
+        provide = make_command(layout, start=1.0, start_mask=none, boundary=True)
+        assert actuate(Connection.IDLE, 0.95, provide, alpha=0.5) == Connection.DISCHARGING
+        assert actuate(Connection.IDLE, 0.05, provide, alpha=0.5) == Connection.IDLE
+        absorb = make_command(layout, provide=False, start=1.0, start_mask=~none)
+        assert actuate(Connection.IDLE, 0.95, absorb, alpha=0.5) == Connection.IDLE
+        assert actuate(Connection.IDLE, 0.85, absorb, alpha=0.5) == Connection.CHARGING
+
     def test_boundary_vehicles_not_addressed_by_interval_modes(self):
         cmd = make_command(start=1.0)
         assert actuate(Connection.IDLE, 1.0, cmd, alpha=0.0) == Connection.IDLE
@@ -302,7 +320,7 @@ class TestActuation:
         cmd = make_command(start=0.25)
         mode = np.full(m, Connection.IDLE, dtype=np.int8)
         soc = np.full(m, 0.45)
-        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha)
         frac = (new == Connection.DISCHARGING).mean()
         assert abs(frac - 0.25) <= 4.0 * np.sqrt(0.25 * 0.75 / m)
 
@@ -318,7 +336,7 @@ class TestActuation:
         plan = plan_dispatch(18_000.0, st_)
         cmd = to_switching_probabilities(plan)
         alpha = np.random.default_rng(12).random(m)
-        new = actuate_array(mode, soc, cmd, alpha, 0.0, 1.0)
+        new = actuate_array(mode, soc, cmd, alpha)
         realized_kw = 6.0 * (new == Connection.DISCHARGING).sum()
         p = cmd.start_rate
         sigma_kw = 6.0 * np.sqrt(m * p * (1 - p))
@@ -330,7 +348,7 @@ def full_mask_actuation(mode, soc, command, alpha, soc_min, soc_max):
     vehicle: `command` holds the per-interval probabilities of `expand`."""
     layout = command.layout
     new_mode = mode.copy()
-    iv = layout.interval_index(soc)
+    iv = interval_index(layout, soc)
     new_mode[(mode == Connection.CHARGING) & (alpha < command.stop_charging[iv])] = \
         Connection.IDLE
     new_mode[(mode == Connection.DISCHARGING) & (alpha < command.stop_discharging[iv])] = \
@@ -351,7 +369,8 @@ def full_mask_actuation(mode, soc, command, alpha, soc_min, soc_max):
 def random_case(rng, m: int, variant: str, provide: bool, scale: float = 1.0, on=(True, True)):
     """Modes and SOCs of `m` vehicles (half at bounds and interval edges),
     and a command with random rates (scaled, each off unless `on`) whose
-    interval masks and boundary flag have random holes."""
+    interval masks have random holes, as has the boundary flag of the extended
+    layout (the plain one has no boundary state to address)."""
     mode = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
                        Connection.FORCED_CHARGING], m).astype(np.int8)
     soc = rng.choice([0.0, 1.0, 0.1, 0.5], m)  # bounds and interval edges
@@ -359,7 +378,7 @@ def random_case(rng, m: int, variant: str, provide: bool, scale: float = 1.0, on
     stop, start = rng.random(2) * scale * np.asarray(on)
     masks = rng.random((2, 10)) < 0.6
     cmd = DispatchCommand(StateLayout(10, variant), provide, float(stop), float(start),
-                          masks[0], masks[1], bool(rng.random() < 0.6))
+                          masks[0], masks[1], bool(rng.random() < 0.6) and variant == ESSM)
     return mode, soc, cmd
 
 
@@ -379,7 +398,7 @@ class TestActuationBlocks:
         alpha = rng.random(60)
         tie_draws(rng, alpha, cmd)
         np.testing.assert_array_equal(
-            actuate_array(mode, soc, cmd, alpha, 0.0, 1.0),
+            actuate_array(mode, soc, cmd, alpha),
             full_mask_actuation(mode, soc, expand(cmd), alpha, 0.0, 1.0))
 
     @given(seed=st.integers(0, 10_000), variant=st.sampled_from([SSM, ESSM]),
@@ -396,7 +415,7 @@ class TestActuationBlocks:
 
         def actuated(ids):
             new = mode.copy()
-            new[ids] = actuate_array(mode[ids], soc[ids], cmd, alpha[ids], 0.0, 1.0)
+            new[ids] = actuate_array(mode[ids], soc[ids], cmd, alpha[ids])
             return new
 
         addressed = cmd.addressed.take(mode)

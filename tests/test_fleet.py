@@ -265,6 +265,13 @@ class TestFleetStep:
         with pytest.raises(ValueError, match="probabilities"):
             fleet.step(DispatchCommand(StateLayout(10, "essm"), False, 0.0, 1.5, every, every))
 
+    def test_command_layout_must_span_the_fleet_soc_range(self):
+        fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1)
+        every = np.ones(10, bool)
+        with pytest.raises(ValueError, match="SOC range"):
+            fleet.step(DispatchCommand(StateLayout(10, "essm", 0.1, 0.9), True, 0.0, 0.5, every,
+                                       every))
+
 
 class StepwiseOracle:
     """The stepwise kernel the event-driven one replaced: each step reads
@@ -314,8 +321,7 @@ class StepwiseOracle:
         mode[binding] = Connection.FORCED_CHARGING
         if command is not None:
             alpha = step_stream(self.seed, self.step_index).random(params.n_ev)
-            mode = actuate_array(mode, soc, command, alpha[idx],
-                                 soc_min=params.soc_min, soc_max=params.soc_max)
+            mode = actuate_array(mode, soc, command, alpha[idx])
         charging = (mode == Connection.CHARGING) | (mode == Connection.FORCED_CHARGING)
         discharging = mode == Connection.DISCHARGING
         soc += self._dsoc_c[idx] * charging
@@ -370,8 +376,7 @@ class WindowOracle:
         self.mode[binding] = Connection.FORCED_CHARGING
         if command is not None:
             alpha = step_stream(self.seed, self.k).random(p.n_ev)
-            self.mode = actuate_array(self.mode, self.soc, command, alpha,
-                                      p.soc_min, p.soc_max)
+            self.mode = actuate_array(self.mode, self.soc, command, alpha)
         charging = now & np.isin(self.mode, [Connection.CHARGING, Connection.FORCED_CHARGING])
         discharging = now & (self.mode == Connection.DISCHARGING)
         self.soc[charging] += p.charge_rate_per_h[charging] * self.dt
@@ -458,7 +463,7 @@ def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MI
     """A command per step of `fleet` (None when uncontrolled). The direction
     holds for `hold` steps at a time (four hours at 5 min steps), so vehicles
     reach both SOC bounds. Each rate is switched off at random, and each
-    interval and the boundary input are left out at random. A rate that is
+    interval and the boundary input (extended layout only) are left out at random. A rate that is
     on lies below 0.4 and, with `ties`, equals one of the step's draws, so a
     vehicle's draw ties with it."""
     if variant is None:
@@ -476,7 +481,7 @@ def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MI
         masks = rng.random((2, 10)) < 0.8
         provide = k // hold % 2 == 0  # else absorb
         yield DispatchCommand(layout, provide, float(stop), float(start), masks[0], masks[1],
-                              bool(rng.random() < 0.7))
+                              bool(rng.random() < 0.7) and variant == "essm")
 
 
 def float_edge(oracle: StepwiseOracle, soc: np.ndarray, ids: np.ndarray, k: int) -> bool:
