@@ -161,13 +161,11 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout, keys=None) -> Aggre
     idx = layout.state_index(snapshot.connection, snapshot.soc, keys)
     counts = np.bincount(idx, minlength=layout.dimension).astype(float)
     x = counts / n_conn
-    cs = snapshot.connection == CS
-    ds = snapshot.connection == DS
-    p_ac = snapshot.rated_charge_kw[cs].mean() if cs.any() \
-        else snapshot.rated_charge_kw.mean()
-    p_ad = snapshot.rated_discharge_kw[ds].mean() if ds.any() \
-        else snapshot.rated_discharge_kw.mean()
-    return AggregateState(layout, x, n_conn, float(p_ac), float(p_ad))
+    cs, ds = snapshot.connection == CS, snapshot.connection == DS
+    rc, rd = snapshot.rated_charge_kw, snapshot.rated_discharge_kw
+    sets = rc[cs] if cs.any() else rc, rd[ds] if ds.any() else rd
+    p_ac, p_ad = (float(v.sum() / v.size) for v in sets)  # `mean` bitwise, without its wrapper
+    return AggregateState(layout, x, n_conn, p_ac, p_ad)
 
 
 def estimate_transition_matrix(distributions: FleetDistributions, layout: StateLayout,
@@ -181,6 +179,13 @@ def estimate_transition_matrix(distributions: FleetDistributions, layout: StateL
     charging block, downward through the discharging block, identity for
     idle (see `build_transition_matrix`).
     """
+    return build_transition_matrix(
+        layout, *move_probabilities(distributions, layout.width, dt_hours, n_samples, seed))
+
+
+def move_probabilities(distributions: FleetDistributions, width: float, dt_hours: float,
+                       n_samples: int = 100_000, seed: int = 0) -> tuple[float, float]:
+    """(p_up, p_down) of `estimate_transition_matrix`, for every layout of this interval `width`."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if dt_hours <= 0:
@@ -191,15 +196,13 @@ def estimate_transition_matrix(distributions: FleetDistributions, layout: StateL
     cap = distributions.capacity_kwh.sample(rng, n_samples)
     ds_charge = power * eff / cap * dt_hours
     ds_discharge = power / (eff * cap) * dt_hours
-    width = layout.width
     worst = max(ds_charge.max(), ds_discharge.max())
     if worst >= width:
         raise ValueError(
             f"one-step SOC move {worst:.4g} reaches a full interval width "
             f"{width:.4g}; shrink dt or widen the intervals")
-    p_up = float(np.minimum(ds_charge / width, 1.0).mean())
-    p_down = float(np.minimum(ds_discharge / width, 1.0).mean())
-    return build_transition_matrix(layout, p_up, p_down)
+    return (float(np.minimum(ds_charge / width, 1.0).mean()),
+            float(np.minimum(ds_discharge / width, 1.0).mean()))
 
 
 def build_transition_matrix(layout: StateLayout, p_up: float, p_down: float) -> np.ndarray:
@@ -293,34 +296,9 @@ def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
     denom = n_ev_connected + 2 * n_in - keys.size
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    sign = np.where(np.arange(keys.size) < n_in, 1.0, -1.0)
-    return np.bincount(layout.state_table.take(keys), weights=sign,
-                       minlength=layout.dimension) / denom
-
-
-def step(x_pre: np.ndarray, b: np.ndarray, u: np.ndarray | None = None,
-         w: np.ndarray | None = None) -> np.ndarray:
-    """Finish one step of x' = A x + B u + w from the pre-control state
-    x_pre = A x.
-
-    Entries of A x + B u below -1e-9 mean an inadmissible input slipped
-    through planning and raise; smaller negatives are clamped as float dust.
-    The churn term is observed telemetry and may legitimately overdraw an
-    interval the model mispredicts between resyncs, so post-noise negatives
-    are clamped and the vector renormalized.
-    """
-    x1 = x_pre + b @ u if u is not None else x_pre.copy()
-    low = x1.min() if x1.size else 0.0
-    if low < -HARD_NEG:
-        raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
-    np.maximum(x1, 0.0, out=x1)
-    if w is not None:
-        x1 += w
-        np.maximum(x1, 0.0, out=x1)
-    total = x1.sum()
-    if total > 0.0 and abs(total - 1.0) > SUM_TOL:
-        x1 = x1 / total
-    return x1
+    states, d = layout.state_table.take(keys), layout.dimension  # counts: exact as +-1 weights
+    return (np.bincount(states[:n_in], minlength=d)
+            - np.bincount(states[n_in:], minlength=d)) / denom
 
 
 class AggregateModel:
@@ -372,26 +350,41 @@ class AggregateModel:
 
     def advance(self, events: FleetStep, u: np.ndarray | None = None,
                 pre: AggregateState | None = None, keys: np.ndarray | None = None) -> None:
-        """Apply one recursion step with the churn in the plug events of one
-        fleet step; `keys` are this model's lane's row of their `churn_keys`
-        (without them, the step's first lane's).
+        """Apply one step of x' = A x + B u + w, w the churn in the plug events
+        of one fleet step; `keys` are this model's lane's row of their
+        `churn_keys` (without them, the step's first lane's). `pre` is the
+        `pre_control` state `u` was planned on; it is left unchanged.
 
-        An empty model holds the zero vector, so arrivals into it define the
-        state outright through the churn term.
+        Entries of A x + B u below -1e-9 mean an inadmissible input slipped
+        through planning and raise; smaller negatives are clamped as float
+        dust. A x alone has none: A and x are >= +0 (np.maximum(-0.0, 0.0) is
+        +0.0). The churn term is observed telemetry and may legitimately
+        overdraw an interval the model mispredicts between resyncs, so
+        post-noise negatives are clamped and the vector renormalized. An empty
+        model holds the zero vector, so arrivals into it define the state
+        outright through the churn term.
         """
-        st = self.state
-        n_new = st.n_ev_connected + events.n_in - events.n_out
+        st, n_in, n_out = self.state, events.n_in, events.n_out
+        n_new = st.n_ev_connected + n_in - n_out
         if n_new <= 0:
             self._set_state(AggregateState(self.layout, np.zeros(self.layout.dimension),
                                            0, 0.0, 0.0), rescale=True)
             return
-        w = None
-        if events.n_in or events.n_out:
+        x = self.mats.A @ st.x if pre is None else pre.x.copy()  # finished in place
+        if u is not None:
+            x += self.mats.B @ u
+            low = np.minimum.reduce(x)
+            if low < -HARD_NEG:
+                raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
+            np.maximum(x, 0.0, out=x)
+        if n_in or n_out:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
-            w = compute_noise(st.n_ev_connected, events.n_in, keys, self.layout)
-        x_pre = self.mats.A @ st.x if pre is None else pre.x
-        self._set_state(AggregateState(self.layout, step(x_pre, self.mats.B, u, w), n_new,
-                                       st.p_ac_kw, st.p_ad_kw))
+            x += compute_noise(st.n_ev_connected, n_in, keys, self.layout)
+            np.maximum(x, 0.0, out=x)
+        total = np.add.reduce(x)
+        if total > 0.0 and abs(total - 1.0) > SUM_TOL:
+            x /= total
+        self._set_state(AggregateState(self.layout, x, n_new, st.p_ac_kw, st.p_ad_kw))
 
     def envelope(self) -> FlexibilityEnvelope:
         return FlexibilityEnvelope(*measure(self.mats.C, self.state.x).tolist())

@@ -173,22 +173,28 @@ _NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.
 _KW_UNITS = 2.0 ** 40
 
 
-def _bucket(events, n_steps: int, n: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+def _bucket(events, n_steps: int, n: int, lanes: int) -> tuple[np.ndarray, memoryview]:
     """CSR buckets of plug events given as (step of each vehicle, fires)
     pairs, for every lane: the flat ids firing at step j are
-    ids[ptr[j]:ptr[j + 1]], ascending, so lane by lane."""
+    ids[ptr[j]:ptr[j + 1]], ascending, so lane by lane; ptr reads as Python ints."""
     steps = np.tile(np.concatenate([step[fires] for step, fires in events]), lanes)
     ids = (np.concatenate([np.flatnonzero(fires) for _, fires in events])
            + n * np.arange(lanes)[:, None]).ravel()
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))])
+    ptr = memoryview(np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))]))
     ids = ids[np.lexsort((ids, steps))]
     ids.flags.writeable = False  # step results hand out slices of it
     return ids, ptr
 
 
-def _events(bucket: tuple[np.ndarray, np.ndarray], j: int) -> np.ndarray:
+def _events(bucket: tuple[np.ndarray, memoryview], j: int) -> np.ndarray:
     ids, ptr = bucket
-    return ids[ptr[j]:ptr[j + 1]] if j + 1 < ptr.size else _NO_IDS
+    return ids[ptr[j]:ptr[j + 1]] if j + 1 < len(ptr) else _NO_IDS
+
+
+def _join(*parts: np.ndarray) -> np.ndarray:
+    """The id arrays `parts` end to end, with no numpy call unless two are non-empty."""
+    parts = [part for part in parts if part.size]
+    return (np.concatenate(parts) if len(parts) > 1 else parts[0]) if parts else _NO_IDS
 
 
 class Fleet:
@@ -241,6 +247,7 @@ class Fleet:
         dsoc_c, dsoc_d = self._rate_c * dt_hours, rate_d * dt_hours
         self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
         self._watch_below = np.stack([never, -never, self._demanded, -never, never])
+        self._top = self._demanded.max(initial=-np.inf)  # an idle anchor at or above: unwatched
         # Forced-charging slack demanded - soc - (deadline - t) * rate: deadline * rate - demanded
         # per [yesterday's or today's session, flat id]; what a step closes per [mode, flat id].
         self._slack = np.stack([self._m_end, self._plug_out]) * self._rate_c - self._demanded
@@ -317,7 +324,8 @@ class Fleet:
                 self._calendar[step].add(i)
 
     def _commit(self, k: int) -> None:
-        """Move the marked vehicles' shares of their lane's sums to step k; refresh envelopes."""
+        """Move the marked vehicles' shares of their lane's sums to step k; refresh the envelopes
+        and the step that quiet steps return until the next commit."""
         ids = self._dirty.nonzero()[0]
         if ids.size:
             self._dirty[ids], self._pending = False, False
@@ -329,6 +337,7 @@ class Fleet:
         self._envelopes = tuple([
             FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
             for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
+        self._quiet = FleetStep(*(_NO_IDS, _NO_SOC, _NO_MODE) * 2, self._envelopes)
 
     def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
         """Plug-out time of the session that holds each vehicle of `idx` at t."""
@@ -357,7 +366,7 @@ class Fleet:
         """Advance every lane one step under its command (one per lane; none: all uncontrolled):
         plug events, forced-charging checks, actuation, boundary absorption. Returns the
         step's plug events and each lane's envelope after it."""
-        params, n, lanes = self.params, self.params.n_ev, self.lanes
+        lanes = self.lanes
         if len(commands) not in (0, lanes):
             raise ValueError(f"{lanes} lanes take {lanes} commands, not {len(commands)}")
         for c in commands:
@@ -365,31 +374,30 @@ class Fleet:
                 raise ValueError("a command's layout must span the fleet's SOC range")
         k0 = self.step_index
         j = self.step_index = k0 + 1
-        t0, t1 = k0 * self.dt_hours, j * self.dt_hours
         departures, arrivals = _events(self._departures, j), _events(self._arrivals, j)
         filed = self._calendar.pop(j, None)
         # A command can switch only vehicles whose draw lies below its threshold.
         live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
-        in_ids, out_ids = arrivals[:arrivals.size // lanes], departures[:departures.size // lanes]
-        if not (in_ids.size or out_ids.size or filed or live or self._pending):
-            # A quiet step: its sums and envelopes stand.
-            return FleetStep(_NO_IDS, _NO_SOC, _NO_MODE, _NO_IDS, _NO_SOC, _NO_MODE,
-                             self._envelopes)
+        if not (arrivals.size or departures.size or filed or live or self._pending):
+            return self._quiet  # its sums and envelopes stand
 
+        params, n, t0, t1 = self.params, self.params.n_ev, k0 * self.dt_hours, j * self.dt_hours
+        in_ids, out_ids = arrivals[:arrivals.size // lanes], departures[:departures.size // lanes]
         out_soc, out_mode = _NO_SOC, _NO_MODE
         if departures.size:  # the commit takes out their shares
             out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
             self._mode[departures] = DISCONNECTED
             self._due[departures] = self._check[departures] = -1
             self._dirty[departures] = True
-        in_soc = params.initial_soc[in_ids]
+        in_soc, in_mode = _NO_SOC, _NO_MODE
         if arrivals.size:
+            in_soc, in_mode = params.initial_soc[in_ids], np.full(in_ids.size, CS, dtype=np.int8)
             self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)
 
         # Forced-charging promotion, sticky until plug-out or full: arrivals
         # and the vehicles filed for a check at this step.
         filed = np.fromiter(filed, np.int64, len(filed)) if filed else _NO_IDS
-        check = np.concatenate([arrivals, filed[self._check[filed] == j]])
+        check = _join(arrivals, filed[self._check[filed] == j] if filed.size else _NO_IDS)
         promoted = again = switched = _NO_IDS
         if check.size:
             soc = self._soc(check, k0)
@@ -420,13 +428,14 @@ class Fleet:
         # Boundary absorption, clamp and go idle: the vehicles filed or placed
         # this step that are due now. Each anchor's next check is filed when
         # it was placed after this step's checks or did not bind.
-        due = np.concatenate([arrivals, promoted, switched, filed])
-        absorbed = due[self._due[due] == j]
+        due = _join(arrivals, promoted, switched, filed)
+        absorbed = due[self._due[due] == j] if due.size else _NO_IDS
         if absorbed.size:
-            self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)
-        watched = np.concatenate([switched, absorbed, again])
+            soc = self._bound.take(self._mode[absorbed])
+            self._anchor(absorbed, soc, IS, j, j)
+            absorbed = absorbed[soc < self._top]  # the rest, idle at or above demand, never bind
+        watched = _join(switched, absorbed, again)
         if watched.size:
             self._file_check(watched, j)
         self._commit(j)
-        return FleetStep(in_ids, in_soc, np.full(in_ids.size, CS, dtype=np.int8), out_ids, out_soc,
-                         out_mode, self._envelopes)
+        return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode, self._envelopes)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout, churn_keys,
-                        measure)
+from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
+                        build_transition_matrix, churn_keys, measure, move_probabilities)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
@@ -155,11 +155,15 @@ class RunResult:
         return float(np.sqrt(np.mean(err ** 2)))
 
 
-def _model(config: SimulationConfig, variant: str) -> AggregateModel:
+def _models(config: SimulationConfig) -> dict[str, AggregateModel]:
+    """Each variant's model, all from one draw of the move probabilities: the
+    layouts share the interval width."""
     d = config.distributions
-    layout = StateLayout(config.n_intervals, variant, d.soc_min, d.soc_max)
-    return AggregateModel.from_distributions(
-        layout, d, config.dt_hours, n_samples=config.transition_samples, seed=config.seed)
+    layouts = [StateLayout(config.n_intervals, v, d.soc_min, d.soc_max) for v in config.variants]
+    moves = move_probabilities(d, layouts[0].width, config.dt_hours, config.transition_samples,
+                               config.seed)
+    return {lay.variant: AggregateModel(lay, build_transition_matrix(lay, *moves))
+            for lay in layouts}
 
 
 def _noise_rng_or_none(config: SimulationConfig, variant: str):
@@ -187,7 +191,7 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     # The fleet first: building the models first measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
-    models = {name: _model(config, name) for name in names}
+    models = _models(config)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
@@ -201,6 +205,7 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
         _record(config, fleet, r, lane, series, models, noise, None, 0)
 
     layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    resync_steps = config.resync_steps
     inputs = [(None, None)] * len(lanes)
     for k in range(k_steps):
         commands = []
@@ -219,8 +224,9 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
         for r, lane in enumerate(lanes):
             u, pre = inputs[r]
             for name in lane:
-                models[name].advance(step, u=u, pre=pre, keys=None if keys is None else keys[r])
-            _record(config, fleet, r, lane, series, models, noise, step, k + 1)
+                models[name].advance(step, u, pre, None if keys is None else keys[r])
+            _record(config, fleet, r, lane, series, models, noise,
+                    step if (k + 1) % resync_steps else None, k + 1)
     if generator is not None:
         reference[0] = reference[1]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
@@ -228,11 +234,11 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
 
 def _record(config: SimulationConfig, fleet: Fleet, lane: int, names, series, models, noise,
             step, k: int) -> None:
-    """Record step k of the variants `names` that the fleet's `lane` serves:
-    each model's output C x, and the ground truth, which is the lane's
-    running sums or, at a resync (k = 0 included), the exact sum over fresh
-    telemetry, which also resets the models from keys binned once."""
-    if k % config.resync_steps:
+    """Record step k of the variants `names` that the fleet's `lane` serves: each model's
+    output C x, and the ground truth, which is the lane's running sums of `step` or, without
+    one (at a resync, k = 0 included), the exact sum over fresh telemetry, which also resets
+    the models from keys binned once."""
+    if step is not None:
         env_true = step.envelopes[lane]
     else:
         snap = fleet.snapshot(lane)
@@ -241,11 +247,11 @@ def _record(config: SimulationConfig, fleet: Fleet, lane: int, names, series, mo
             models[name].resync(snap, keys)
         env_true = imm_flexibility(snap, config.distributions.soc_min,
                                    config.distributions.soc_max)
-    truth = np.array([env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw])
+    truth = env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw
     for name in names:
         model, vs = models[name], series[name]
-        vs.model_kw[:, k] = measure(model.mats.C, model.state.x, *noise[name])
-        vs.imm_kw[:, k] = truth
+        vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
+        vs.imm_kw.T[k] = truth
         vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
 
 
@@ -280,13 +286,20 @@ def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:
 # CSV surfaces: fixed-format, 6 significant digits, CRLF line ends.
 
 _CELL = "%.6g"
+_BLOCK = 256  # rows per write: a whole table's cells as Python floats raised peak RSS by ~8 MB
 
 
 def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One row per sample; `columns` holds 1-d columns or 2-d column blocks."""
+    """One row per sample; `columns` holds float 1-d columns or 2-d column blocks. The bytes
+    of np.savetxt(fmt=_CELL, delimiter=",", newline="\r\n"), a block of rows per write; a
+    column that is +0.0 throughout a block is written as the "0" it formats to."""
+    table = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt=_CELL, delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        for block in np.split(table, range(_BLOCK, len(table), _BLOCK)):
+            zero = ~block.view(np.int64).any(axis=0)
+            row = ",".join(["0" if z else _CELL for z in zero.tolist()]) + "\r\n"
+            fh.write("".join([row % tuple(values) for values in block[:, ~zero].tolist()]))
 
 
 def write_timeseries_csv(result: RunResult, path: str | Path) -> None:

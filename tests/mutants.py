@@ -58,7 +58,18 @@ MUTANTS = (
            "(CS, n, n + 1) if provide else (DS, n + 1, n)"),
     Mutant("state step", "the transition's next slot is off by one", "aggregate.py",
            "np.r_[table[CS, 1:n], table[IS, n + 1]]", "np.r_[table[CS, :n - 1], table[IS, n + 1]]"),
+    Mutant("state step", "the pre-churn clamp is skipped under a command", "aggregate.py",
+           "            np.maximum(x, 0.0, out=x)\n        if n_in or n_out:",
+           "        if n_in or n_out:"),
+    Mutant("state step", "renormalization is dropped", "aggregate.py", "x /= total", "pass"),
+    Mutant("state step", "the planned-on state is changed in place", "aggregate.py",
+           "else pre.x.copy()", "else pre.x"),
+    Mutant("CSV output", "the block writer drops the last partial block", "scenario.py",
+           "np.split(table, range(_BLOCK, len(table), _BLOCK)):",
+           "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
     # The fleet kernel: forced charging, the calendar, lanes and absorption.
+    Mutant("running sums", "the cached quiet step is not refreshed at commit", "fleet.py",
+           "self._quiet = FleetStep(", "self._quiet = getattr(self, '_quiet', None) or FleetStep("),
     Mutant("deadline rule", "the binding rule is strict", "fleet.py",
            "binding = (self._demanded[check] - soc >=", "binding = (self._demanded[check] - soc >"),
     Mutant("deadline rule", "yesterday's deadline holds at its own plug-out", "fleet.py",
@@ -69,7 +80,7 @@ MUTANTS = (
            "        filed = self._calendar.pop(j, None) if arrivals.size or departures.size or any("
            "commands) else None\n"),
     Mutant("SOC law", "quiet steps ignore the calendar", "fleet.py",
-           "out_ids.size or filed or live", "out_ids.size or live"),
+           "departures.size or filed or live", "departures.size or live"),
     Mutant("deadline rule", "checks are filed one step late", "fleet.py",
            "np.maximum(np.ceil(estimate) - 1.0, first + 1)",
            "np.maximum(np.ceil(estimate) - 1.0, first + 1) + 1"),
@@ -79,19 +90,18 @@ MUTANTS = (
     Mutant("running sums", "every lane's sums are lane 0's", "fleet.py",
            "np.add.at(self._sums, ids // self.params.n_ev,", "np.add.at(self._sums, 0 * ids,"),
     Mutant("SOC law", "no absorption on the step a vehicle is placed", "fleet.py",
-           "due = np.concatenate([arrivals, promoted, switched, filed])", "due = filed"),
+           "due = _join(arrivals, promoted, switched, filed)", "due = filed"),
     Mutant("SOC law", "departures keep their due step", "fleet.py",
            "self._due[departures] = self._check[departures] = -1",
            "self._check[departures] = -1"),
     Mutant("deadline rule", "arrivals are not checked", "fleet.py",
-           "check = np.concatenate([arrivals, filed[self._check[filed] == j]])",
-           "check = filed[self._check[filed] == j]"),
+           "check = _join(arrivals, filed[self._check[filed] == j] if filed.size else _NO_IDS)",
+           "check = filed[self._check[filed] == j] if filed.size else _NO_IDS"),
     Mutant("capability", "the floor is read as inside", "fleet.py",
            "self._reach = np.array([np.nextafter(lo, hi), hi])",
            "self._reach = np.array([lo, hi])"),
     Mutant("deadline rule", "switched vehicles are not filed again", "fleet.py",
-           "watched = np.concatenate([switched, absorbed, again])",
-           "watched = np.concatenate([absorbed, again])"),
+           "watched = _join(switched, absorbed, again)", "watched = _join(absorbed, again)"),
     Mutant("deadline rule", "charging vehicles are checked on every step", "fleet.py",
            "again = check[~binding & (self._mode[check] != CS)]", "again = check[~binding]",
            equivalent="a charging anchor's slack does not change but for float rounding, so the "

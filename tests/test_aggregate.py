@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from evflex.aggregate import (
     ESSM,
+    HARD_NEG,
     SSM,
+    SUM_TOL,
     AggregateModel,
     AggregateState,
     StateLayout,
@@ -20,7 +22,6 @@ from evflex.aggregate import (
     discretize,
     estimate_transition_matrix,
     output_coefficients,
-    step,
 )
 from evflex.fleet import Connection, Fleet, sample_fleet
 
@@ -393,9 +394,29 @@ class TestOutput:
         assert env_s2.p_l_kw == pytest.approx(env_e2.p_l_kw)
 
 
+def reference_step(x_pre, b, u=None, w=None):
+    """The reference state step, the oracle of `AggregateModel.advance`:
+    x' = A x + B u + w from x_pre = A x, on a copy. Entries of A x + B u below
+    -1e-9 raise as an inadmissible input and smaller negatives are clamped as
+    float dust, with or without an input; the churn w may overdraw a state,
+    so post-noise negatives are clamped and the vector renormalized."""
+    x1 = x_pre + b @ u if u is not None else x_pre.copy()
+    low = x1.min() if x1.size else 0.0
+    if low < -HARD_NEG:
+        raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
+    np.maximum(x1, 0.0, out=x1)
+    if w is not None:
+        x1 += w
+        np.maximum(x1, 0.0, out=x1)
+    total = x1.sum()
+    if total > 0.0 and abs(total - 1.0) > SUM_TOL:
+        x1 = x1 / total
+    return x1
+
+
 def predict_step(state, mats, u=None, w=None):
-    """One step of the recursion x' = A x + B u + w (see `aggregate.step`)."""
-    return replace(state, x=step(mats.A @ state.x, mats.B, u, w))
+    """One step of the reference recursion x' = A x + B u + w."""
+    return replace(state, x=reference_step(mats.A @ state.x, mats.B, u, w))
 
 
 class TestPredict:
@@ -448,6 +469,96 @@ class TestPredict:
         out = predict_step(st_, mats, w=w)
         assert out.x.min() >= 0.0
         assert out.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_advance(model, events, u=None, pre=None):
+    """(x, n, C) that `model.advance(events, u, pre)` must install, from the
+    reference step, fresh churn keys and a freshly built output matrix."""
+    st_, layout = model.state, model.layout
+    n_new = st_.n_ev_connected + events.n_in - events.n_out
+    if n_new <= 0:
+        state = AggregateState(layout, np.zeros(layout.dimension), 0, 0.0, 0.0)
+    else:
+        w = None
+        if events.n_in or events.n_out:
+            w = compute_noise(st_.n_ev_connected, events.n_in, churn_keys(events, layout)[0],
+                              layout)
+        x_pre = model.mats.A @ st_.x if pre is None else pre.x
+        state = AggregateState(layout, reference_step(x_pre, model.mats.B, u, w), n_new,
+                               st_.p_ac_kw, st_.p_ad_kw)
+    return state.x, max(n_new, 0), build_output_matrix(state)
+
+
+def sample_events(rng, layout, x, churn):
+    """Plug events of one step: `churn` "none", "some" (random arrivals and
+    departures) or "overdraw" (departures from the least occupied state of
+    `x`, more than its mass, so the churn drives it negative)."""
+    modes = [Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
+             Connection.FORCED_CHARGING]
+    if churn == "none":
+        return make_events()
+    n_in = int(rng.integers(0, 4))
+    arrivals = (np.arange(n_in), rng.choice([0.0, *rng.random(3), 1.0], n_in),
+                np.full(n_in, Connection.CHARGING, np.int8))
+    n_out = int(rng.integers(1, 6))
+    if churn == "some":
+        out_soc, out_mode = rng.choice([0.0, *rng.random(3), 1.0], n_out), rng.choice(modes, n_out)
+    else:
+        n, table = layout.n_intervals, layout.state_table
+        emptiest = table[table >= 0][x[table[table >= 0]].argmin()]
+        key = int(rng.choice(np.flatnonzero(table == emptiest)))
+        mode, slot = divmod(key, n + 2)
+        soc = layout.soc_min + (slot + 0.5) * layout.width if slot < n else (
+            layout.soc_min if slot == n else layout.soc_max)
+        out_soc, out_mode = np.full(n_out, soc), np.full(n_out, mode)
+    departures = (np.arange(n_out), out_soc, np.asarray(out_mode, np.int8))
+    return make_events(in_events=arrivals, out_events=departures)
+
+
+class TestStepOracle:
+    @given(seed=st.integers(0, 2 ** 32 - 1), variant=st.sampled_from([SSM, ESSM]),
+           n=st.integers(2, 8),
+           steps=st.lists(st.tuples(st.sampled_from(["none", "pre", "input", "dust",
+                                                     "inadmissible"]),
+                                    st.sampled_from(["none", "some", "overdraw"])),
+                          min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_advance_is_the_reference_recursion_bitwise(self, seed, variant, n, steps):
+        rng = np.random.default_rng(seed)
+        layout = StateLayout(n, variant)
+        model = AggregateModel(layout, build_transition_matrix(layout, *rng.random(2)))
+        n_ev = int(rng.integers(1, 40))
+        modes = rng.choice([Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING,
+                            Connection.FORCED_CHARGING], n_ev)
+        power = rng.uniform(3.0, 11.0, (2, n_ev))
+        model.resync(make_snapshot(rng.choice([0.0, *rng.random(5), 1.0], n_ev), modes, *power))
+        for control, churn in steps:
+            if model.state.empty:
+                break
+            pre = u = None
+            if control != "none":  # "pre": the planned-on state without an input
+                pre = model.pre_control()
+                pre_x = pre.x.copy()
+            # One switch out of a state: part of its mass, all of it and 1e-12 more
+            # (float dust), or 1e-6 more than it holds (an inadmissible input).
+            if control not in ("none", "pre"):
+                u = np.zeros(layout.input_dimension)
+                col = int(rng.integers(u.size))
+                held = pre.x[np.flatnonzero(model.mats.B[:, col] < 0)[0]]
+                u[col] = {"input": held * rng.random(), "dust": held + 1e-12,
+                          "inadmissible": held + 1e-6}[control]
+            events = sample_events(rng, layout, model.state.x, churn)
+            try:
+                x, n_new, c = reference_advance(model, events, u, pre)
+            except ValueError:
+                with pytest.raises(ValueError, match="inadmissible"):
+                    model.advance(events, u=u, pre=pre)
+                return
+            model.advance(events, u=u, pre=pre)
+            assert pre is None or pre.x.tobytes() == pre_x.tobytes()
+            assert model.state.x.tobytes() == x.tobytes()
+            assert model.state.n_ev_connected == n_new
+            assert model.mats.C.tobytes() == c.tobytes()
 
 
 def noise_of(n_ev, in_soc, in_conn, out_soc, out_conn, layout):

@@ -349,6 +349,29 @@ class TestCsvSurfaces:
         assert len(lines[0].split(",")) == 1 + 33
         assert len(lines) == config.n_steps + 2
 
+    @pytest.mark.parametrize("rows", [0, 1, 255, 2 * scenario._BLOCK + 3])
+    def test_block_writer_writes_savetxt_bytes(self, tmp_path, rows):
+        # Cells savetxt formats one by one: non-finite, signed zero, a subnormal,
+        # 1e16, ties at the 6th digit, all-zero columns and a column zero but for
+        # one -0.0, in 1-d columns mixed with a 2-d column block.
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1234565.0, 0.1234565,
+                    -2.5e-7, 1.0000005, 999999.5]
+        rng = np.random.default_rng(rows)
+        cells = rng.choice(specials, size=(rows, 3))
+        block = np.column_stack([rng.normal(0.0, 10.0 ** rng.integers(-8, 9, rows)),
+                                 cells, np.zeros(rows), np.zeros(rows)])
+        if rows:
+            block[rows // 2, -1] = -0.0
+        columns = [np.arange(rows) * 0.25, block, cells[:, 0], np.zeros(rows)]
+        header = [f"c{i}" for i in range(3 + block.shape[1])]
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        scenario._write_table(ours, header, columns)
+        with open(theirs, "w", newline="") as fh:
+            np.savetxt(fh, np.column_stack(columns), fmt="%.6g", delimiter=",", newline="\r\n",
+                       header=",".join(header), comments="")
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert ours.read_bytes().count(b"\r\n") == rows + 1
+
     def test_tracking_csv(self, tmp_path):
         config = small_config(n_ev=60, horizon_hours=1.0)
         res = run_tracking_experiment(config)
