@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope
+from .fleet import CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope, soc_rates
 from .imm import term_table
 
 SSM = "ssm"
@@ -194,8 +194,7 @@ def move_probabilities(distributions: FleetDistributions, width: float, dt_hours
     power = distributions.rated_power_kw.sample(rng, n_samples)
     eff = distributions.efficiency.sample(rng, n_samples)
     cap = distributions.capacity_kwh.sample(rng, n_samples)
-    ds_charge = power * eff / cap * dt_hours
-    ds_discharge = power / (eff * cap) * dt_hours
+    ds_charge, ds_discharge = (rate * dt_hours for rate in soc_rates(power, eff, cap))
     worst = max(ds_charge.max(), ds_discharge.max())
     if worst >= width:
         raise ValueError(

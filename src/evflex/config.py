@@ -217,9 +217,9 @@ class SimulationConfig:
     distributions: FleetDistributions = FleetDistributions()
 
     def __post_init__(self):
-        for name in ("n_ev", "transition_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("n_ev", 1), ("transition_samples", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.n_intervals < 2:
             raise ValueError("n_intervals must be >= 2")
         if self.dt_seconds <= 0 or self.resync_minutes <= 0 or self.horizon_hours <= 0:

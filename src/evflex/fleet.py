@@ -72,11 +72,17 @@ class FleetParams:
 
     @property
     def charge_rate_per_h(self) -> np.ndarray:
-        return self.rated_charge_kw * self.charge_eff / self.capacity_kwh
+        return soc_rates(self.rated_charge_kw, self.charge_eff, self.capacity_kwh)[0]
 
     @property
     def discharge_rate_per_h(self) -> np.ndarray:
-        return self.rated_discharge_kw / (self.discharge_eff * self.capacity_kwh)
+        return soc_rates(self.rated_discharge_kw, self.discharge_eff, self.capacity_kwh)[1]
+
+
+def soc_rates(power, eff, cap) -> tuple[np.ndarray, np.ndarray]:
+    """The SOC law's change per hour at rated `power` kW: (charging, discharging)."""
+    return power * eff / cap, power / (eff * cap)
+
 
 def sample_fleet(distributions: FleetDistributions, n_ev: int, seed: int) -> FleetParams:
     """Draw a fleet from the configured distributions.
@@ -206,11 +212,12 @@ class Fleet:
     session ([plug_in, plug_out)). Each lane is a clone of the fleet with its
     own SOC, modes and running sums, sharing parameters, plug events and
     actuation draws; vehicle v of lane r has the flat id r * n + v. A
-    connected vehicle is an anchor (SOC, step, mode). One calendar files by
-    step when each anchor reaches full or empty and when its forced-charging
-    rule is next checked, so a step touches only its events, its filed
-    vehicles and those a command addresses, and keeps each lane's imm
-    envelope as running sums over them. Draws are keyed by step and vehicle.
+    connected vehicle is an anchor (SOC, step, mode). A calendar files by step
+    when each anchor reaches full or empty, and a mask marks the anchors whose
+    forced-charging rule can still bind, so a step touches only its events,
+    its filed and watched vehicles and those a command addresses, and keeps
+    each lane's imm envelope as running sums over them. Draws are keyed by
+    step and vehicle.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
@@ -238,8 +245,8 @@ class Fleet:
         self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size, n, lanes)
 
         # Per flat id, the parameters the steps read; per [mode, flat id], the
-        # SOC change per step and the SOC below which an anchor is checked
-        # for forced charging (charging once; see `_file_check`).
+        # SOC change per step and the SOC below which an anchor is watched
+        # for forced charging (charging once; see `step`).
         self._m_end, self._plug_out, self._demanded, self._rate_c, rate_d = np.tile([
             m_end, params.plug_out_h, params.demanded_soc, params.charge_rate_per_h,
             params.discharge_rate_per_h], lanes)
@@ -247,17 +254,12 @@ class Fleet:
         dsoc_c, dsoc_d = self._rate_c * dt_hours, rate_d * dt_hours
         self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
         self._watch_below = np.stack([never, -never, self._demanded, -never, never])
-        self._top = self._demanded.max(initial=-np.inf)  # an idle anchor at or above: unwatched
-        # Forced-charging slack demanded - soc - (deadline - t) * rate: deadline * rate - demanded
-        # per [yesterday's or today's session, flat id]; what a step closes per [mode, flat id].
-        self._slack = np.stack([self._m_end, self._plug_out]) * self._rate_c - self._demanded
-        self._closing = np.stack([-never, -never, dsoc_c, dsoc_c + dsoc_d, -never])
         # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in `_soc`) in `_mode`;
-        # calendar steps (-1: none) `_due`, full or empty, and `_check`; `_dirty`: to commit.
+        # `_due`: calendar step (-1: none) of full or empty; `_watch`, `_dirty`: to check, commit.
         self._soc_a, self._k_a, self._slope = np.zeros((3, n * lanes))
         self._mode = np.full(n * lanes, DISCONNECTED, dtype=np.int8)
-        self._due, self._check = np.full((2, n * lanes), -1, dtype=np.int64)
-        self._dirty, self._pending = np.zeros(n * lanes, dtype=bool), False
+        self._due, self._pending = np.full(n * lanes, -1, dtype=np.int64), False
+        self._watch, self._dirty = np.zeros((2, n * lanes), dtype=bool)
         self._calendar = defaultdict(set)  # step -> flat ids
         rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
         if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
@@ -290,37 +292,22 @@ class Fleet:
         return np.minimum(np.maximum(soc, self.params.soc_min), self.params.soc_max)
 
     def _anchor(self, ids: np.ndarray, soc, mode, k: int, after: int) -> None:
-        """Re-anchor `ids` at (soc, mode) as of step k for the commit, and set
-        the step at which each moving one reaches full or empty, filing those
-        after step `after` (a step off by one where SOC lands within rounding
-        of the bound: a float edge)."""
+        """Re-anchor `ids` at (soc, mode) as of step k for the commit, watch those whose
+        forced-charging rule can bind, and set the step at which each moving one reaches full
+        or empty, filing those after step `after` (a step off by one where SOC lands within
+        rounding of the bound: a float edge)."""
         self._soc_a[ids], self._k_a[ids], self._mode[ids] = soc, k, mode
-        slope = self._slope[ids] = self._slopes[self._mode[ids], ids]
+        mode = self._mode[ids]
+        self._watch[ids] = self._soc_a[ids] < self._watch_below[mode, ids]
+        slope = self._slope[ids] = self._slopes[mode, ids]
         self._dirty[ids], self._due[ids] = True, -1
         moving = slope.nonzero()[0]
         if moving.size:
             ids, slope = ids[moving], slope[moving]
-            bound = self._bound.take(self._mode[ids])
+            bound = self._bound.take(mode[moving])
             due = self._due[ids] = k + np.maximum(np.ceil((bound - self._soc_a[ids]) / slope),
                                                   1.0).astype(np.int64)
             for step, i in zip(due[due > after].tolist(), ids[due > after].tolist()):
-                self._calendar[step].add(i)
-
-    def _file_check(self, ids: np.ndarray, first: int) -> None:
-        """Set and file each watched anchor's next forced-charging check from step `first` on: at
-        `first` for a charging one, whose slack stays put, so it is checked once; else 2 steps
-        before the float estimate of its first binding step, filed again if it does not bind,
-        as the rule is monotone in the step for a fixed anchor and the deadline only moves later."""
-        soc, mode = self._soc_a[ids], self._mode[ids]
-        watched = soc < self._watch_below[mode, ids]
-        self._check[ids] = -1
-        if watched.any():
-            ids, soc, mode = ids[watched], soc[watched], mode[watched]
-            today = (first + 1) * self.dt_hours >= self._m_end[ids]  # as `_deadline`
-            estimate = ((self._slack[today.view(np.int8), ids] + soc
-                         - self._slope[ids] * self._k_a[ids]) / self._closing[mode, ids])
-            self._check[ids] = np.maximum(np.ceil(estimate) - 1.0, first + 1)
-            for step, i in zip(self._check[ids].tolist(), ids.tolist()):
                 self._calendar[step].add(i)
 
     def _commit(self, k: int) -> None:
@@ -348,7 +335,6 @@ class Fleet:
         """Place connected vehicles (flat ids) at (soc, mode); the next step commits them."""
         ids, k = np.asarray(ids, dtype=np.int64), self.step_index
         self._anchor(ids, soc, mode, k, k)
-        self._file_check(ids, k)
         self._pending = True
 
     def snapshot(self, lane: int = 0) -> FleetSnapshot:
@@ -378,7 +364,8 @@ class Fleet:
         filed = self._calendar.pop(j, None)
         # A command can switch only vehicles whose draw lies below its threshold.
         live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
-        if not (arrivals.size or departures.size or filed or live or self._pending):
+        if not (arrivals.size or departures.size or filed or live or self._pending
+                or self._watch.any()):
             return self._quiet  # its sums and envelopes stand
 
         params, n, t0, t1 = self.params, self.params.n_ev, k0 * self.dt_hours, j * self.dt_hours
@@ -387,27 +374,24 @@ class Fleet:
         if departures.size:  # the commit takes out their shares
             out_soc, out_mode = self._soc(departures, k0), self._mode[departures]
             self._mode[departures] = DISCONNECTED
-            self._due[departures] = self._check[departures] = -1
+            self._due[departures], self._watch[departures] = -1, False
             self._dirty[departures] = True
         in_soc, in_mode = _NO_SOC, _NO_MODE
         if arrivals.size:
             in_soc, in_mode = params.initial_soc[in_ids], np.full(in_ids.size, CS, dtype=np.int8)
             self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)
 
-        # Forced-charging promotion, sticky until plug-out or full: arrivals
-        # and the vehicles filed for a check at this step.
-        filed = np.fromiter(filed, np.int64, len(filed)) if filed else _NO_IDS
-        check = _join(arrivals, filed[self._check[filed] == j] if filed.size else _NO_IDS)
-        promoted = again = switched = _NO_IDS
+        # Forced-charging promotion, sticky until plug-out or full, of the watched vehicles. A
+        # charging one is checked once: its slack demanded - soc - (deadline - t0) * rate stays.
+        check, promoted, switched = self._watch.nonzero()[0], _NO_IDS, _NO_IDS
         if check.size:
             soc = self._soc(check, k0)
+            self._watch[check] = self._mode[check] != CS
             binding = (self._demanded[check] - soc >=
                        (self._deadline(check, t1) - t0) * self._rate_c[check])
             if binding.any():
                 promoted = check[binding]
                 self._anchor(promoted, soc[binding], FCS, k0, j)
-            if filed.size:  # a charging one is checked once
-                again = check[~binding & (self._mode[check] != CS)]
 
         if live:  # each lane's candidates, switched by one rule in one pass
             alpha = step_stream(self.seed, k0).random(n)
@@ -426,16 +410,11 @@ class Fleet:
                 self._anchor(switched, soc[moved], new[moved], k0, j)
 
         # Boundary absorption, clamp and go idle: the vehicles filed or placed
-        # this step that are due now. Each anchor's next check is filed when
-        # it was placed after this step's checks or did not bind.
+        # this step that are due now.
+        filed = np.fromiter(filed, np.int64, len(filed)) if filed else _NO_IDS
         due = _join(arrivals, promoted, switched, filed)
         absorbed = due[self._due[due] == j] if due.size else _NO_IDS
         if absorbed.size:
-            soc = self._bound.take(self._mode[absorbed])
-            self._anchor(absorbed, soc, IS, j, j)
-            absorbed = absorbed[soc < self._top]  # the rest, idle at or above demand, never bind
-        watched = _join(switched, absorbed, again)
-        if watched.size:
-            self._file_check(watched, j)
+            self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)
         self._commit(j)
         return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode, self._envelopes)

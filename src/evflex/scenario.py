@@ -77,9 +77,10 @@ class ReferenceGenerator:
     that step.
 
     Outside the scripted windows a fresh level is drawn from the central
-    fraction of the band at every period boundary (and at the first step
-    after a window) and held. Inside a window the level sits at the window's
-    depth of the one-sided headroom, frozen at the window start.
+    fraction of the band at every period boundary and held; after a window
+    the level held before it resumes until the next boundary. Inside a window
+    the level sits at the window's depth of the one-sided headroom, frozen at
+    the window start.
     """
 
     def __init__(self, reference: ReferenceConfig, dt_hours: float, k_steps: int, seed: int):

@@ -191,6 +191,34 @@ class TestFleetStep:
         snap = stepped(fleet)
         assert (snap.connection == Connection.FORCED_CHARGING).all()
 
+    def test_floor_absorbed_vehicle_promoted_on_its_binding_step(self):
+        # Discharged to the floor and absorbed idle below its demand, in a
+        # session [0, 2) h with no other event: promoted at the first step
+        # whose rule binds, found here from the step loop's own floats.
+        fleet = one_vehicle(0.0001, Connection.DISCHARGING, demanded=0.3, plug_out=26.0)
+        snap = stepped(fleet)
+        assert snap.connection[0] == Connection.IDLE and snap.soc[0] == 0.0
+        params, deadline = fleet.params, fleet.params.plug_out_h[0] - 24.0
+        k0 = np.arange(1, 480)
+        binding = (params.demanded_soc[0] - params.soc_min
+                   >= (deadline - k0 * fleet.dt_hours) * params.charge_rate_per_h[0])
+        first = int(k0[binding.argmax()])  # the step starting there promotes it
+        assert binding.any() and first > 1
+        for _ in range(first - 1):
+            fleet.step()
+        assert fleet.step_index == first and fleet.snapshot().connection[0] == Connection.IDLE
+        assert stepped(fleet).connection[0] == Connection.FORCED_CHARGING
+
+    def test_departed_vehicle_stays_disconnected(self):
+        # Discharging above its demand when it leaves at 2 h: its SOC law
+        # would fall below the demand later, but no check may reconnect it.
+        fleet = one_vehicle(initial=0.9, demanded=0.5, plug_in=1.0, plug_out=2.0)
+        for _ in range(250):
+            fleet.step()
+        fleet.set_state([0], 0.9, Connection.DISCHARGING)
+        connected = [stepped(fleet).n_connected for _ in range(470)]
+        assert connected[:200] == [1] * 200 and connected[-200:] == [0] * 200
+
     def test_demanded_soc_met_at_plugout(self, table_distributions):
         params = sample_fleet(table_distributions, 300, seed=9)
         fleet = Fleet(params, DT_15S, seed=9)
@@ -550,7 +578,7 @@ class TestEventDrivenKernel:
     @pytest.mark.parametrize("variant", [None, "essm"])
     def test_matches_stepwise_oracle_over_a_day(self, table_distributions, variant):
         # 500 vehicles, 24 h at 15 s steps: a day of quiet steps between the
-        # events, which must still run the forced-charging checks filed there.
+        # events, which must still check the watched vehicles for forced charging.
         # Commands, when on, act on every other step.
         fleet = Fleet(sample_fleet(table_distributions, 500, seed=7), DT_15S, seed=7)
         commands = random_commands(variant, 24 * 240, seed=4, fleet=fleet, hold=4 * 240,

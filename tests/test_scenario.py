@@ -102,6 +102,15 @@ class TestGenerateReference:
         b = reference_series(*args, dt_hours=1 / 240, period_hours=0.5, seed=9)
         np.testing.assert_array_equal(a, b)
 
+    def test_level_held_before_a_window_resumes_after_it(self):
+        # A window [1.0, 1.5) h inside one 3 h period: nothing is drawn after
+        # it, the level held before it comes back until the next boundary.
+        reference = ReferenceConfig(3.0, scripted=(ScriptedStep("provide", 1.0, 0.5, 0.5),))
+        gen = ReferenceGenerator(reference, 0.25, 12, seed=3)
+        ref = [gen.level(k, FlexibilityEnvelope(0.0, 100.0, -100.0)) for k in range(12)]
+        assert ref[4:6] == [50.0, 50.0] and ref[0] != 50.0
+        assert ref[:4] + ref[6:] == [ref[0]] * 10
+
 
 class TestPredictionExperiment:
     def test_series_lengths_and_bracketing(self):
@@ -412,6 +421,13 @@ class TestCli:
                                         "--out", str(tmp_path)])
         assert line.startswith("evflex: error: variants must be")
 
+    def test_negative_seed_override(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["predict", "--n-ev", "50", "--seed", "-1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if "error" in line] == ["evflex: error: seed must be >= 0"]
+
     def test_fractional_count_in_config(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_ev": 5.7}))
@@ -449,6 +465,7 @@ class TestCli:
         ({"n_ev": 100, "horizon_hours": 3.0, "transition_samples": 2000,
           "reference": {"scripted": [{"kind": "provide", "start_h": 1.0, "duration_h": 0.002}]}},
          "ScriptedStep duration_h 0.002 h holds no step"),
+        ({"seed": -1}, "seed must be >= 0"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
