@@ -277,10 +277,10 @@ def measure(c: np.ndarray, x: np.ndarray, noise_std_kw=None,
     return y
 
 
-def churn_keys(events: FleetStep, layout: StateLayout) -> np.ndarray:
-    """`StateLayout.keys` of a step's plug events, binned once for all its
-    lanes: one row per lane, the shared arrivals, then the lane's departures."""
-    lanes, d = len(events.envelopes), events.n_out
+def churn_keys(events: FleetStep, layout: StateLayout, lanes: int = 1) -> np.ndarray:
+    """`StateLayout.keys` of a step's plug events, binned once for the first `lanes` lanes of
+    its fleet: one row per lane, the shared arrivals, then the lane's departures."""
+    d = events.n_out
     conn, soc = (np.concatenate([part for r in range(lanes) for part in (a, b[r * d:(r + 1) * d])])
                  for a, b in ((events.in_connection, events.out_connection),
                               (events.in_soc, events.out_soc)))

@@ -157,6 +157,14 @@ class FleetDistributions:
             raise ValueError(f"plug_in_hour low must be >= 0 h, got {self.plug_in_hour.low}")
         if self.plug_out_hour.high > 2 * HOURS_PER_DAY:
             raise ValueError(f"plug_out_hour high must be <= 48 h, got {self.plug_out_hour.high}")
+        # A truncated normal draws a value at most REJECTION_BUDGET times, in vain with odds
+        # (1 - mass)^budget: a mass in [low, high] below 30 / budget (odds e^-30) is refused.
+        for name, spec in vars(self).items():
+            if getattr(spec, "std", 0.0) > 0.0:
+                lo, hi = (math.erf((x - spec.mean) / (spec.std * math.sqrt(2.0)))
+                          for x in (spec.low, spec.high))
+                if (hi - lo) / 2.0 < 30.0 / REJECTION_BUDGET:
+                    raise ValueError(f"{name} keeps too little normal mass in [low, high]")
 
 
 @dataclass(frozen=True)
@@ -217,13 +225,20 @@ class SimulationConfig:
     distributions: FleetDistributions = FleetDistributions()
 
     def __post_init__(self):
-        for name, least in (("n_ev", 1), ("transition_samples", 1), ("seed", 0)):
+        for name, least in (("n_ev", 1), ("transition_samples", 1), ("seed", 0),
+                            ("n_intervals", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.n_intervals < 2:
-            raise ValueError("n_intervals must be >= 2")
         if self.dt_seconds <= 0 or self.resync_minutes <= 0 or self.horizon_hours <= 0:
             raise ValueError("time settings must be strictly positive")
+        # A step must move the fastest drawable vehicle (discharging, efficiency <= 1) < 1 interval.
+        from .fleet import soc_rates  # fleet imports this module
+        d = self.distributions
+        fastest = soc_rates(d.rated_power_kw.high, d.efficiency.low,
+                            d.capacity_kwh.low)[1] * self.dt_hours
+        if fastest >= (width := (d.soc_max - d.soc_min) / self.n_intervals):
+            raise ValueError(f"dt_seconds {self.dt_seconds:g} moves the fastest vehicle "
+                             f"{fastest:.4g} SOC per step, an interval width {width:.4g} or more")
         if self.horizon_hours > HOURS_PER_DAY:
             raise ValueError(f"horizon_hours must be <= 24 (the fleet's schedule covers one "
                              f"day), got {self.horizon_hours}")

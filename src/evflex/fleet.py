@@ -136,13 +136,11 @@ class FlexibilityEnvelope:
 
 @dataclass
 class FleetSnapshot:
-    """Telemetry of the connected vehicles at one instant."""
+    """Telemetry of the connected vehicles at one instant: ids, SOC, mode and rated powers."""
 
-    time_h: float
     ids: np.ndarray
     soc: np.ndarray
     connection: np.ndarray
-    power_kw: np.ndarray
     rated_charge_kw: np.ndarray
     rated_discharge_kw: np.ndarray
 
@@ -153,8 +151,8 @@ class FleetSnapshot:
 
 @dataclass
 class FleetStep:
-    """One step of a fleet's lanes: the shared plug events (ids, arrivals' SOC and mode), each
-    lane's departure SOC and mode (lane-major, n_out each) and envelope after the step."""
+    """The plug events of one step of a fleet's lanes: the shared ids, the arrivals' SOC and
+    mode, and each lane's departure SOC and mode (lane-major, n_out each)."""
 
     in_ids: np.ndarray
     in_soc: np.ndarray
@@ -162,7 +160,6 @@ class FleetStep:
     out_ids: np.ndarray
     out_soc: np.ndarray
     out_connection: np.ndarray
-    envelopes: tuple[FlexibilityEnvelope, ...]
 
     @property
     def n_in(self) -> int:
@@ -174,6 +171,7 @@ class FleetStep:
 
 
 _NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.int8)
+_QUIET = FleetStep(*(_NO_IDS, _NO_SOC, _NO_MODE) * 2)  # a step without plug events
 # Running sums in int64 units of 2**-40 kW (up to 2**22 kW): a vehicle takes
 # out bitwise what it put in, and an emptied set sums to exactly zero.
 _KW_UNITS = 2.0 ** 40
@@ -216,8 +214,8 @@ class Fleet:
     when each anchor reaches full or empty, and a mask marks the anchors whose
     forced-charging rule can still bind, so a step touches only its events,
     its filed and watched vehicles and those a command addresses, and keeps
-    each lane's imm envelope as running sums over them. Draws are keyed by
-    step and vehicle.
+    each lane's imm envelope (`envelopes`, as of the last step or t = 0) as
+    running sums over them. Draws are keyed by step and vehicle.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
@@ -284,6 +282,10 @@ class Fleet:
         ids = np.flatnonzero(connected)
         self.set_state((ids + n * np.arange(lanes)[:, None]).ravel(), np.tile(soc[ids], lanes),
                        np.tile(np.where(soc[ids] >= params.soc_max, IS, CS), lanes))
+        # The envelopes at t = 0; step 1 commits the placed vehicles again at its SOC, as it
+        # does every anchor (one placed at a bound in a moving mode leaves it on that step).
+        self._commit(0)
+        self._dirty[:], self._pending = self._mode != DISCONNECTED, True
 
     def _soc(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The SOC law: SOC at step k of the vehicles `ids` from their
@@ -311,8 +313,7 @@ class Fleet:
                 self._calendar[step].add(i)
 
     def _commit(self, k: int) -> None:
-        """Move the marked vehicles' shares of their lane's sums to step k; refresh the envelopes
-        and the step that quiet steps return until the next commit."""
+        """Move the marked vehicles' shares of their lane's sums to step k; refresh `envelopes`."""
         ids = self._dirty.nonzero()[0]
         if ids.size:
             self._dirty[ids], self._pending = False, False
@@ -321,10 +322,9 @@ class Fleet:
             terms = np.matmul(self._units[ids, None], coef)[:, 0]
             np.add.at(self._sums, ids // self.params.n_ev, terms - self._held[ids])
             self._held[ids] = terms
-        self._envelopes = tuple([
+        self.envelopes = tuple([
             FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
             for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
-        self._quiet = FleetStep(*(_NO_IDS, _NO_SOC, _NO_MODE) * 2, self._envelopes)
 
     def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
         """Plug-out time of the session that holds each vehicle of `idx` at t."""
@@ -340,18 +340,13 @@ class Fleet:
     def snapshot(self, lane: int = 0) -> FleetSnapshot:
         n, k = self.params.n_ev, self.step_index
         ids = (self._mode[lane * n:(lane + 1) * n] != DISCONNECTED).nonzero()[0]
-        mode = self._mode[ids + lane * n]
-        rated_c, rated_d = self.params.rated_charge_kw[ids], self.params.rated_discharge_kw[ids]
-        power = np.where((mode == CS) | (mode == FCS), -rated_c,
-                         np.where(mode == DS, rated_d, 0.0))
-        return FleetSnapshot(time_h=k * self.dt_hours, ids=ids, soc=self._soc(ids + lane * n, k),
-                             connection=mode, power_kw=power, rated_charge_kw=rated_c,
-                             rated_discharge_kw=rated_d)
+        return FleetSnapshot(ids, self._soc(ids + lane * n, k), self._mode[ids + lane * n],
+                             self.params.rated_charge_kw[ids], self.params.rated_discharge_kw[ids])
 
     def step(self, *commands) -> FleetStep:
         """Advance every lane one step under its command (one per lane; none: all uncontrolled):
-        plug events, forced-charging checks, actuation, boundary absorption. Returns the
-        step's plug events and each lane's envelope after it."""
+        plug events, forced-charging checks, actuation, boundary absorption; then refresh
+        `envelopes`. Returns the step's plug events."""
         lanes = self.lanes
         if len(commands) not in (0, lanes):
             raise ValueError(f"{lanes} lanes take {lanes} commands, not {len(commands)}")
@@ -366,7 +361,7 @@ class Fleet:
         live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
         if not (arrivals.size or departures.size or filed or live or self._pending
                 or self._watch.any()):
-            return self._quiet  # its sums and envelopes stand
+            return _QUIET  # the sums and envelopes stand
 
         params, n, t0, t1 = self.params, self.params.n_ev, k0 * self.dt_hours, j * self.dt_hours
         in_ids, out_ids = arrivals[:arrivals.size // lanes], departures[:departures.size // lanes]
@@ -417,4 +412,4 @@ class Fleet:
         if absorbed.size:
             self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)
         self._commit(j)
-        return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode, self._envelopes)
+        return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode)

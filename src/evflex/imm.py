@@ -1,9 +1,9 @@
 """Individual modeling baseline: exact per-vehicle summation.
 
-Ground truth for power and flexibility. Power sums the snapshot's telemetry
-directly; the envelope applies each vehicle's one-step capability rule
-(`capability`), which `term_table` restates as the coefficients that the
-fleet's running sums and the aggregate models' output matrices read.
+The ground truth for power and flexibility is each vehicle's power and one-step capability
+rule (`capability`). `term_table` states it as the coefficients that the fleet's running
+sums and the aggregate models' output matrices read; `imm_flexibility` sums it over a
+snapshot in floats, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ def term_table(soc_min: float, soc_max: float) -> np.ndarray:
 
 def imm_flexibility(snapshot: FleetSnapshot, soc_min: float = 0.0,
                     soc_max: float = 1.0) -> FlexibilityEnvelope:
-    fcs, can_discharge, can_charge = capability(snapshot.soc, snapshot.connection,
-                                                soc_min, soc_max)
-    forced = snapshot.rated_charge_kw[fcs].sum()
-    upper = snapshot.rated_discharge_kw[can_discharge].sum() - forced
-    lower = -snapshot.rated_charge_kw[can_charge].sum() - forced
-    return FlexibilityEnvelope(
-        p_ev_kw=float(snapshot.power_kw.sum()),
-        p_u_kw=float(upper),
-        p_l_kw=float(lower),
-    )
+    """The envelope of `snapshot`, summed vehicle by vehicle: a charging or forced one draws
+    -P_c, a discharging one +P_d, an idle one 0."""
+    mode, p_c, p_d = snapshot.connection, snapshot.rated_charge_kw, snapshot.rated_discharge_kw
+    fcs, can_discharge, can_charge = capability(snapshot.soc, mode, soc_min, soc_max)
+    forced = p_c[fcs].sum()
+    return FlexibilityEnvelope(float(p_d[mode == DS].sum() - p_c[(mode == CS) | fcs].sum()),
+                               float(p_d[can_discharge].sum() - forced),
+                               float(-p_c[can_charge].sum() - forced))

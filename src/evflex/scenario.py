@@ -26,7 +26,6 @@ from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLay
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, sample_fleet
-from .imm import imm_flexibility
 
 _STREAM_REFERENCE = 7
 _STREAM_NOISE = 11
@@ -138,16 +137,15 @@ class RunResult:
     variants: dict[str, VariantSeries]
 
     def prediction_errors(self) -> list[dict]:
+        """Per variant, `error_metrics` of each bound and of power; nan where its baseline is 0."""
         rows = []
         for name in self.config.variants:
             vs = self.variants[name]
-            rows.append({
-                "n_ev": self.config.n_ev,
-                "variant": name,
-                "upper_err_pct": error_metrics(vs.model_u_kw, vs.imm_u_kw),
-                "lower_err_pct": error_metrics(vs.model_l_kw, vs.imm_l_kw),
-                "power_err_pct": error_metrics(vs.model_p_kw, vs.imm_p_kw),
-            })
+            rows.append({"n_ev": self.config.n_ev, "variant": name} | {
+                f"{column}_err_pct": error_metrics(model, base) if base.any() else np.nan
+                for column, model, base in (("upper", vs.model_u_kw, vs.imm_u_kw),
+                                            ("lower", vs.model_l_kw, vs.imm_l_kw),
+                                            ("power", vs.model_p_kw, vs.imm_p_kw))})
         return rows
 
     def tracking_rms_kw(self, variant: str) -> float:
@@ -203,7 +201,7 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
             generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
             lead = models[ESSM if ESSM in models else names[0]]
     for r, lane in enumerate(lanes):
-        _record(config, fleet, r, lane, series, models, noise, None, 0)
+        _record(fleet, r, lane, series, models, noise, True, 0)
 
     layout = models[names[0]].layout  # keys depend only on N and the SOC range
     resync_steps = config.resync_steps
@@ -221,34 +219,28 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
                 inputs[r] = plan.expected_u, pre
                 vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
         step = fleet.step(*commands)
-        keys = churn_keys(step, layout) if step.n_in or step.n_out else None
+        keys = churn_keys(step, layout, len(lanes)) if step.n_in or step.n_out else None
         for r, lane in enumerate(lanes):
             u, pre = inputs[r]
             for name in lane:
                 models[name].advance(step, u, pre, None if keys is None else keys[r])
-            _record(config, fleet, r, lane, series, models, noise,
-                    step if (k + 1) % resync_steps else None, k + 1)
+            _record(fleet, r, lane, series, models, noise, (k + 1) % resync_steps == 0, k + 1)
     if generator is not None:
         reference[0] = reference[1]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
-def _record(config: SimulationConfig, fleet: Fleet, lane: int, names, series, models, noise,
-            step, k: int) -> None:
+def _record(fleet: Fleet, lane: int, names, series, models, noise, resync: bool, k: int) -> None:
     """Record step k of the variants `names` that the fleet's `lane` serves: each model's
-    output C x, and the ground truth, which is the lane's running sums of `step` or, without
-    one (at a resync, k = 0 included), the exact sum over fresh telemetry, which also resets
-    the models from keys binned once."""
-    if step is not None:
-        env_true = step.envelopes[lane]
-    else:
+    output C x, after a `resync` (k = 0 included) resets the models from fresh telemetry
+    binned once, and the ground truth, the lane's running envelope."""
+    if resync:
         snap = fleet.snapshot(lane)
         keys = models[names[0]].layout.keys(snap.connection, snap.soc)
         for name in names:
             models[name].resync(snap, keys)
-        env_true = imm_flexibility(snap, config.distributions.soc_min,
-                                   config.distributions.soc_max)
-    truth = env_true.p_ev_kw, env_true.p_u_kw, env_true.p_l_kw
+    env = fleet.envelopes[lane]
+    truth = env.p_ev_kw, env.p_u_kw, env.p_l_kw
     for name in names:
         model, vs = models[name], series[name]
         vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])

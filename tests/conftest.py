@@ -3,7 +3,7 @@ import pytest
 
 from evflex.aggregate import AggregateState, build_output_matrix, measure
 from evflex.config import DistributionSpec, FleetDistributions
-from evflex.fleet import Connection, FleetSnapshot, FleetStep, FlexibilityEnvelope
+from evflex.fleet import FleetSnapshot, FleetStep, FlexibilityEnvelope
 
 
 def point(value: float) -> DistributionSpec:
@@ -26,7 +26,7 @@ def deterministic_distributions(power=6.0, eff=0.9, capacity=24.0, initial=0.5,
     )
 
 
-def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0) -> FleetSnapshot:
+def make_snapshot(soc, connection, pc=6.0, pd=None) -> FleetSnapshot:
     """Hand-built telemetry for aggregate/control tests."""
     soc = np.asarray(soc, dtype=float)
     connection = np.asarray(connection, dtype=np.int8)
@@ -34,16 +34,10 @@ def make_snapshot(soc, connection, pc=6.0, pd=None, time_h=0.0) -> FleetSnapshot
     pc_arr = np.full(n, pc) if np.isscalar(pc) else np.asarray(pc, dtype=float)
     pd_arr = pc_arr.copy() if pd is None else (
         np.full(n, pd) if np.isscalar(pd) else np.asarray(pd, dtype=float))
-    power = np.zeros(n)
-    charging = (connection == Connection.CHARGING) | (connection == Connection.FORCED_CHARGING)
-    power[charging] = -pc_arr[charging]
-    power[connection == Connection.DISCHARGING] = pd_arr[connection == Connection.DISCHARGING]
     return FleetSnapshot(
-        time_h=time_h,
         ids=np.arange(n, dtype=np.int64),
         soc=soc,
         connection=connection,
-        power_kw=power,
         rated_charge_kw=pc_arr,
         rated_discharge_kw=pd_arr,
     )
@@ -57,7 +51,6 @@ def make_events(in_events=None, out_events=None) -> FleetStep:
     return FleetStep(
         in_ids=in_ids, in_soc=np.asarray(in_soc, dtype=float), in_connection=in_conn,
         out_ids=out_ids, out_soc=np.asarray(out_soc, dtype=float), out_connection=out_conn,
-        envelopes=(FlexibilityEnvelope(0.0, 0.0, 0.0),),
     )
 
 

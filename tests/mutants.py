@@ -68,9 +68,18 @@ MUTANTS = (
     Mutant("CSV output", "the block writer drops the last partial block", "scenario.py",
            "np.split(table, range(_BLOCK, len(table), _BLOCK)):",
            "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
+    Mutant("running sums", "every lane records lane 0's envelope", "scenario.py",
+           "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
     # The fleet kernel: forced charging, the watched mask, the calendar, lanes and absorption.
-    Mutant("running sums", "the cached quiet step is not refreshed at commit", "fleet.py",
-           "self._quiet = FleetStep(", "self._quiet = getattr(self, '_quiet', None) or FleetStep("),
+    Mutant("running sums", "the envelopes lag the sums by one commit", "fleet.py",
+           "        self.envelopes = tuple([",
+           "        self.envelopes = getattr(self, '_next', None) or (\n"
+           "            (FlexibilityEnvelope(0.0, 0.0, 0.0),) * self.lanes)\n"
+           "        self._next = tuple(["),
+    Mutant("running sums", "construction skips the t = 0 commit", "fleet.py",
+           "        self._commit(0)\n", ""),
+    Mutant("running sums", "construction does not re-mark its vehicles for step 1", "fleet.py",
+           "        self._dirty[:], self._pending = self._mode != DISCONNECTED, True\n", ""),
     Mutant("deadline rule", "the binding rule is strict", "fleet.py",
            "binding = (self._demanded[check] - soc >=", "binding = (self._demanded[check] - soc >"),
     Mutant("deadline rule", "yesterday's deadline holds at its own plug-out", "fleet.py",

@@ -135,7 +135,7 @@ class TestFleetStep:
         assert snap.n_connected == 20
         np.testing.assert_allclose(snap.soc, 0.5009375, atol=1e-12)
         assert (snap.connection == Connection.CHARGING).all()
-        np.testing.assert_array_equal(snap.power_kw, -6.0)
+        assert imm_flexibility(snap).p_ev_kw == -6.0 * 20
 
     def test_session_starting_at_zero_is_not_carried_over(self):
         # Plug-in at 0.0 h opens today's session; only a vehicle whose session
@@ -153,7 +153,7 @@ class TestFleetStep:
         snap = stepped(fleet)
         np.testing.assert_array_equal(snap.soc, 1.0)
         assert (snap.connection == Connection.IDLE).all()
-        np.testing.assert_array_equal(snap.power_kw, 0.0)
+        assert imm_flexibility(snap).p_ev_kw == 0.0
 
     def test_discharge_absorption_at_floor(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 4, seed=1), DT_15S, seed=1)
@@ -180,7 +180,7 @@ class TestFleetStep:
         fleet.set_state(np.arange(3), 0.5, Connection.DISCHARGING)
         snap = stepped(fleet)
         assert (snap.connection == Connection.FORCED_CHARGING).all()
-        np.testing.assert_array_equal(snap.power_kw, -6.0)
+        assert imm_flexibility(snap).p_ev_kw == -6.0 * 3
         assert (snap.soc > 0.5).all()
 
     def test_forced_charging_sticky_until_full(self):
@@ -585,6 +585,22 @@ class TestEventDrivenKernel:
                                    ties=False)
         matches_stepwise_oracle(fleet, (c if k % 2 else None for k, c in enumerate(commands)))
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_envelope_at_construction_matches_exact_sum(self, table_distributions, lanes):
+        params = sampled_edge_fleet(table_distributions, seed=33).params
+        params.initial_soc[[4, 5]] = params.soc_min  # placed at t = 0 charging at the floor
+        fleet = Fleet(params, DT_5MIN, seed=33, lanes=lanes)
+        assert (fleet.snapshot().soc == params.soc_min).sum() == 2
+        for _ in range(2):  # at t = 0, and after step 1 has lifted those two off the floor
+            assert len(fleet.envelopes) == lanes
+            for r, envelope in enumerate(fleet.envelopes):
+                snap = fleet.snapshot(r)
+                assert snap.n_connected > 2  # with yesterday's sessions carried over
+                exact = imm_flexibility(snap, params.soc_min, params.soc_max)
+                np.testing.assert_allclose(astuple(envelope),
+                                           [exact.p_ev_kw, exact.p_u_kw, exact.p_l_kw], rtol=1e-9)
+            fleet.step()
+
     @pytest.mark.parametrize("variant", [None, "ssm", "essm"])
     def test_running_envelope_matches_exact_sum(self, table_distributions, variant):
         fleet = sampled_edge_fleet(table_distributions, seed=33)
@@ -599,7 +615,7 @@ class TestEventDrivenKernel:
             snap = fleet.snapshot()
             exact = imm_flexibility(snap, p.soc_min, p.soc_max)
             np.testing.assert_allclose(
-                astuple(step.envelopes[0]),
+                astuple(fleet.envelopes[0]),
                 [exact.p_ev_kw, exact.p_u_kw, exact.p_l_kw], rtol=1e-9)
             floor_arrivals += np.count_nonzero(step.in_soc == p.soc_min)
             mode = np.full(p.n_ev, Connection.DISCONNECTED, dtype=np.int8)
@@ -634,8 +650,8 @@ class TestLanes:
             for r, (fleet, command) in enumerate(zip(solo, commands)):
                 one = fleet.step(command)
                 lane = slice(r * d, (r + 1) * d)
-                assert np.array(astuple(both.envelopes[r])).tobytes() == \
-                    np.array(astuple(one.envelopes[0])).tobytes(), (k, r)
+                assert np.array(astuple(pair.envelopes[r])).tobytes() == \
+                    np.array(astuple(fleet.envelopes[0])).tobytes(), (k, r)
                 for ours, theirs in [(both.in_ids, one.in_ids), (both.in_soc, one.in_soc),
                                      (both.in_connection, one.in_connection),
                                      (both.out_ids, one.out_ids), (both.out_soc[lane], one.out_soc),

@@ -348,6 +348,19 @@ class TestCsvSurfaces:
         assert lines[0] == "n_ev,variant,upper_err_pct,lower_err_pct,power_err_pct"
         assert len(lines) == 3
 
+    def test_zero_baseline_reads_nan(self, capsys, tmp_path):
+        # One vehicle, connected full and idle: its power and lower bound are zero throughout,
+        # so their error ratios are undefined; its upper bound is not.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_ev": 1, "horizon_hours": 0.25, "seed": 1}))
+        assert main(["predict", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in (tmp_path / "errors.csv").read_text().splitlines()]
+        assert [row[1:] for row in rows[1:]] == [[v, rows[1][2], "nan", "nan"]
+                                                 for v in ("ssm", "essm")]
+        assert rows[1][2] != "nan"
+        printed = capsys.readouterr().out.splitlines()
+        assert all("lower=nan% power=nan%" in line for line in printed[:2])
+
     def test_states_csv_dimensions(self, tmp_path):
         config = small_config(n_ev=60, horizon_hours=1.0)
         res = run_prediction_experiment(config)
@@ -466,6 +479,12 @@ class TestCli:
           "reference": {"scripted": [{"kind": "provide", "start_h": 1.0, "duration_h": 0.002}]}},
          "ScriptedStep duration_h 0.002 h holds no step"),
         ({"seed": -1}, "seed must be >= 0"),
+        # 7 kW into 20 kWh at 88 %: 0.0331 SOC per 300 s step, above a 1/40 interval.
+        ({"dt_seconds": 300, "n_intervals": 40}, "dt_seconds 300 moves the fastest vehicle"),
+        # N(0, 0.03) holds next to nothing in [0.7, 0.9]: no draw would ever land there.
+        ({"distributions": {"demanded_soc": {"kind": "normal", "low": 0.7, "high": 0.9,
+                                             "mean": 0.0, "std": 0.03}}},
+         "demanded_soc keeps too little normal mass"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
