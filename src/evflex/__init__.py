@@ -25,7 +25,6 @@ from .config import (
     ScriptedStep,
     SimulationConfig,
     load_config,
-    save_config,
 )
 from .control import (
     DispatchCommand,

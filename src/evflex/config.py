@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -96,6 +96,27 @@ class DistributionSpec:
         if self.kind == "normal" and self.std == 0 and not self.low <= self.mean <= self.high:
             raise ValueError(f"degenerate normal {self} has its mean outside [low, high]")
 
+    def normal_mass(self, lo: float, hi: float) -> float:
+        """The untruncated normal's mass in [lo, hi] (std > 0)."""
+        lo, hi = (math.erf((x - self.mean) / (self.std * math.sqrt(2.0))) for x in (lo, hi))
+        return (hi - lo) / 2.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """The least and the greatest value a draw can take."""
+        degenerate = self.kind == "normal" and self.std == 0.0
+        return (self.mean, self.mean) if degenerate else (self.low, self.high)
+
+    def mass(self, lo: float, hi: float) -> float:
+        """The share of draws inside (lo, hi); the spec's own mass check has passed."""
+        least, greatest = self.support
+        if least == greatest:
+            return float(lo < least < hi)
+        lo, hi = max(lo, least), min(hi, greatest)
+        if self.kind == "uniform":
+            return max(hi - lo, 0.0) / (greatest - least)
+        return max(self.normal_mass(lo, hi), 0.0) / self.normal_mass(least, greatest)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, size)
@@ -159,12 +180,16 @@ class FleetDistributions:
             raise ValueError(f"plug_out_hour high must be <= 48 h, got {self.plug_out_hour.high}")
         # A truncated normal draws a value at most REJECTION_BUDGET times, in vain with odds
         # (1 - mass)^budget: a mass in [low, high] below 30 / budget (odds e^-30) is refused.
+        least = 30.0 / REJECTION_BUDGET
         for name, spec in vars(self).items():
-            if getattr(spec, "std", 0.0) > 0.0:
-                lo, hi = (math.erf((x - spec.mean) / (spec.std * math.sqrt(2.0)))
-                          for x in (spec.low, spec.high))
-                if (hi - lo) / 2.0 < 30.0 / REJECTION_BUDGET:
-                    raise ValueError(f"{name} keeps too little normal mass in [low, high]")
+            if getattr(spec, "std", 0.0) > 0.0 and spec.normal_mass(spec.low, spec.high) < least:
+                raise ValueError(f"{name} keeps too little normal mass in [low, high]")
+        # The same odds hold for a plug-out, redrawn until it lies within a day after its plug-in.
+        # Both kinds of spec are log-concave, so that mass is least at the earliest or latest one.
+        for hour in self.plug_in_hour.support:
+            if self.plug_out_hour.mass(hour, hour + HOURS_PER_DAY) < least:
+                raise ValueError(f"plug_out_hour keeps too little mass within a day after "
+                                 f"a plug_in_hour of {hour:g} h")
 
 
 @dataclass(frozen=True)
@@ -285,9 +310,3 @@ class SimulationConfig:
 def load_config(path: str | Path) -> SimulationConfig:
     with open(path) as fh:
         return from_dict(SimulationConfig, json.load(fh))
-
-
-def save_config(config: SimulationConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,6 @@ Sign convention is grid-injection-positive: charging vehicles contribute
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -171,7 +170,6 @@ class FleetStep:
 
 
 _NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.int8)
-_QUIET = FleetStep(*(_NO_IDS, _NO_SOC, _NO_MODE) * 2)  # a step without plug events
 # Running sums in int64 units of 2**-40 kW (up to 2**22 kW): a vehicle takes
 # out bitwise what it put in, and an emptied set sums to exactly zero.
 _KW_UNITS = 2.0 ** 40
@@ -195,12 +193,6 @@ def _events(bucket: tuple[np.ndarray, memoryview], j: int) -> np.ndarray:
     return ids[ptr[j]:ptr[j + 1]] if j + 1 < len(ptr) else _NO_IDS
 
 
-def _join(*parts: np.ndarray) -> np.ndarray:
-    """The id arrays `parts` end to end, with no numpy call unless two are non-empty."""
-    parts = [part for part in parts if part.size]
-    return (np.concatenate(parts) if len(parts) > 1 else parts[0]) if parts else _NO_IDS
-
-
 class Fleet:
     """Event-driven fleet state machine over one or more lanes.
 
@@ -210,12 +202,12 @@ class Fleet:
     session ([plug_in, plug_out)). Each lane is a clone of the fleet with its
     own SOC, modes and running sums, sharing parameters, plug events and
     actuation draws; vehicle v of lane r has the flat id r * n + v. A
-    connected vehicle is an anchor (SOC, step, mode). A calendar files by step
-    when each anchor reaches full or empty, and a mask marks the anchors whose
-    forced-charging rule can still bind, so a step touches only its events,
-    its filed and watched vehicles and those a command addresses, and keeps
-    each lane's imm envelope (`envelopes`, as of the last step or t = 0) as
-    running sums over them. Draws are keyed by step and vehicle.
+    connected vehicle is an anchor (SOC, step, mode) with the step at which it
+    reaches full or empty, and a mask marks the anchors whose forced-charging
+    rule can still bind, so a step touches only its events, its due and
+    watched vehicles and those a command addresses, and keeps each lane's imm
+    envelope (`envelopes`, as of the last step or t = 0) as running sums over
+    them. Draws are keyed by step and vehicle.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
@@ -253,12 +245,11 @@ class Fleet:
         self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
         self._watch_below = np.stack([never, -never, self._demanded, -never, never])
         # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in `_soc`) in `_mode`;
-        # `_due`: calendar step (-1: none) of full or empty; `_watch`, `_dirty`: to check, commit.
+        # `_due`: the step (-1: none) of full or empty; `_watch`, `_dirty`: to check, to commit.
         self._soc_a, self._k_a, self._slope = np.zeros((3, n * lanes))
         self._mode = np.full(n * lanes, DISCONNECTED, dtype=np.int8)
-        self._due, self._pending = np.full(n * lanes, -1, dtype=np.int64), False
+        self._due = np.full(n * lanes, -1, dtype=np.int64)
         self._watch, self._dirty = np.zeros((2, n * lanes), dtype=bool)
-        self._calendar = defaultdict(set)  # step -> flat ids
         rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
         if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
             raise ValueError("fleet rated power exceeds the running sums' range")
@@ -285,7 +276,7 @@ class Fleet:
         # The envelopes at t = 0; step 1 commits the placed vehicles again at its SOC, as it
         # does every anchor (one placed at a bound in a moving mode leaves it on that step).
         self._commit(0)
-        self._dirty[:], self._pending = self._mode != DISCONNECTED, True
+        self._dirty[:] = self._mode != DISCONNECTED
 
     def _soc(self, ids: np.ndarray, k: int) -> np.ndarray:
         """The SOC law: SOC at step k of the vehicles `ids` from their
@@ -293,11 +284,11 @@ class Fleet:
         soc = self._soc_a[ids] + self._slope[ids] * (k - self._k_a[ids])
         return np.minimum(np.maximum(soc, self.params.soc_min), self.params.soc_max)
 
-    def _anchor(self, ids: np.ndarray, soc, mode, k: int, after: int) -> None:
+    def _anchor(self, ids: np.ndarray, soc, mode, k: int) -> None:
         """Re-anchor `ids` at (soc, mode) as of step k for the commit, watch those whose
         forced-charging rule can bind, and set the step at which each moving one reaches full
-        or empty, filing those after step `after` (a step off by one where SOC lands within
-        rounding of the bound: a float edge)."""
+        or empty (a step off by one where SOC lands within rounding of the bound: a float
+        edge)."""
         self._soc_a[ids], self._k_a[ids], self._mode[ids] = soc, k, mode
         mode = self._mode[ids]
         self._watch[ids] = self._soc_a[ids] < self._watch_below[mode, ids]
@@ -307,21 +298,22 @@ class Fleet:
         if moving.size:
             ids, slope = ids[moving], slope[moving]
             bound = self._bound.take(mode[moving])
-            due = self._due[ids] = k + np.maximum(np.ceil((bound - self._soc_a[ids]) / slope),
-                                                  1.0).astype(np.int64)
-            for step, i in zip(due[due > after].tolist(), ids[due > after].tolist()):
-                self._calendar[step].add(i)
+            self._due[ids] = k + np.maximum(np.ceil((bound - self._soc_a[ids]) / slope),
+                                            1.0).astype(np.int64)
 
     def _commit(self, k: int) -> None:
-        """Move the marked vehicles' shares of their lane's sums to step k; refresh `envelopes`."""
+        """Move the marked vehicles' shares of their lane's sums to step k and refresh
+        `envelopes`; with none marked they stand, but for the first build at t = 0."""
         ids = self._dirty.nonzero()[0]
         if ids.size:
-            self._dirty[ids], self._pending = False, False
+            self._dirty[ids] = False
             coef = self._term_table[self._reach.searchsorted(self._soc(ids, k), "right"),
                                     self._mode[ids]]
             terms = np.matmul(self._units[ids, None], coef)[:, 0]
             np.add.at(self._sums, ids // self.params.n_ev, terms - self._held[ids])
             self._held[ids] = terms
+        elif k:
+            return
         self.envelopes = tuple([
             FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
             for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
@@ -333,9 +325,7 @@ class Fleet:
 
     def set_state(self, ids, soc, mode) -> None:
         """Place connected vehicles (flat ids) at (soc, mode); the next step commits them."""
-        ids, k = np.asarray(ids, dtype=np.int64), self.step_index
-        self._anchor(ids, soc, mode, k, k)
-        self._pending = True
+        self._anchor(np.asarray(ids, dtype=np.int64), soc, mode, self.step_index)
 
     def snapshot(self, lane: int = 0) -> FleetSnapshot:
         n, k = self.params.n_ev, self.step_index
@@ -355,15 +345,8 @@ class Fleet:
                 raise ValueError("a command's layout must span the fleet's SOC range")
         k0 = self.step_index
         j = self.step_index = k0 + 1
-        departures, arrivals = _events(self._departures, j), _events(self._arrivals, j)
-        filed = self._calendar.pop(j, None)
-        # A command can switch only vehicles whose draw lies below its threshold.
-        live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
-        if not (arrivals.size or departures.size or filed or live or self._pending
-                or self._watch.any()):
-            return _QUIET  # the sums and envelopes stand
-
         params, n, t0, t1 = self.params, self.params.n_ev, k0 * self.dt_hours, j * self.dt_hours
+        departures, arrivals = _events(self._departures, j), _events(self._arrivals, j)
         in_ids, out_ids = arrivals[:arrivals.size // lanes], departures[:departures.size // lanes]
         out_soc, out_mode = _NO_SOC, _NO_MODE
         if departures.size:  # the commit takes out their shares
@@ -374,20 +357,21 @@ class Fleet:
         in_soc, in_mode = _NO_SOC, _NO_MODE
         if arrivals.size:
             in_soc, in_mode = params.initial_soc[in_ids], np.full(in_ids.size, CS, dtype=np.int8)
-            self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)
+            self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0)
 
         # Forced-charging promotion, sticky until plug-out or full, of the watched vehicles. A
         # charging one is checked once: its slack demanded - soc - (deadline - t0) * rate stays.
-        check, promoted, switched = self._watch.nonzero()[0], _NO_IDS, _NO_IDS
+        check = self._watch.nonzero()[0]
         if check.size:
             soc = self._soc(check, k0)
             self._watch[check] = self._mode[check] != CS
             binding = (self._demanded[check] - soc >=
                        (self._deadline(check, t1) - t0) * self._rate_c[check])
             if binding.any():
-                promoted = check[binding]
-                self._anchor(promoted, soc[binding], FCS, k0, j)
+                self._anchor(check[binding], soc[binding], FCS, k0)
 
+        # A command can switch only vehicles whose draw lies below its threshold.
+        live = [(r, c) for r, c in enumerate(commands) if c is not None and c.threshold > 0.0]
         if live:  # each lane's candidates, switched by one rule in one pass
             alpha = step_stream(self.seed, k0).random(n)
             low = (alpha < max(command.threshold for _, command in live)).nonzero()[0]
@@ -401,15 +385,11 @@ class Fleet:
                         cut = slice(at, at := at + base.size)
                         new.append(self._actuate(mode[cut], soc[cut], command, alpha[base]))
                 moved = (new := np.concatenate(new)) != mode
-                switched = ids[moved]
-                self._anchor(switched, soc[moved], new[moved], k0, j)
+                self._anchor(ids[moved], soc[moved], new[moved], k0)
 
-        # Boundary absorption, clamp and go idle: the vehicles filed or placed
-        # this step that are due now.
-        filed = np.fromiter(filed, np.int64, len(filed)) if filed else _NO_IDS
-        due = _join(arrivals, promoted, switched, filed)
-        absorbed = due[self._due[due] == j] if due.size else _NO_IDS
+        # Boundary absorption, clamp and go idle: every vehicle due now, this step's anchors too.
+        absorbed = (self._due == j).nonzero()[0]
         if absorbed.size:
-            self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)
+            self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)
         self._commit(j)
         return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode)

@@ -70,7 +70,24 @@ MUTANTS = (
            "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
     Mutant("running sums", "every lane records lane 0's envelope", "scenario.py",
            "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
-    # The fleet kernel: forced charging, the watched mask, the calendar, lanes and absorption.
+    # The reference draw and the dispatch plan.
+    Mutant("reference draw", "the draw spans the whole band", "scenario.py",
+           "half = 0.5 * central_fraction * (p_u - p_l)", "half = 0.5 * (p_u - p_l)"),
+    Mutant("reference draw", "a window's depth is measured from the far side of the band",
+           "scenario.py", "top = env.p_u_kw if window.kind == \"provide\" else env.p_l_kw",
+           "top = env.p_l_kw if window.kind == \"provide\" else env.p_u_kw"),
+    Mutant("reference draw", "the first level waits for a period boundary", "scenario.py",
+           "if k % self._period_steps == 0 or np.isnan(self._held):",
+           "if k % self._period_steps == 0:"),
+    Mutant("actuation", "the expected input ignores in-flight mass", "control.py",
+           "        if rate1 > 0.0:  # one broadcast", "        if False:  # one broadcast"),
+    Mutant("actuation", "saturation is never reported", "control.py",
+           "return DispatchPlan(layout, u, achieved, shortfall > sat_tol,",
+           "return DispatchPlan(layout, u, achieved, False,"),
+    Mutant("actuation", "stage 2 runs where stage 1 meets the target", "control.py",
+           "if want > take1_kw else 0.0", "if want >= take1_kw else 0.0",
+           equivalent="where stage 1 meets the target, stage 2's take is min(0, ...), which is 0"),
+    # The fleet kernel: forced charging, the watched mask, the due steps, lanes and absorption.
     Mutant("running sums", "the envelopes lag the sums by one commit", "fleet.py",
            "        self.envelopes = tuple([",
            "        self.envelopes = getattr(self, '_next', None) or (\n"
@@ -79,24 +96,22 @@ MUTANTS = (
     Mutant("running sums", "construction skips the t = 0 commit", "fleet.py",
            "        self._commit(0)\n", ""),
     Mutant("running sums", "construction does not re-mark its vehicles for step 1", "fleet.py",
-           "        self._dirty[:], self._pending = self._mode != DISCONNECTED, True\n", ""),
+           "        self._dirty[:] = self._mode != DISCONNECTED\n", ""),
     Mutant("deadline rule", "the binding rule is strict", "fleet.py",
            "binding = (self._demanded[check] - soc >=", "binding = (self._demanded[check] - soc >"),
     Mutant("deadline rule", "yesterday's deadline holds at its own plug-out", "fleet.py",
            "return np.where(t < m_end, m_end, self._plug_out[idx])",
            "return np.where(t <= m_end, m_end, self._plug_out[idx])"),
-    Mutant("SOC law", "the calendar is popped only on steps busy otherwise", "fleet.py",
-           "        filed = self._calendar.pop(j, None)\n",
-           "        filed = self._calendar.pop(j, None) if arrivals.size or departures.size or any("
-           "commands) else None\n"),
-    Mutant("SOC law", "quiet steps ignore the calendar", "fleet.py",
-           "departures.size or filed or live", "departures.size or live"),
-    Mutant("deadline rule", "quiet steps ignore the watched mask", "fleet.py",
-           "or self._pending\n                or self._watch.any()):", "or self._pending):"),
     Mutant("running sums", "every lane's sums are lane 0's", "fleet.py",
            "np.add.at(self._sums, ids // self.params.n_ev,", "np.add.at(self._sums, 0 * ids,"),
     Mutant("SOC law", "no absorption on the step a vehicle is placed", "fleet.py",
-           "due = _join(arrivals, promoted, switched, filed)", "due = filed"),
+           "absorbed = (self._due == j).nonzero()[0]",
+           "absorbed = ((self._due == j) & (self._k_a < k0)).nonzero()[0]"),
+    Mutant("SOC law", "vehicles are absorbed a step late", "fleet.py",
+           "absorbed = (self._due == j).nonzero()[0]", "absorbed = (self._due == k0).nonzero()[0]"),
+    Mutant("SOC law", "only lane 0's vehicles are absorbed", "fleet.py",
+           "absorbed = (self._due == j).nonzero()[0]",
+           "absorbed = (self._due[:n] == j).nonzero()[0]"),
     Mutant("SOC law", "departures keep their due step", "fleet.py",
            "self._due[departures], self._watch[departures] = -1, False",
            "self._watch[departures] = False"),
@@ -104,19 +119,19 @@ MUTANTS = (
            "self._due[departures], self._watch[departures] = -1, False",
            "self._due[departures] = -1"),
     Mutant("deadline rule", "arrivals are not checked", "fleet.py",
-           "self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)\n",
-           "self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0, j)\n"
+           "self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0)\n",
+           "self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0)\n"
            "            self._watch[arrivals] = False\n"),
     Mutant("capability", "the floor is read as inside", "fleet.py",
            "self._reach = np.array([np.nextafter(lo, hi), hi])",
            "self._reach = np.array([lo, hi])"),
     Mutant("deadline rule", "switched vehicles are never watched", "fleet.py",
-           "self._anchor(switched, soc[moved], new[moved], k0, j)\n",
-           "self._anchor(switched, soc[moved], new[moved], k0, j)\n"
-           "                self._watch[switched] = False\n"),
+           "self._anchor(ids[moved], soc[moved], new[moved], k0)\n",
+           "self._anchor(ids[moved], soc[moved], new[moved], k0)\n"
+           "                self._watch[ids[moved]] = False\n"),
     Mutant("deadline rule", "floor-absorbed vehicles are never watched", "fleet.py",
-           "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)\n",
-           "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j, j)\n"
+           "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)\n",
+           "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)\n"
            "            self._watch[absorbed] = False\n"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",
            "            self._watch[check] = self._mode[check] != CS\n", "",

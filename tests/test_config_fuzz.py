@@ -62,6 +62,9 @@ def mutated_configs(draw):
 @example(config={"n_ev": 1, "horizon_hours": 0.25, "seed": 1}, n_ev=1)
 # 300 s steps move the fastest vehicle more than a 1/40 interval.
 @example(config={"dt_seconds": 300, "n_intervals": 40, "horizon_hours": 1.0}, n_ev=20)
+# No plug-out in [20.9, 22] h lies within a day after a plug-in past 22 h.
+@example(config={"horizon_hours": 0.25, "distributions": {"plug_out_hour": {
+    "kind": "uniform", "low": 20.9, "high": 22.0}}}, n_ev=20)
 def test_mutated_config_runs_or_is_one_line(config, n_ev):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

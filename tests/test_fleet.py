@@ -679,10 +679,24 @@ class TestTypes:
             FleetDistributions(efficiency=point(1.2))
 
     def test_travel_plan_validation(self):
+        # Load time refuses a plug-out that cannot follow its plug-in; sampling still would.
+        with pytest.raises(ValueError, match="plug_out_hour keeps too little mass"):
+            deterministic_distributions(plug_in=18.0, plug_out=17.0)
+        unchecked = deterministic_distributions(plug_in=18.0, plug_out=30.0)
+        object.__setattr__(unchecked, "plug_out_hour", point(17.0))
         with pytest.raises(ValueError, match="session windows"):
-            sample_fleet(deterministic_distributions(plug_in=18.0, plug_out=17.0), 1, seed=1)
+            sample_fleet(unchecked, 1, seed=1)
         with pytest.raises(ValueError, match="demanded_soc"):
             FleetDistributions(demanded_soc=point(1.2))
+
+    def test_plug_out_checked_at_the_plug_in_extremes(self):
+        late = DistributionSpec("uniform", 20.9, 22.0)
+        with pytest.raises(ValueError, match="plug_in_hour of 23 h"):
+            FleetDistributions(plug_in_hour=DistributionSpec("uniform", 18.0, 23.0),
+                               plug_out_hour=late)
+        # A degenerate normal draws only its mean, wherever its range ends.
+        FleetDistributions(plug_in_hour=DistributionSpec("normal", 0.0, 30.0, mean=19.0),
+                           plug_out_hour=late)
 
     @given(soc=st.floats(0.0, 1.0), mode=st.sampled_from(
         [Connection.CHARGING, Connection.IDLE, Connection.DISCHARGING]))

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,6 @@ from evflex.config import (
     SimulationConfig,
     from_dict,
     load_config,
-    save_config,
 )
 from evflex.fleet import sample_fleet
 from evflex.scenario import (
@@ -405,14 +404,14 @@ class TestCsvSurfaces:
 
     def test_reference_replay_checks_time_axis(self, tmp_path, capsys):
         config = small_config(n_ev=60, horizon_hours=1.0)
-        save_config(config, tmp_path / "run.json")
+        (tmp_path / "run.json").write_text(json.dumps(asdict(config)))
         run = ["track", "--config", str(tmp_path / "run.json")]
         assert main(run + ["--out", str(tmp_path / "online")]) == 0
         reference = str(tmp_path / "online" / "tracking_essm.csv")
         assert main(run + ["--reference", reference, "--out", str(tmp_path / "replay")]) == 0
         # Same sample count, twice the step: refused instead of replayed.
-        save_config(replace(config, dt_seconds=30.0, horizon_hours=2.0),
-                    tmp_path / "coarse.json")
+        coarse = replace(config, dt_seconds=30.0, horizon_hours=2.0)
+        (tmp_path / "coarse.json").write_text(json.dumps(asdict(coarse)))
         with pytest.raises(SystemExit) as exit_info:
             main(["track", "--config", str(tmp_path / "coarse.json"),
                   "--reference", reference, "--out", str(tmp_path / "coarse")])
@@ -485,6 +484,9 @@ class TestCli:
         ({"distributions": {"demanded_soc": {"kind": "normal", "low": 0.7, "high": 0.9,
                                              "mean": 0.0, "std": 0.03}}},
          "demanded_soc keeps too little normal mass"),
+        # A vehicle that plugs in after 22 h can draw no plug-out in [20.9, 22] h after it.
+        ({"horizon_hours": 0.25, "distributions": {"plug_out_hour": {
+            "kind": "uniform", "low": 20.9, "high": 22.0}}}, "plug_out_hour keeps too little mass"),
     ])
     def test_malformed_config_is_one_line(self, capsys, tmp_path, data, named):
         path = tmp_path / "config.json"
@@ -500,7 +502,7 @@ class TestCli:
     @pytest.mark.parametrize("cell", ["", "n/a"])
     def test_reference_with_missing_level(self, capsys, tmp_path, cell):
         config = small_config(n_ev=60, horizon_hours=1.0)
-        save_config(config, tmp_path / "run.json")
+        (tmp_path / "run.json").write_text(json.dumps(asdict(config)))
         rows = [f"{k * config.dt_hours:.6g},{cell if k == 5 else 10.0}"
                 for k in range(config.n_steps + 1)]
         (tmp_path / "ref.csv").write_text("time_h,reference_kw\n" + "\n".join(rows) + "\n")
@@ -534,7 +536,7 @@ class TestConfigIO:
             period_hours=1.5, central_fraction=0.7,
             scripted=(ScriptedStep("consume", 2.0, 0.5, 0.8),)))
         path = tmp_path / "config.json"
-        save_config(config, path)
+        path.write_text(json.dumps(asdict(config)))
         loaded = load_config(path)
         assert loaded == config
 
