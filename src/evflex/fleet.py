@@ -193,6 +193,35 @@ def _events(bucket: tuple[np.ndarray, memoryview], j: int) -> np.ndarray:
     return ids[ptr[j]:ptr[j + 1]] if j + 1 < len(ptr) else _NO_IDS
 
 
+# The rules that the step kernel and the event schedule share.
+def _soc(soc_a, slope, k, k_a, lo: float, hi: float) -> np.ndarray:
+    """The SOC law: SOC at step k from an anchor (SOC soc_a at step k_a, `slope` a step),
+    clamped at the bounds."""
+    return np.minimum(np.maximum(soc_a + slope * (k - k_a), lo), hi)
+
+
+def _deadline(t, m_end, plug_out) -> np.ndarray:
+    """Plug-out time of the session that holds a vehicle at t."""
+    return np.where(t < m_end, m_end, plug_out)
+
+
+def _binds(demanded, soc, deadline, t0, rate_c) -> np.ndarray:
+    """The forced-charging rule: rated charging from t0 no longer meets the target in time."""
+    return demanded - soc >= (deadline - t0) * rate_c
+
+
+def _due(k, bound, soc_a, slope) -> np.ndarray:
+    """The step at which an anchor at step k reaches `bound`: at least k + 1 (a step off by one
+    where SOC lands within rounding of the bound: a float edge)."""
+    return k + np.maximum(np.ceil((bound - soc_a) / slope), 1.0).astype(np.int64)
+
+
+def _terms(table, reach, units, soc, mode) -> np.ndarray:
+    """Vehicles' int64 shares of the running sums: their rated powers in `units` times the
+    term table's coefficients at their SOC position (how many of `reach` they reach) and mode."""
+    return np.matmul(units[:, None], table[reach.searchsorted(soc, "right"), mode])[:, 0]
+
+
 class Fleet:
     """Event-driven fleet state machine over one or more lanes.
 
@@ -279,16 +308,12 @@ class Fleet:
         self._dirty[:] = self._mode != DISCONNECTED
 
     def _soc(self, ids: np.ndarray, k: int) -> np.ndarray:
-        """The SOC law: SOC at step k of the vehicles `ids` from their
-        anchors, clamped at the bounds."""
-        soc = self._soc_a[ids] + self._slope[ids] * (k - self._k_a[ids])
-        return np.minimum(np.maximum(soc, self.params.soc_min), self.params.soc_max)
+        return _soc(self._soc_a[ids], self._slope[ids], k, self._k_a[ids], *self._range)
 
     def _anchor(self, ids: np.ndarray, soc, mode, k: int) -> None:
         """Re-anchor `ids` at (soc, mode) as of step k for the commit, watch those whose
         forced-charging rule can bind, and set the step at which each moving one reaches full
-        or empty (a step off by one where SOC lands within rounding of the bound: a float
-        edge)."""
+        or empty."""
         self._soc_a[ids], self._k_a[ids], self._mode[ids] = soc, k, mode
         mode = self._mode[ids]
         self._watch[ids] = self._soc_a[ids] < self._watch_below[mode, ids]
@@ -298,8 +323,7 @@ class Fleet:
         if moving.size:
             ids, slope = ids[moving], slope[moving]
             bound = self._bound.take(mode[moving])
-            self._due[ids] = k + np.maximum(np.ceil((bound - self._soc_a[ids]) / slope),
-                                            1.0).astype(np.int64)
+            self._due[ids] = _due(k, bound, self._soc_a[ids], slope)
 
     def _commit(self, k: int) -> None:
         """Move the marked vehicles' shares of their lane's sums to step k and refresh
@@ -307,9 +331,8 @@ class Fleet:
         ids = self._dirty.nonzero()[0]
         if ids.size:
             self._dirty[ids] = False
-            coef = self._term_table[self._reach.searchsorted(self._soc(ids, k), "right"),
-                                    self._mode[ids]]
-            terms = np.matmul(self._units[ids, None], coef)[:, 0]
+            terms = _terms(self._term_table, self._reach, self._units[ids], self._soc(ids, k),
+                           self._mode[ids])
             np.add.at(self._sums, ids // self.params.n_ev, terms - self._held[ids])
             self._held[ids] = terms
         elif k:
@@ -317,11 +340,6 @@ class Fleet:
         self.envelopes = tuple([
             FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
             for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
-
-    def _deadline(self, idx: np.ndarray, t: float) -> np.ndarray:
-        """Plug-out time of the session that holds each vehicle of `idx` at t."""
-        m_end = self._m_end[idx]
-        return np.where(t < m_end, m_end, self._plug_out[idx])
 
     def set_state(self, ids, soc, mode) -> None:
         """Place connected vehicles (flat ids) at (soc, mode); the next step commits them."""
@@ -365,8 +383,9 @@ class Fleet:
         if check.size:
             soc = self._soc(check, k0)
             self._watch[check] = self._mode[check] != CS
-            binding = (self._demanded[check] - soc >=
-                       (self._deadline(check, t1) - t0) * self._rate_c[check])
+            binding = _binds(self._demanded[check], soc,
+                             _deadline(t1, self._m_end[check], self._plug_out[check]), t0,
+                             self._rate_c[check])
             if binding.any():
                 self._anchor(check[binding], soc[binding], FCS, k0)
 

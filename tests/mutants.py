@@ -98,17 +98,21 @@ MUTANTS = (
     Mutant("running sums", "construction does not re-mark its vehicles for step 1", "fleet.py",
            "        self._dirty[:] = self._mode != DISCONNECTED\n", ""),
     Mutant("deadline rule", "the binding rule is strict", "fleet.py",
-           "binding = (self._demanded[check] - soc >=", "binding = (self._demanded[check] - soc >"),
+           "return demanded - soc >= (deadline - t0) * rate_c",
+           "return demanded - soc > (deadline - t0) * rate_c"),
     Mutant("deadline rule", "yesterday's deadline holds at its own plug-out", "fleet.py",
-           "return np.where(t < m_end, m_end, self._plug_out[idx])",
-           "return np.where(t <= m_end, m_end, self._plug_out[idx])"),
+           "return np.where(t < m_end, m_end, plug_out)",
+           "return np.where(t <= m_end, m_end, plug_out)"),
     Mutant("running sums", "every lane's sums are lane 0's", "fleet.py",
            "np.add.at(self._sums, ids // self.params.n_ev,", "np.add.at(self._sums, 0 * ids,"),
-    Mutant("SOC law", "no absorption on the step a vehicle is placed", "fleet.py",
-           "absorbed = (self._due == j).nonzero()[0]",
-           "absorbed = ((self._due == j) & (self._k_a < k0)).nonzero()[0]"),
+    Mutant("SOC law", "no absorption on the step after a vehicle is anchored", "fleet.py",
+           "np.ceil((bound - soc_a) / slope), 1.0)", "np.ceil((bound - soc_a) / slope), 2.0)"),
     Mutant("SOC law", "vehicles are absorbed a step late", "fleet.py",
-           "absorbed = (self._due == j).nonzero()[0]", "absorbed = (self._due == k0).nonzero()[0]"),
+           "return k + np.maximum(", "return k + 1 + np.maximum("),
+    Mutant("SOC law", "SOC runs a step ahead of its anchor", "fleet.py",
+           "soc_a + slope * (k - k_a)", "soc_a + slope * (k - k_a + 1)"),
+    Mutant("capability", "a vehicle at the ceiling is read as inside", "fleet.py",
+           'reach.searchsorted(soc, "right")', 'reach.searchsorted(soc, "left")'),
     Mutant("SOC law", "only lane 0's vehicles are absorbed", "fleet.py",
            "absorbed = (self._due == j).nonzero()[0]",
            "absorbed = (self._due[:n] == j).nonzero()[0]"),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.control import DispatchCommand, actuate_array
 from evflex.aggregate import StateLayout
-from evflex.fleet import Connection, Fleet, FleetSnapshot, _events, sample_fleet, step_stream
+from evflex.fleet import (Connection, Fleet, FleetSnapshot, _deadline, _events, sample_fleet,
+                          step_stream)
 from evflex.imm import imm_flexibility
 
 from conftest import deterministic_distributions, point
@@ -284,8 +285,8 @@ class TestFleetStep:
                                             plug_out=32.0)
         fleet = Fleet(sample_fleet(dists, 1, seed=1), 0.25, seed=1)
         assert [k + 1 for k in range(40) if fleet.step().n_out] == [32]
-        np.testing.assert_array_equal(fleet._deadline(np.array([0]), np.array([7.75, 8.0])),
-                                      [8.0, 32.0])
+        np.testing.assert_array_equal(
+            _deadline(np.array([7.75, 8.0]), fleet._m_end[0], fleet._plug_out[0]), [8.0, 32.0])
 
     def test_malformed_command_rejected(self):
         fleet = Fleet(sample_fleet(deterministic_distributions(), 5, seed=1), DT_15S, seed=1)
