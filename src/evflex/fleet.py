@@ -175,13 +175,12 @@ _NO_IDS, _NO_SOC, _NO_MODE = np.empty(0, np.int64), np.empty(0), np.empty(0, np.
 _KW_UNITS = 2.0 ** 40
 
 
-def _bucket(events, n_steps: int, n: int, lanes: int) -> tuple[np.ndarray, memoryview]:
-    """CSR buckets of plug events given as (step of each vehicle, fires)
-    pairs, for every lane: the flat ids firing at step j are
-    ids[ptr[j]:ptr[j + 1]], ascending, so lane by lane; ptr reads as Python ints."""
-    steps = np.tile(np.concatenate([step[fires] for step, fires in events]), lanes)
-    ids = (np.concatenate([np.flatnonzero(fires) for _, fires in events])
-           + n * np.arange(lanes)[:, None]).ravel()
+def _bucket(step, fires, n_steps: int, lanes: int) -> tuple[np.ndarray, memoryview]:
+    """CSR buckets of plug events at each session's `step` where it `fires` (both per [session,
+    vehicle]), for every lane: the flat ids firing at step j are ids[ptr[j]:ptr[j + 1]],
+    ascending, so lane by lane; ptr reads as Python ints."""
+    steps = np.tile(step[fires], lanes)
+    ids = (fires.nonzero()[1] + step.shape[1] * np.arange(lanes)[:, None]).ravel()
     ptr = memoryview(np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=n_steps))]))
     ids = ids[np.lexsort((ids, steps))]
     ids.flags.writeable = False  # step results hand out slices of it
@@ -195,8 +194,7 @@ def _events(bucket: tuple[np.ndarray, memoryview], j: int) -> np.ndarray:
 
 # The rules that the step kernel and the event schedule share.
 def _soc(soc_a, slope, k, k_a, lo: float, hi: float) -> np.ndarray:
-    """The SOC law: SOC at step k from an anchor (SOC soc_a at step k_a, `slope` a step),
-    clamped at the bounds."""
+    """The SOC law: SOC at step k of an anchor (soc_a at step k_a, `slope` a step), clamped."""
     return np.minimum(np.maximum(soc_a + slope * (k - k_a), lo), hi)
 
 
@@ -211,32 +209,33 @@ def _binds(demanded, soc, deadline, t0, rate_c) -> np.ndarray:
 
 
 def _due(k, bound, soc_a, slope) -> np.ndarray:
-    """The step at which an anchor at step k reaches `bound`: at least k + 1 (a step off by one
-    where SOC lands within rounding of the bound: a float edge)."""
+    """The step at which an anchor at step k reaches `bound`: at least k + 1 (off by one where
+    SOC lands within rounding of the bound: a float edge)."""
     return k + np.maximum(np.ceil((bound - soc_a) / slope), 1.0).astype(np.int64)
 
 
 def _terms(table, reach, units, soc, mode) -> np.ndarray:
-    """Vehicles' int64 shares of the running sums: their rated powers in `units` times the
-    term table's coefficients at their SOC position (how many of `reach` they reach) and mode."""
+    """Shares of the running sums: rated powers in int64 `units` times the term table's
+    coefficients at the SOC position (how many of `reach` the SOC reaches) and mode."""
     return np.matmul(units[:, None], table[reach.searchsorted(soc, "right"), mode])[:, 0]
 
 
 class Fleet:
-    """Event-driven fleet state machine over one or more lanes.
+    """Event-driven fleet state machine over one or more lanes: the step kernel.
 
-    Each vehicle has up to two connection windows inside a 0-24 h run: the
-    tail of yesterday's session ([plug_in - 24, plug_out - 24), SOC
-    fast-forwarded through the pre-run uncontrolled charging) and today's
-    session ([plug_in, plug_out)). Each lane is a clone of the fleet with its
-    own SOC, modes and running sums, sharing parameters, plug events and
-    actuation draws; vehicle v of lane r has the flat id r * n + v. A
-    connected vehicle is an anchor (SOC, step, mode) with the step at which it
-    reaches full or empty, and a mask marks the anchors whose forced-charging
-    rule can still bind, so a step touches only its events, its due and
-    watched vehicles and those a command addresses, and keeps each lane's imm
-    envelope (`envelopes`, as of the last step or t = 0) as running sums over
-    them. Draws are keyed by step and vehicle.
+    Each vehicle has up to two sessions inside a 0-24 h run: the tail of
+    yesterday's ([plug_in - 24, plug_out - 24), SOC fast-forwarded through the
+    pre-run uncontrolled charging) and today's ([plug_in, plug_out)). Each lane
+    is a clone of the fleet with its own SOC, modes and running sums, sharing
+    parameters, plug events and actuation draws; vehicle v of lane r has the
+    flat id r * n + v. A connected vehicle is an anchor (SOC, step, mode) with
+    the step at which it reaches full or empty, and a mask marks the anchors
+    whose forced-charging rule can still bind, so a step touches only its
+    events, its due and watched vehicles and those a command addresses, and
+    keeps each lane's imm envelope (`envelopes`, as of the last step or t = 0)
+    as running sums over them. Draws are keyed by step and vehicle. A fleet
+    that no command will steer need not be stepped: its `Schedule` holds the
+    whole run, by the same rules.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
@@ -259,9 +258,12 @@ class Fleet:
         # Yesterday's session ending on the step today's starts is one
         # continuous connection: no departure, no arrival, no SOC reset.
         merged = m_ok & e_ok & (b_m >= a_e)
-        self._arrivals = _bucket([(a_m, m_ok & (a_m > 0)),
-                                  (a_e, e_ok & ~merged & (a_e > 0))], grid.size, n, lanes)
-        self._departures = _bucket([(b_m, m_ok & ~merged), (b_e, e_ok)], grid.size, n, lanes)
+        # Sessions per [yesterday's or today's, vehicle], where `_on`: the steps of arrival (0:
+        # placed at t = 0) and of plug-out.
+        self._start, self._end = np.stack([a_m, a_e]), np.stack([np.where(merged, b_e, b_m), b_e])
+        self._on = np.stack([m_ok, e_ok & ~merged])
+        self._arrivals = _bucket(self._start, self._on & (self._start > 0), grid.size, lanes)
+        self._departures = _bucket(self._end, self._on, grid.size, lanes)
 
         # Per flat id, the parameters the steps read; per [mode, flat id], the
         # SOC change per step and the SOC below which an anchor is watched
@@ -412,3 +414,77 @@ class Fleet:
             self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)
         self._commit(j)
         return FleetStep(in_ids, in_soc, in_mode, out_ids, out_soc, out_mode)
+
+
+class Schedule:
+    """The uncontrolled run of a one-lane fleet, known at t = 0, read as the step loop reads a
+    `Fleet`: `step`, `envelopes`, `snapshot`. A session connects charging, is promoted on its
+    first step if its forced-charging rule binds (its only check: a charging anchor's slack
+    stays), idles from full and leaves: it holds one share of the sums up to full and one up
+    to plug-out, and each step's sums add the changes of share at it."""
+
+    def __init__(self, fleet: Fleet, n_steps: int):
+        f, p, dt, self.step_index = fleet, fleet.params, fleet.dt_hours, 0
+        if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
+            raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
+                             "watched")
+        # Sessions by vehicle, yesterday's first: first step c1 (1 if placed), plug-out step b.
+        ids, which = f._on.T.nonzero()
+        start, b = f._start[which, ids], f._end[which, ids]
+        c1, placed = np.maximum(start, 1), start == 0
+        soc = np.where(placed, f._soc_a[ids], p.initial_soc[ids])
+        mode = np.where(placed, f._mode[ids], CS)
+        k, slope = c1 - 1, f._slopes[mode, ids]  # k: the anchor's step
+        check = _soc(soc, slope, k, k, *f._range)  # a charging session is checked once, if there
+        promote = (mode == CS) & (c1 < b) & _binds(f._demanded[ids], check, _deadline(
+            c1 * dt, f._m_end[ids], f._plug_out[ids]), k * dt, f._rate_c[ids])
+        soc, mode = np.where(promote, check, soc), np.where(promote, FCS, mode)
+        full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
+        on = slope.nonzero()[0]
+        full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
+        self._fleet, self._ids, self._c1, self._b, self._full = f, ids, c1, b, full
+        self._anchors = soc, slope, k.astype(float), mode
+
+        # Each session's shares from its first step and from full; t = 0's go at step 1.
+        first, idle = (_terms(f._term_table, f._reach, f._units[ids], *self._state(..., at))
+                       for at in (c1, full))
+        change = np.zeros((n_steps + 2, 4), dtype=np.int64)  # the last row: after the run
+        change[0], change[1] = f._sums[0], -f._sums[0]
+        for at, share in ((c1, first), (full, idle - first), (b, -idle)):
+            np.add.at(change, np.minimum(at, n_steps + 1), share)
+        self.sums = np.cumsum(change[:-1], axis=0)
+        power, dischargeable, chargeable, forced = (self.sums / _KW_UNITS).T
+        self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1).tolist()
+        self.envelopes = f.envelopes  # as of the last step: t = 0's, from the same sums
+
+        # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
+        # departures, with their state the step before, up to ptr[2j + 2]; ids ascending.
+        arrive = (start > 0).nonzero()[0]
+        key = np.concatenate([2 * start[arrive], 2 * b + 1])
+        order, (out_soc, out_mode) = np.argsort(key, kind="stable"), self._state(..., b - 1)
+        self.ids = np.concatenate([ids[arrive], ids])[order]
+        self.soc = np.concatenate([p.initial_soc[ids[arrive]], out_soc])[order]
+        self.connection = np.concatenate([np.full(arrive.size, CS, np.int8), out_mode])[order]
+        self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
+
+    def _state(self, s, k) -> tuple[np.ndarray, np.ndarray]:
+        """SOC and mode of the sessions `s` as of steps k: by the SOC law, idle at full."""
+        soc_a, slope, k_a, mode = (a[s] for a in self._anchors)
+        full, (lo, hi) = k >= self._full[s], self._fleet._range
+        return np.where(full, hi, _soc(soc_a, slope, k, k_a, lo, hi)), np.where(full, IS, mode)
+
+    def step(self) -> FleetStep:
+        """The next step's plug events, at `span` in the flat ones; its envelope."""
+        j = self.step_index = self.step_index + 1
+        self.envelopes = (FlexibilityEnvelope(*self._rows[j]),)
+        a, m, e = self._ptr[2 * j:2 * j + 3]
+        self.span, ids, soc, mode = slice(a, e), self.ids, self.soc, self.connection
+        return FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e])
+
+    def snapshot(self, lane: int = 0) -> FleetSnapshot:
+        k, p = self.step_index, self._fleet.params
+        if not k:
+            return self._fleet.snapshot()  # as placed, before any promotion
+        ids = self._ids[s := ((self._c1 <= k) & (k < self._b)).nonzero()[0]]
+        return FleetSnapshot(ids, *self._state(s, k), p.rated_charge_kw[ids],
+                             p.rated_discharge_kw[ids])

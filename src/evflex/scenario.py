@@ -1,10 +1,11 @@
 """Experiment orchestration: 24 h prediction and tracking loops, reference
 generation, error metrics and CSV surfaces.
 
-Both experiments run one step loop. The prediction run steps the fleet
-uncontrolled and propagates every configured model variant alongside it
-(recursion each step with the observed plug-in/out churn, hard resync from
-telemetry every resync period). The tracking run closes the loop per
+Both experiments run one step loop. The prediction run reads the uncontrolled
+fleet from its event schedule, built once with every plug event binned at
+once, and propagates every configured model variant alongside it (recursion
+each step with the observed plug-in/out churn, hard resync from telemetry
+every resync period). The tracking run steps the fleet and closes the loop per
 variant: each step the controller plans a dispatch against the model's
 predicted pre-control state, broadcasts switching rates, and the fleet
 actuates them. Variants drive clones of the same fleet (same seed, same
@@ -25,7 +26,7 @@ from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLay
                         build_transition_matrix, churn_keys, measure, move_probabilities)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
-from .fleet import Fleet, sample_fleet
+from .fleet import Fleet, Schedule, sample_fleet
 
 _STREAM_REFERENCE = 7
 _STREAM_NOISE = 11
@@ -178,7 +179,8 @@ def _noise_rng_or_none(config: SimulationConfig, variant: str):
 
 def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | None) -> RunResult:
     """The step loop of both experiments, over one fleet with a lane per
-    group of variants. Uncontrolled, one lane serves every variant's model.
+    group of variants. Uncontrolled, one lane, read from the fleet's
+    `Schedule`, serves every variant's model.
     Controlled, each variant plans for its own lane, a clone of the fleet:
     plan, step, advance, record. Without a `reference`, each step's level is
     drawn once, from the live envelope of the extended model (the first
@@ -190,6 +192,8 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     # The fleet first: building the models first measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
+    if not controlled:  # its whole run is known now: replay it from one event schedule
+        fleet = Schedule(fleet, k_steps)
     models = _models(config)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
@@ -204,6 +208,8 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
         _record(fleet, r, lane, series, models, noise, True, 0)
 
     layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    if not controlled:  # every plug event binned at once
+        binned = layout.keys(fleet.connection, fleet.soc)
     resync_steps = config.resync_steps
     inputs = [(None, None)] * len(lanes)
     for k in range(k_steps):
@@ -219,7 +225,10 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
                 inputs[r] = plan.expected_u, pre
                 vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
         step = fleet.step(*commands)
-        keys = churn_keys(step, layout, len(lanes)) if step.n_in or step.n_out else None
+        if controlled:
+            keys = churn_keys(step, layout, len(lanes)) if step.n_in or step.n_out else None
+        else:
+            keys = binned[None, fleet.span]
         for r, lane in enumerate(lanes):
             u, pre = inputs[r]
             for name in lane:
@@ -230,7 +239,7 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
-def _record(fleet: Fleet, lane: int, names, series, models, noise, resync: bool, k: int) -> None:
+def _record(fleet: Fleet | Schedule, lane: int, names, series, models, noise, resync: bool, k: int) -> None:
     """Record step k of the variants `names` that the fleet's `lane` serves: each model's
     output C x, after a `resync` (k = 0 included) resets the models from fresh telemetry
     binned once, and the ground truth, the lane's running envelope."""

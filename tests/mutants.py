@@ -137,6 +137,15 @@ MUTANTS = (
            "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)\n",
            "self._anchor(absorbed, self._bound.take(self._mode[absorbed]), IS, j)\n"
            "            self._watch[absorbed] = False\n"),
+    # The event schedule of an uncontrolled fleet: its own code, not the shared rules.
+    Mutant("running sums", "the schedule adds a session's first share a step late", "fleet.py",
+           "for at, share in ((c1, first),", "for at, share in ((c1 + 1, first),"),
+    Mutant("running sums", "the schedule takes a departure's share out a step early",
+           "fleet.py", "(full, idle - first), (b, -idle)):", "(full, idle - first), (b - 1, -idle)):"),
+    Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
+           "self._state(..., b - 1)", "self._state(..., b)"),
+    Mutant("deadline rule", "the schedule checks a session that left on its first step",
+           "fleet.py", "promote = (mode == CS) & (c1 < b) &", "promote = (mode == CS) &"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",
            "            self._watch[check] = self._mode[check] != CS\n", "",
            equivalent="a charging anchor's slack does not change but for float rounding, so the "

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.control import DispatchCommand, actuate_array
 from evflex.aggregate import StateLayout
-from evflex.fleet import (Connection, Fleet, FleetSnapshot, _deadline, _events, sample_fleet,
-                          step_stream)
+from evflex.fleet import (Connection, Fleet, FleetSnapshot, Schedule, _deadline, _events,
+                          sample_fleet, step_stream)
 from evflex.imm import imm_flexibility
 
 from conftest import deterministic_distributions, point
@@ -631,6 +631,60 @@ class TestEventDrivenKernel:
         assert floor_arrivals > 0
         if variant is not None:
             assert left_floor > 0 and left_ceiling > 0
+
+
+def same(ours, theirs) -> bool:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def assert_schedule_matches_steps(fleet: Fleet, n_steps: int, every: int = 1) -> Schedule:
+    """The `Schedule` of a twin of `fleet` against `fleet` stepped uncontrolled, bitwise: each
+    step's four sums, envelope and plug events (ids, SOC, mode), and the snapshot (ids, SOC,
+    mode, rated powers) at t = 0 and every `every` steps."""
+    schedule = Schedule(Fleet(fleet.params, fleet.dt_hours, fleet.seed), n_steps)
+    for k in range(n_steps + 1):
+        if k:
+            ours, theirs = schedule.step(), fleet.step()
+            assert all(map(same, astuple(ours), astuple(theirs))), k
+        assert same(schedule.sums[k], fleet._sums[0]), k
+        assert same(astuple(schedule.envelopes[0]), astuple(fleet.envelopes[0])), k
+        if k % every == 0:
+            assert all(map(same, astuple(schedule.snapshot()), astuple(fleet.snapshot()))), k
+    return schedule
+
+
+class TestSchedule:
+    """The uncontrolled run as one event schedule equals the stepped kernel, bitwise."""
+
+    @pytest.mark.parametrize("seed, n_steps", [(21, DAY_5MIN), (33, DAY_5MIN), (33, 40)])
+    def test_matches_steps_on_the_edge_cases(self, table_distributions, seed, n_steps):
+        fleet = sampled_edge_fleet(table_distributions, seed=seed)
+        assert fleet.snapshot().n_connected > 0  # carried-over sessions
+        schedule = assert_schedule_matches_steps(fleet, n_steps)
+        if n_steps == DAY_5MIN:  # floor arrivals; departures charging, forced and idle
+            assert (schedule.soc == fleet.params.soc_min).any()
+            assert np.isin([Connection.CHARGING, Connection.IDLE, Connection.FORCED_CHARGING],
+                           schedule.connection).all()
+
+    @pytest.mark.parametrize("dt, n_steps, every", [(DT_15S, 24 * 240, 20), (DT_5MIN, DAY_5MIN, 1)])
+    @pytest.mark.parametrize("seed", [7, 1, 29])
+    def test_matches_steps_over_a_day(self, table_distributions, seed, dt, n_steps, every):
+        fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), dt, seed=seed)
+        schedule = assert_schedule_matches_steps(fleet, n_steps, every)
+        assert schedule.ids.size > 500 and (schedule.connection == Connection.FORCED_CHARGING).any()
+
+    def test_refuses_what_it_cannot_replay(self, table_distributions):
+        params = sample_fleet(table_distributions, 20, seed=3)
+        with pytest.raises(ValueError, match="one-lane"):
+            Schedule(Fleet(params, DT_5MIN, seed=3, lanes=2), DAY_5MIN)
+        stepped = Fleet(params, DT_5MIN, seed=3)
+        stepped.step()
+        with pytest.raises(ValueError, match="from t = 0"):
+            Schedule(stepped, DAY_5MIN)
+        idle = one_vehicle(0.5, Connection.IDLE, demanded=0.9)  # watched at every step
+        with pytest.raises(ValueError, match="idle"):
+            Schedule(idle, 10)
 
 
 class TestLanes:

@@ -16,7 +16,7 @@ from evflex.config import (
     from_dict,
     load_config,
 )
-from evflex.fleet import sample_fleet
+from evflex.fleet import Fleet, sample_fleet
 from evflex.scenario import (
     ReferenceGenerator,
     error_metrics,
@@ -317,6 +317,30 @@ class TestTrackingExperiment:
         res = run_tracking_experiment(config)
         rated = 400 * 6.0
         assert res.tracking_rms_kw("essm") <= 0.05 * rated
+
+
+class TestFleetPaths:
+    """`predict` reads the uncontrolled fleet from its schedule and never steps it; `track`
+    steps its fleet once a step."""
+
+    def test_predict_and_sweep_never_step_the_fleet(self, monkeypatch, tmp_path):
+        def step(self, *commands):
+            raise AssertionError("an uncontrolled run stepped the fleet")
+
+        monkeypatch.setattr(Fleet, "step", step)
+        config = small_config(horizon_hours=1.0)
+        assert run_prediction_experiment(config).variants["essm"].n_connected.all()
+        assert len(scenario.sweep_prediction(config, [50, 100])) == 4
+        assert main(["sweep", "--sizes", "60", "--n-ev", "60", "--out", str(tmp_path)]) == 0
+
+    def test_track_steps_the_fleet_every_step(self, monkeypatch):
+        calls, step = [], Fleet.step
+        monkeypatch.setattr(Fleet, "step", lambda self, *commands: calls.append(commands)
+                            or step(self, *commands))
+        config = small_config(horizon_hours=1.0)
+        run_tracking_experiment(config)
+        assert len(calls) == config.n_steps
+        assert all(len(commands) == 2 for commands in calls)  # one lane per variant
 
 
 class TestCsvSurfaces:
