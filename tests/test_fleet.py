@@ -674,6 +674,15 @@ class TestSchedule:
         schedule = assert_schedule_matches_steps(fleet, n_steps, every)
         assert schedule.ids.size > 500 and (schedule.connection == Connection.FORCED_CHARGING).any()
 
+    def test_a_session_leaving_on_its_first_step_is_not_checked(self):
+        # Yesterday's session ends inside step 1, its rule binding (a 300 kWh battery that
+        # today's session, the deadline read at t1, cannot fill): it leaves charging, as the
+        # kernel lets it go before any check.
+        fleet = one_vehicle(capacity=300.0, initial=0.1, demanded=0.9, plug_in=23.0,
+                            plug_out=24.0 + DT_15S / 2)
+        schedule = assert_schedule_matches_steps(fleet, 2)
+        assert schedule.connection[0] == Connection.CHARGING
+
     def test_refuses_what_it_cannot_replay(self, table_distributions):
         params = sample_fleet(table_distributions, 20, seed=3)
         with pytest.raises(ValueError, match="one-lane"):
