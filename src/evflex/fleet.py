@@ -421,10 +421,11 @@ class Schedule:
     `Fleet`: `step`, `envelopes`, `snapshot`. A session connects charging, is promoted on its
     first step if its forced-charging rule binds (its only check: a charging anchor's slack
     stays), idles from full and leaves: it holds one share of the sums up to full and one up
-    to plug-out, and each step's sums add the changes of share at it."""
+    to plug-out, and each step's sums add the changes of share at it. The schedule takes the
+    fleet over: each snapshot moves the fleet's anchors to its step and reads the fleet's."""
 
     def __init__(self, fleet: Fleet, n_steps: int):
-        f, p, dt, self.step_index = fleet, fleet.params, fleet.dt_hours, 0
+        f, p, dt, (lo, hi) = fleet, fleet.params, fleet.dt_hours, fleet._range
         if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
             raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
                              "watched")
@@ -435,43 +436,49 @@ class Schedule:
         soc = np.where(placed, f._soc_a[ids], p.initial_soc[ids])
         mode = np.where(placed, f._mode[ids], CS)
         k, slope = c1 - 1, f._slopes[mode, ids]  # k: the anchor's step
-        check = _soc(soc, slope, k, k, *f._range)  # a charging session is checked once, if there
+        check = _soc(soc, slope, k, k, lo, hi)  # a charging session is checked once, if there
         promote = (mode == CS) & (c1 < b) & _binds(f._demanded[ids], check, _deadline(
             c1 * dt, f._m_end[ids], f._plug_out[ids]), k * dt, f._rate_c[ids])
         soc, mode = np.where(promote, check, soc), np.where(promote, FCS, mode)
         full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
         on = slope.nonzero()[0]
         full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
-        self._fleet, self._ids, self._c1, self._b, self._full = f, ids, c1, b, full
-        self._anchors = soc, slope, k.astype(float), mode
 
-        # Each session's shares from its first step and from full; t = 0's go at step 1.
-        first, idle = (_terms(f._term_table, f._reach, f._units[ids], *self._state(..., at))
-                       for at in (c1, full))
+        # Each session's share from its first step, then idle at the ceiling from full.
+        units = f._units[ids]
+        first = _terms(f._term_table, f._reach, units, _soc(soc, slope, c1, k, lo, hi), mode)
+        idle = _terms(f._term_table, f._reach, units, hi, IS)
         change = np.zeros((n_steps + 2, 4), dtype=np.int64)  # the last row: after the run
-        change[0], change[1] = f._sums[0], -f._sums[0]
+        change[0], change[1] = f._sums[0], -f._sums[0]  # step 1 commits t = 0's shares anew
         for at, share in ((c1, first), (full, idle - first), (b, -idle)):
             np.add.at(change, np.minimum(at, n_steps + 1), share)
         self.sums = np.cumsum(change[:-1], axis=0)
         power, dischargeable, chargeable, forced = (self.sums / _KW_UNITS).T
         self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1).tolist()
-        self.envelopes = f.envelopes  # as of the last step: t = 0's, from the same sums
+        self._fleet, self.envelopes, self.step_index = f, f.envelopes, 0
 
         # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
         # departures, with their state the step before, up to ptr[2j + 2]; ids ascending.
-        arrive = (start > 0).nonzero()[0]
+        arrive, absorbed = (start > 0).nonzero()[0], full < b  # absorbed: full by b - 1
         key = np.concatenate([2 * start[arrive], 2 * b + 1])
-        order, (out_soc, out_mode) = np.argsort(key, kind="stable"), self._state(..., b - 1)
+        order = np.argsort(key, kind="stable")
         self.ids = np.concatenate([ids[arrive], ids])[order]
-        self.soc = np.concatenate([p.initial_soc[ids[arrive]], out_soc])[order]
-        self.connection = np.concatenate([np.full(arrive.size, CS, np.int8), out_mode])[order]
+        self.soc = np.concatenate([p.initial_soc[ids[arrive]], np.where(
+            absorbed, hi, _soc(soc, slope, b - 1, k, lo, hi))])[order]
+        self.connection = np.concatenate([np.full(arrive.size, CS, np.int8),
+                                          np.where(absorbed, IS, mode)])[order]
         self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
 
-    def _state(self, s, k) -> tuple[np.ndarray, np.ndarray]:
-        """SOC and mode of the sessions `s` as of steps k: by the SOC law, idle at full."""
-        soc_a, slope, k_a, mode = (a[s] for a in self._anchors)
-        full, (lo, hi) = k >= self._full[s], self._fleet._range
-        return np.where(full, hi, _soc(soc_a, slope, k, k_a, lo, hi)), np.where(full, IS, mode)
+        # The fleet's anchor changes by step: from its first step, each session's anchor; from
+        # full, idle at the ceiling; from plug-out, none (so within a step).
+        absorbed, none = absorbed.nonzero()[0], np.full(ids.size, DISCONNECTED, np.int8)
+        at = np.concatenate([c1, full[absorbed], b])
+        order, self._done = np.argsort(at, kind="stable"), 0
+        self._changes = [a[order] for a in (
+            at, np.concatenate([ids, ids[absorbed], ids]),
+            np.concatenate([soc, np.full(absorbed.size, hi), soc]),
+            np.concatenate([k, full[absorbed], b]).astype(float),
+            np.concatenate([mode, np.full(absorbed.size, IS, np.int8), none]))]
 
     def step(self) -> FleetStep:
         """The next step's plug events, at `span` in the flat ones; its envelope."""
@@ -482,9 +489,12 @@ class Schedule:
         return FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e])
 
     def snapshot(self, lane: int = 0) -> FleetSnapshot:
-        k, p = self.step_index, self._fleet.params
-        if not k:
-            return self._fleet.snapshot()  # as placed, before any promotion
-        ids = self._ids[s := ((self._c1 <= k) & (k < self._b)).nonzero()[0]]
-        return FleetSnapshot(ids, *self._state(s, k), p.rated_charge_kw[ids],
-                             p.rated_discharge_kw[ids])
+        """The fleet's snapshot, its anchors moved to this step in one batch (each vehicle's
+        last change)."""
+        f, (at, ids, soc, k, mode) = self._fleet, self._changes
+        done, self._done = self._done, int(at.searchsorted(self.step_index, "right"))
+        last = self._done - 1 - np.unique(ids[done:self._done][::-1], return_index=True)[1]
+        ids = ids[last]
+        f._soc_a[ids], f._k_a[ids], f._mode[ids] = soc[last], k[last], mode[last]
+        f._slope[ids], f.step_index = f._slopes[mode[last], ids], self.step_index
+        return f.snapshot()

@@ -239,7 +239,8 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
-def _record(fleet: Fleet | Schedule, lane: int, names, series, models, noise, resync: bool, k: int) -> None:
+def _record(fleet: Fleet | Schedule, lane: int, names, series, models, noise, resync: bool,
+            k: int) -> None:
     """Record step k of the variants `names` that the fleet's `lane` serves: each model's
     output C x, after a `resync` (k = 0 included) resets the models from fresh telemetry
     binned once, and the ground truth, the lane's running envelope."""

@@ -143,7 +143,10 @@ MUTANTS = (
     Mutant("running sums", "the schedule takes a departure's share out a step early",
            "fleet.py", "(full, idle - first), (b, -idle)):", "(full, idle - first), (b - 1, -idle)):"),
     Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
-           "self._state(..., b - 1)", "self._state(..., b)"),
+           "_soc(soc, slope, b - 1, k, lo, hi)", "_soc(soc, slope, b, k, lo, hi)"),
+    Mutant("SOC law", "a snapshot takes each vehicle's first change of its batch", "fleet.py",
+           "last = self._done - 1 - np.unique(ids[done:self._done][::-1], return_index=True)[1]",
+           "last = done + np.unique(ids[done:self._done], return_index=True)[1]"),
     Mutant("deadline rule", "the schedule checks a session that left on its first step",
            "fleet.py", "promote = (mode == CS) & (c1 < b) &", "promote = (mode == CS) &"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",

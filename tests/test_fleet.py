@@ -667,12 +667,14 @@ class TestSchedule:
             assert np.isin([Connection.CHARGING, Connection.IDLE, Connection.FORCED_CHARGING],
                            schedule.connection).all()
 
-    @pytest.mark.parametrize("dt, n_steps, every", [(DT_15S, 24 * 240, 20), (DT_5MIN, DAY_5MIN, 1)])
+    @pytest.mark.parametrize("dt, n_steps, every",
+                             [(DT_15S, 24 * 240, 20), (DT_5MIN, DAY_5MIN, 1)])
     @pytest.mark.parametrize("seed", [7, 1, 29])
     def test_matches_steps_over_a_day(self, table_distributions, seed, dt, n_steps, every):
         fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), dt, seed=seed)
         schedule = assert_schedule_matches_steps(fleet, n_steps, every)
-        assert schedule.ids.size > 500 and (schedule.connection == Connection.FORCED_CHARGING).any()
+        assert schedule.ids.size > 500
+        assert (schedule.connection == Connection.FORCED_CHARGING).any()
 
     def test_a_session_leaving_on_its_first_step_is_not_checked(self):
         # Yesterday's session ends inside step 1, its rule binding (a 300 kWh battery that
