@@ -260,7 +260,8 @@ class Fleet:
         merged = m_ok & e_ok & (b_m >= a_e)
         # Sessions per [yesterday's or today's, vehicle], where `_on`: the steps of arrival (0:
         # placed at t = 0) and of plug-out.
-        self._start, self._end = np.stack([a_m, a_e]), np.stack([np.where(merged, b_e, b_m), b_e])
+        self._start, self._end = (np.stack(s).astype(np.int32) for s in (
+            [a_m, a_e], [np.where(merged, b_e, b_m), b_e]))
         self._on = np.stack([m_ok, e_ok & ~merged])
         self._arrivals = _bucket(self._start, self._on & (self._start > 0), grid.size, lanes)
         self._departures = _bucket(self._end, self._on, grid.size, lanes)
@@ -443,6 +444,7 @@ class Schedule:
         full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
         on = slope.nonzero()[0]
         full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
+        del which, check, promote, on  # each of these session-long temporaries raised peak RSS
 
         # Each session's share from its first step, then idle at the ceiling from full.
         units = f._units[ids]
@@ -450,40 +452,43 @@ class Schedule:
         idle = _terms(f._term_table, f._reach, units, hi, IS)
         change = np.zeros((n_steps + 2, 4), dtype=np.int64)  # the last row: after the run
         change[0], change[1] = f._sums[0], -f._sums[0]  # step 1 commits t = 0's shares anew
-        for at, share in ((c1, first), (full, idle - first), (b, -idle)):
-            np.add.at(change, np.minimum(at, n_steps + 1), share)
+        for at, share, move in ((c1, first, np.add), (full, first, np.subtract),
+                                (full, idle, np.add), (b, idle, np.subtract)):
+            move.at(change, np.minimum(at, n_steps + 1), share)
+        del units, first, idle
         self.sums = np.cumsum(change[:-1], axis=0)
         power, dischargeable, chargeable, forced = (self.sums / _KW_UNITS).T
-        self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1).tolist()
+        self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1)
         self._fleet, self.envelopes, self.step_index = f, f.envelopes, 0
 
         # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
-        # departures, with their state the step before, up to ptr[2j + 2]; ids ascending.
+        # departures, with their state the step before, up to ptr[2j + 2]; ids ascending. Only
+        # the run's events and changes are kept.
         arrive, absorbed = (start > 0).nonzero()[0], full < b  # absorbed: full by b - 1
         key = np.concatenate([2 * start[arrive], 2 * b + 1])
-        order = np.argsort(key, kind="stable")
+        order = np.argsort(key, kind="stable")[:np.count_nonzero(key <= 2 * n_steps + 1)]
         self.ids = np.concatenate([ids[arrive], ids])[order]
         self.soc = np.concatenate([p.initial_soc[ids[arrive]], np.where(
             absorbed, hi, _soc(soc, slope, b - 1, k, lo, hi))])[order]
         self.connection = np.concatenate([np.full(arrive.size, CS, np.int8),
                                           np.where(absorbed, IS, mode)])[order]
         self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
+        del key, order
 
         # The fleet's anchor changes by step: from its first step, each session's anchor; from
         # full, idle at the ceiling; from plug-out, none (so within a step).
         absorbed, none = absorbed.nonzero()[0], np.full(ids.size, DISCONNECTED, np.int8)
         at = np.concatenate([c1, full[absorbed], b])
-        order, self._done = np.argsort(at, kind="stable"), 0
-        self._changes = [a[order] for a in (
-            at, np.concatenate([ids, ids[absorbed], ids]),
-            np.concatenate([soc, np.full(absorbed.size, hi), soc]),
-            np.concatenate([k, full[absorbed], b]).astype(float),
-            np.concatenate([mode, np.full(absorbed.size, IS, np.int8), none]))]
+        order, self._done = np.argsort(at, kind="stable")[:np.count_nonzero(at <= n_steps)], 0
+        self._changes = [np.concatenate(parts, dtype=kind)[order] for kind, parts in (
+            (np.int32, [c1, full[absorbed], b]), (np.int32, [ids, ids[absorbed], ids]),
+            (float, [soc, np.full(absorbed.size, hi), soc]), (np.int32, [k, full[absorbed], b]),
+            (np.int8, [mode, np.full(absorbed.size, IS, np.int8), none]))]
 
     def step(self) -> FleetStep:
         """The next step's plug events, at `span` in the flat ones; its envelope."""
         j = self.step_index = self.step_index + 1
-        self.envelopes = (FlexibilityEnvelope(*self._rows[j]),)
+        self.envelopes = (FlexibilityEnvelope(*self._rows[j].tolist()),)
         a, m, e = self._ptr[2 * j:2 * j + 3]
         self.span, ids, soc, mode = slice(a, e), self.ids, self.soc, self.connection
         return FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e])

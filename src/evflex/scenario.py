@@ -192,9 +192,9 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     # The fleet first: building the models first measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
+    models = _models(config)
     if not controlled:  # its whole run is known now: replay it from one event schedule
         fleet = Schedule(fleet, k_steps)
-    models = _models(config)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}

@@ -139,9 +139,9 @@ MUTANTS = (
            "            self._watch[absorbed] = False\n"),
     # The event schedule of an uncontrolled fleet: its own code, not the shared rules.
     Mutant("running sums", "the schedule adds a session's first share a step late", "fleet.py",
-           "for at, share in ((c1, first),", "for at, share in ((c1 + 1, first),"),
+           "((c1, first, np.add),", "((c1 + 1, first, np.add),"),
     Mutant("running sums", "the schedule takes a departure's share out a step early",
-           "fleet.py", "(full, idle - first), (b, -idle)):", "(full, idle - first), (b - 1, -idle)):"),
+           "fleet.py", "(b, idle, np.subtract)", "(b - 1, idle, np.subtract)"),
     Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
            "_soc(soc, slope, b - 1, k, lo, hi)", "_soc(soc, slope, b, k, lo, hi)"),
     Mutant("SOC law", "a snapshot takes each vehicle's first change of its batch", "fleet.py",
