@@ -223,19 +223,19 @@ def _terms(table, reach, units, soc, mode) -> np.ndarray:
 class Fleet:
     """Event-driven fleet state machine over one or more lanes: the step kernel.
 
-    Each vehicle has up to two sessions inside a 0-24 h run: the tail of
-    yesterday's ([plug_in - 24, plug_out - 24), SOC fast-forwarded through the
-    pre-run uncontrolled charging) and today's ([plug_in, plug_out)). Each lane
-    is a clone of the fleet with its own SOC, modes and running sums, sharing
-    parameters, plug events and actuation draws; vehicle v of lane r has the
-    flat id r * n + v. A connected vehicle is an anchor (SOC, step, mode) with
-    the step at which it reaches full or empty, and a mask marks the anchors
-    whose forced-charging rule can still bind, so a step touches only its
-    events, its due and watched vehicles and those a command addresses, and
-    keeps each lane's imm envelope (`envelopes`, as of the last step or t = 0)
-    as running sums over them. Draws are keyed by step and vehicle. A fleet
-    that no command will steer need not be stepped: its `Schedule` holds the
-    whole run, by the same rules.
+    Each vehicle has up to two connection windows inside a 0-24 h run: the
+    tail of yesterday's session ([plug_in - 24, plug_out - 24), SOC
+    fast-forwarded through the pre-run uncontrolled charging) and today's
+    session ([plug_in, plug_out)). Each lane is a clone of the fleet with its
+    own SOC, modes and running sums, sharing parameters, plug events and
+    actuation draws; vehicle v of lane r has the flat id r * n + v. A
+    connected vehicle is an anchor (SOC, step, mode) with the step at which it
+    reaches full or empty, and a mask marks the anchors whose forced-charging
+    rule can still bind, so a step touches only its events, its due and
+    watched vehicles and those a command addresses, and keeps each lane's imm
+    envelope (`envelopes`, as of the last step or t = 0) as running sums over
+    them. Draws are keyed by step and vehicle. A fleet that no command steers
+    need not be stepped: its `Schedule` holds the whole run, by the same rules.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
@@ -430,6 +430,7 @@ class Schedule:
         if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
             raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
                              "watched")
+        self._fleet, self.envelopes, self.step_index, self._done = f, f.envelopes, 0, 0
         # Sessions by vehicle, yesterday's first: first step c1 (1 if placed), plug-out step b.
         ids, which = f._on.T.nonzero()
         start, b = f._start[which, ids], f._end[which, ids]
@@ -444,7 +445,7 @@ class Schedule:
         full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
         on = slope.nonzero()[0]
         full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
-        del which, check, promote, on  # each of these session-long temporaries raised peak RSS
+        del which, check, promote, on  # freed early: held to the end, they raised peak RSS
 
         # Each session's share from its first step, then idle at the ceiling from full.
         units = f._units[ids]
@@ -459,7 +460,6 @@ class Schedule:
         self.sums = np.cumsum(change[:-1], axis=0)
         power, dischargeable, chargeable, forced = (self.sums / _KW_UNITS).T
         self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1)
-        self._fleet, self.envelopes, self.step_index = f, f.envelopes, 0
 
         # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
         # departures, with their state the step before, up to ptr[2j + 2]; ids ascending. Only
@@ -479,7 +479,7 @@ class Schedule:
         # full, idle at the ceiling; from plug-out, none (so within a step).
         absorbed, none = absorbed.nonzero()[0], np.full(ids.size, DISCONNECTED, np.int8)
         at = np.concatenate([c1, full[absorbed], b])
-        order, self._done = np.argsort(at, kind="stable")[:np.count_nonzero(at <= n_steps)], 0
+        order = np.argsort(at, kind="stable")[:np.count_nonzero(at <= n_steps)]
         self._changes = [np.concatenate(parts, dtype=kind)[order] for kind, parts in (
             (np.int32, [c1, full[absorbed], b]), (np.int32, [ids, ids[absorbed], ids]),
             (float, [soc, np.full(absorbed.size, hi), soc]), (np.int32, [k, full[absorbed], b]),

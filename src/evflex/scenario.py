@@ -189,12 +189,14 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     run equals its solo run."""
     k_steps, names = config.n_steps, config.variants
     lanes = [(name,) for name in names] if controlled else [names]
-    # The fleet first: building the models first measured a higher peak RSS.
+    # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
     models = _models(config)
-    if not controlled:  # its whole run is known now: replay it from one event schedule
+    layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    if not controlled:  # the whole run is known now: one event schedule, its plug events binned
         fleet = Schedule(fleet, k_steps)
+        binned = layout.keys(fleet.connection, fleet.soc)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
@@ -207,9 +209,6 @@ def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | Non
     for r, lane in enumerate(lanes):
         _record(fleet, r, lane, series, models, noise, True, 0)
 
-    layout = models[names[0]].layout  # keys depend only on N and the SOC range
-    if not controlled:  # every plug event binned at once
-        binned = layout.keys(fleet.connection, fleet.soc)
     resync_steps = config.resync_steps
     inputs = [(None, None)] * len(lanes)
     for k in range(k_steps):

@@ -105,7 +105,7 @@ MUTANTS = (
            "return np.where(t <= m_end, m_end, plug_out)"),
     Mutant("running sums", "every lane's sums are lane 0's", "fleet.py",
            "np.add.at(self._sums, ids // self.params.n_ev,", "np.add.at(self._sums, 0 * ids,"),
-    Mutant("SOC law", "no absorption on the step after a vehicle is anchored", "fleet.py",
+    Mutant("SOC law", "no absorption on the step a vehicle is placed", "fleet.py",
            "np.ceil((bound - soc_a) / slope), 1.0)", "np.ceil((bound - soc_a) / slope), 2.0)"),
     Mutant("SOC law", "vehicles are absorbed a step late", "fleet.py",
            "return k + np.maximum(", "return k + 1 + np.maximum("),
