@@ -331,7 +331,7 @@ class TestFleetPaths:
         config = small_config(horizon_hours=1.0)
         assert run_prediction_experiment(config).variants["essm"].n_connected.all()
         assert len(scenario.sweep_prediction(config, [50, 100])) == 4
-        assert main(["sweep", "--sizes", "60", "--n-ev", "60", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--sizes", "60", "--out", str(tmp_path)]) == 0
 
     def test_track_steps_the_fleet_every_step(self, monkeypatch):
         calls, step = [], Fleet.step
