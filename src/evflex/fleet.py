@@ -486,7 +486,8 @@ class Schedule:
             (np.int8, [mode, np.full(absorbed.size, IS, np.int8), none]))]
 
     def step(self) -> FleetStep:
-        """The next step's plug events, at `span` in the flat ones; its envelope."""
+        """Advance a step: set `envelopes` to its envelope, `span` to its slice of the flat plug
+        events, and return them."""
         j = self.step_index = self.step_index + 1
         self.envelopes = (FlexibilityEnvelope(*self._rows[j].tolist()),)
         a, m, e = self._ptr[2 * j:2 * j + 3]
