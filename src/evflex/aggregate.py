@@ -269,11 +269,11 @@ def _scale_output(coeff: np.ndarray, positive: np.ndarray, state: AggregateState
 
 def measure(c: np.ndarray, x: np.ndarray, noise_std_kw=None,
             rng: np.random.Generator | None = None) -> np.ndarray:
-    """The output map y = C x (power, upper, lower), plus Gaussian noise of
-    std `noise_std_kw` drawn from `rng` when one is given."""
-    y = c @ x
+    """The output map y = C x (power, upper, lower) of a step, or of a stack of steps, plus
+    Gaussian noise of std `noise_std_kw` drawn from `rng` when one is given."""
+    y = c @ x if x.ndim == 1 else np.matmul(c, x[:, :, None])[:, :, 0]
     if rng is not None:
-        y += rng.normal(0.0, 1.0, 3) * noise_std_kw
+        y += rng.normal(0.0, 1.0, y.shape) * noise_std_kw
     return y
 
 
@@ -295,9 +295,18 @@ def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
     denom = n_ev_connected + 2 * n_in - keys.size
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    states, d = layout.state_table.take(keys), layout.dimension  # counts: exact as +-1 weights
-    return (np.bincount(states[:n_in], minlength=d)
-            - np.bincount(states[n_in:], minlength=d)) / denom
+    return churn_noise(np.array([n_in, keys.size - n_in]), np.array([denom]), keys, layout)[0]
+
+
+def churn_noise(counts: np.ndarray, n_new: np.ndarray, keys: np.ndarray,
+                layout: StateLayout) -> np.ndarray:
+    """`compute_noise` of each step of a run: `keys` holds the steps' plug events in order,
+    each step's arrivals then its departures, `counts` how many of each (flat, in that
+    order) and `n_new` the count connected after each step. Integer counts, one division."""
+    d = layout.dimension  # counts: exact as +-1 weights
+    cells = np.repeat(np.arange(0, counts.size * d, d), counts) + layout.state_table.take(keys)
+    both = np.bincount(cells, minlength=counts.size * d).reshape(-1, 2, d)
+    return (both[:, 0] - both[:, 1]) / n_new[:, None]
 
 
 class AggregateModel:
@@ -310,6 +319,7 @@ class AggregateModel:
         self.state: AggregateState | None = None
         self._coeff = output_coefficients(layout)
         self._positive = self._coeff > 0
+        self._zero = self._coeff * 0.0  # the pattern of an empty fleet: powers (0, 0)
 
     @classmethod
     def from_distributions(cls, layout: StateLayout, distributions: FleetDistributions,
@@ -317,25 +327,18 @@ class AggregateModel:
         a = estimate_transition_matrix(distributions, layout, dt_hours, n_samples, seed)
         return cls(layout, a)
 
-    def _set_state(self, state: AggregateState, rescale: bool = False) -> None:
-        """Install `state`. C is n times the sign pattern scaled by (p_ac,
-        p_ad), which change only where `rescale` is set, so C is rebuilt only
-        there and where the connected count n changed."""
-        if rescale:
-            self._pattern = _scale_output(self._coeff, self._positive, state)
-        if rescale or state.n_ev_connected != self.state.n_ev_connected:
-            self.mats.C = state.n_ev_connected * self._pattern
-        self.state = state
-
     def resync(self, snapshot: FleetSnapshot, keys: np.ndarray | None = None) -> None:
         """Replace the model state with fresh telemetry (periodic hard update);
-        `keys`: as for `discretize`.
+        `keys`: as for `discretize`. C is n times the sign pattern scaled by
+        the snapshot's (p_ac, p_ad), which hold until the next resync.
 
         Re-bins every vehicle, which also refreshes forced-charging
         membership; promotion into forced charging is observed here rather
         than modeled in the transition matrix.
         """
-        self._set_state(discretize(snapshot, self.layout, keys), rescale=True)
+        state = discretize(snapshot, self.layout, keys)
+        self._pattern = _scale_output(self._coeff, self._positive, state)
+        self.state, self.mats.C = state, state.n_ev_connected * self._pattern
 
     def pre_control(self) -> AggregateState:
         """Predicted state for the upcoming step before any input acts."""
@@ -357,33 +360,46 @@ class AggregateModel:
         Entries of A x + B u below -1e-9 mean an inadmissible input slipped
         through planning and raise; smaller negatives are clamped as float
         dust. A x alone has none: A and x are >= +0 (np.maximum(-0.0, 0.0) is
-        +0.0). The churn term is observed telemetry and may legitimately
-        overdraw an interval the model mispredicts between resyncs, so
-        post-noise negatives are clamped and the vector renormalized. An empty
-        model holds the zero vector, so arrivals into it define the state
-        outright through the churn term.
+        +0.0). The rest of the step is `finish_step`'s.
         """
         st, n_in, n_out = self.state, events.n_in, events.n_out
-        n_new = st.n_ev_connected + n_in - n_out
-        if n_new <= 0:
-            self._set_state(AggregateState(self.layout, np.zeros(self.layout.dimension),
-                                           0, 0.0, 0.0), rescale=True)
-            return
+        n_new, churn = st.n_ev_connected + n_in - n_out, None
         x = self.mats.A @ st.x if pre is None else pre.x.copy()  # finished in place
-        if u is not None:
+        if u is not None and n_new > 0:
             x += self.mats.B @ u
             low = np.minimum.reduce(x)
             if low < -HARD_NEG:
                 raise ValueError(f"state driven negative ({low:.3e}) by an inadmissible input")
             np.maximum(x, 0.0, out=x)
-        if n_in or n_out:
+        if (n_in or n_out) and n_new > 0:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
-            x += compute_noise(st.n_ev_connected, n_in, keys, self.layout)
-            np.maximum(x, 0.0, out=x)
-        total = np.add.reduce(x)
-        if total > 0.0 and abs(total - 1.0) > SUM_TOL:
-            x /= total
-        self._set_state(AggregateState(self.layout, x, n_new, st.p_ac_kw, st.p_ad_kw))
+            churn = compute_noise(st.n_ev_connected, n_in, keys, self.layout)
+        self._pattern = self.finish_step(x, n_new, churn, self._pattern, self.mats.C)
+        powers = (st.p_ac_kw, st.p_ad_kw) if n_new > 0 else (0.0, 0.0)
+        self.state = AggregateState(self.layout, x, max(n_new, 0), *powers)
+
+    def finish_step(self, x: np.ndarray, n_new: int, churn: np.ndarray | None,
+                    pattern: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The state step after the recursion, in place, which `advance` and the prediction pass
+        share: `x`, a step's recursed state, takes the step's `churn` (None: no plug event), is
+        clamped and renormalized, and the output matrix `c` is set to n_new · `pattern`, n_new
+        the count connected after the step. The churn term is observed telemetry and may
+        legitimately overdraw an interval the model mispredicts between resyncs, hence the
+        clamp. A fleet that empties resets to the zero vector and the zero pattern (powers 0),
+        so arrivals into it define the state outright through the churn term. Returns the
+        pattern the step leaves."""
+        if n_new <= 0:
+            x.fill(0.0)
+            n_new, pattern = 0, self._zero
+        else:
+            if churn is not None:
+                x += churn
+                np.maximum(x, 0.0, out=x)
+            total = np.add.reduce(x)
+            if total > 0.0 and abs(total - 1.0) > SUM_TOL:
+                x /= total
+        np.multiply(n_new, pattern, out=c)
+        return pattern
 
     def envelope(self) -> FlexibilityEnvelope:
         return FlexibilityEnvelope(*measure(self.mats.C, self.state.x).tolist())

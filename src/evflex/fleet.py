@@ -418,19 +418,20 @@ class Fleet:
 
 
 class Schedule:
-    """The uncontrolled run of a one-lane fleet, known at t = 0, read as the step loop reads a
-    `Fleet`: `step`, `envelopes`, `snapshot`. A session connects charging, is promoted on its
-    first step if its forced-charging rule binds (its only check: a charging anchor's slack
-    stays), idles from full and leaves: it holds one share of the sums up to full and one up
-    to plug-out, and each step's sums add the changes of share at it. The schedule takes the
-    fleet over: each snapshot moves the fleet's anchors to its step and reads the fleet's."""
+    """The uncontrolled run of a one-lane fleet, known at t = 0: each step's four sums and
+    envelope row (`sums`, `_rows`), its plug events, and snapshots at rising steps. A session
+    connects charging, is promoted on its first step if its forced-charging rule binds (its
+    only check: a charging anchor's slack stays), idles from full and leaves: it holds one
+    share of the sums up to full and one up to plug-out, and each step's sums add the changes
+    of share at it. The schedule takes the fleet over: each snapshot moves the fleet's anchors
+    to its step and reads the fleet's."""
 
     def __init__(self, fleet: Fleet, n_steps: int):
         f, p, dt, (lo, hi) = fleet, fleet.params, fleet.dt_hours, fleet._range
         if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
             raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
                              "watched")
-        self._fleet, self.envelopes, self.step_index, self._done = f, f.envelopes, 0, 0
+        self._fleet, self._done = f, 0
         # Sessions by vehicle, yesterday's first: first step c1 (1 if placed), plug-out step b.
         ids, which = f._on.T.nonzero()
         start, b = f._start[which, ids], f._end[which, ids]
@@ -485,22 +486,13 @@ class Schedule:
             (float, [soc, np.full(absorbed.size, hi), soc]), (np.int32, [k, full[absorbed], b]),
             (np.int8, [mode, np.full(absorbed.size, IS, np.int8), none]))]
 
-    def step(self) -> FleetStep:
-        """Advance a step: set `envelopes` to its envelope, `span` to its slice of the flat plug
-        events, and return them."""
-        j = self.step_index = self.step_index + 1
-        self.envelopes = (FlexibilityEnvelope(*self._rows[j].tolist()),)
-        a, m, e = self._ptr[2 * j:2 * j + 3]
-        self.span, ids, soc, mode = slice(a, e), self.ids, self.soc, self.connection
-        return FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e])
-
-    def snapshot(self, lane: int = 0) -> FleetSnapshot:
-        """The fleet's snapshot, its anchors moved to this step in one batch (each vehicle's
-        last change)."""
+    def snapshot(self, step: int) -> FleetSnapshot:
+        """The fleet's snapshot at `step`, no earlier than the last one's, its anchors moved
+        there in one batch (each vehicle's last change)."""
         f, (at, ids, soc, k, mode) = self._fleet, self._changes
-        done, self._done = self._done, int(at.searchsorted(self.step_index, "right"))
+        done, self._done = self._done, int(at.searchsorted(step, "right"))
         last = self._done - 1 - np.unique(ids[done:self._done][::-1], return_index=True)[1]
         ids = ids[last]
         f._soc_a[ids], f._k_a[ids], f._mode[ids] = soc[last], k[last], mode[last]
-        f._slope[ids], f.step_index = f._slopes[mode[last], ids], self.step_index
+        f._slope[ids], f.step_index = f._slopes[mode[last], ids], step
         return f.snapshot()

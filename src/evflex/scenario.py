@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
-                        build_transition_matrix, churn_keys, measure, move_probabilities)
+                        build_transition_matrix, churn_keys, churn_noise, measure,
+                        move_probabilities)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, Schedule, sample_fleet
@@ -177,90 +178,114 @@ def _noise_rng_or_none(config: SimulationConfig, variant: str):
     return std, rng
 
 
-def _run(config: SimulationConfig, controlled: bool, reference: np.ndarray | None) -> RunResult:
-    """The step loop of both experiments, over one fleet with a lane per
-    group of variants. Uncontrolled, one lane, read from the fleet's
-    `Schedule`, serves every variant's model.
-    Controlled, each variant plans for its own lane, a clone of the fleet:
-    plan, step, advance, record. Without a `reference`, each step's level is
-    drawn once, from the live envelope of the extended model (the first
-    variant when it is not run), before any lane plans. Every random stream
-    is keyed by seed, step or stream tag, never by run order, so each lane's
-    run equals its solo run."""
+def _run(config: SimulationConfig, reference: np.ndarray | None) -> RunResult:
+    """The tracking loop, over one fleet with a lane per variant, a clone of the fleet: each
+    variant plans for its own lane, then the fleet steps and each model advances and records.
+    Without a `reference`, each step's level is drawn once, from the live envelope of the
+    extended model (the first variant when it is not run), before any lane plans. Every random
+    stream is keyed by seed, step or stream tag, never by run order, so each lane's run equals
+    its solo run."""
     k_steps, names = config.n_steps, config.variants
-    lanes = [(name,) for name in names] if controlled else [names]
-    # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
-    fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(lanes))
+    fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(names))
     models = _models(config)
     layout = models[names[0]].layout  # keys depend only on N and the SOC range
-    if not controlled:  # the whole run is known now: one event schedule, its plug events binned
-        fleet = Schedule(fleet, k_steps)
-        binned = layout.keys(fleet.connection, fleet.soc)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
     generator = None
     if reference is None:
         reference = np.zeros(k_steps + 1)
-        if controlled:
-            generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
-            lead = models[ESSM if ESSM in models else names[0]]
-    for r, lane in enumerate(lanes):
-        _record(fleet, r, lane, series, models, noise, True, 0)
+        generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
+        lead = models[ESSM if ESSM in models else names[0]]
+    for r, name in enumerate(names):
+        _record(fleet, r, name, series, models, noise, True, 0)
 
     resync_steps = config.resync_steps
-    inputs = [(None, None)] * len(lanes)
     for k in range(k_steps):
-        commands = []
-        if controlled:
-            if generator is not None:
-                reference[k + 1] = generator.level(k, lead.envelope())
-            for r, (name,) in enumerate(lanes):
-                model, vs = models[name], series[name]
-                pre = model.pre_control()
-                plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
-                commands.append(to_switching_probabilities(plan))
-                inputs[r] = plan.expected_u, pre
-                vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
+        if generator is not None:
+            reference[k + 1] = generator.level(k, lead.envelope())
+        commands, inputs = [], []
+        for name in names:
+            model, vs = models[name], series[name]
+            pre = model.pre_control()
+            plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
+            commands.append(to_switching_probabilities(plan))
+            inputs.append((plan.expected_u, pre))
+            vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
         step = fleet.step(*commands)
-        if controlled:
-            keys = churn_keys(step, layout, len(lanes)) if step.n_in or step.n_out else None
-        else:
-            keys = binned[None, fleet.span]
-        for r, lane in enumerate(lanes):
-            u, pre = inputs[r]
-            for name in lane:
-                models[name].advance(step, u, pre, None if keys is None else keys[r])
-            _record(fleet, r, lane, series, models, noise, (k + 1) % resync_steps == 0, k + 1)
+        keys = churn_keys(step, layout, len(names)) if step.n_in or step.n_out else None
+        for r, name in enumerate(names):
+            models[name].advance(step, *inputs[r], None if keys is None else keys[r])
+            _record(fleet, r, name, series, models, noise, (k + 1) % resync_steps == 0, k + 1)
     if generator is not None:
         reference[0] = reference[1]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
-def _record(fleet: Fleet | Schedule, lane: int, names, series, models, noise, resync: bool,
+def _record(fleet: Fleet, lane: int, name: str, series, models, noise, resync: bool,
             k: int) -> None:
-    """Record step k of the variants `names` that the fleet's `lane` serves: each model's
-    output C x, after a `resync` (k = 0 included) resets the models from fresh telemetry
-    binned once, and the ground truth, the lane's running envelope."""
+    """Record step k of the variant `name` that the fleet's `lane` serves: its model's output
+    C x, after a `resync` (k = 0 included) resets the model from fresh telemetry, and the
+    ground truth, the lane's running envelope."""
+    model, vs = models[name], series[name]
     if resync:
-        snap = fleet.snapshot(lane)
-        keys = models[names[0]].layout.keys(snap.connection, snap.soc)
-        for name in names:
-            models[name].resync(snap, keys)
+        model.resync(fleet.snapshot(lane))
     env = fleet.envelopes[lane]
-    truth = env.p_ev_kw, env.p_u_kw, env.p_l_kw
-    for name in names:
-        model, vs = models[name], series[name]
-        vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
-        vs.imm_kw.T[k] = truth
-        vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
+    vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
+    vs.imm_kw.T[k] = env.p_ev_kw, env.p_u_kw, env.p_l_kw
+    vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
 
 
 def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     """Uncontrolled 24 h run: every vehicle charges until full or gone, every
-    variant's model predicts alongside from telemetry."""
-    return _run(config, False, None)
+    variant's model predicts alongside from telemetry.
+
+    The fleet's whole run is one `Schedule`, its plug events binned once, and its rows are the
+    ground truth. The models run one pass per resync period: each resyncs from the period's
+    snapshot; one count over the period's plug events gives the churn of each of its steps;
+    the recursion runs in place in the recorded states, each step finished by
+    `AggregateModel.finish_step`; one stacked product gives the period's outputs. The count
+    of connected vehicles that the pass propagates must equal the next snapshot's."""
+    k_steps, names, every = config.n_steps, config.variants, config.resync_steps
+    # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
+    fleet = Fleet(sample_fleet(config.distributions, config.n_ev, config.seed), config.dt_hours,
+                  config.seed)
+    models = _models(config)
+    schedule = Schedule(fleet, k_steps)
+    layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    binned, ptr = layout.keys(schedule.connection, schedule.soc), schedule._ptr
+    series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
+              for name in names}
+    noise = {name: _noise_rng_or_none(config, name) for name in names}
+    n = None
+    for s in range(0, k_steps + 1, every):  # the period's rows: s, its resync, to e - 1
+        e, snap = min(s + every, k_steps + 1), schedule.snapshot(s)
+        if n is not None and n[-1] != snap.n_connected:
+            raise ValueError(f"step {s}: the model pass propagated {n[-1]} connected vehicles, "
+                             f"the snapshot has {snap.n_connected}")
+        keys, m = layout.keys(snap.connection, snap.soc), e - s
+        # The arrivals and departures of each step up to the next resync, and the count after.
+        counts, n = np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [snap.n_connected]
+        for change in (counts[::2] - counts[1::2]).tolist():
+            n.append(max(n[-1] + change, 0))
+        counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]
+        busy = counts.reshape(-1, 2).any(axis=1).tolist()
+        for name in names:
+            model, vs = models[name], series[name]
+            model.resync(snap, keys)
+            x, c, pattern = vs.states[s:e], np.empty((m, 3, model.layout.dimension)), model._pattern
+            x[0], c[0] = model.state.x, model.mats.C
+            # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
+            churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
+            for i in range(1, m):
+                np.matmul(model.mats.A, x[i - 1], out=x[i])
+                pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
+                                            pattern, c[i])
+            vs.model_kw.T[s:e] = measure(c, x, *noise[name])
+            vs.n_connected[s:e], vs.imm_kw.T[s:e] = n[:m], schedule._rows[s:e]
+    return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, np.zeros(k_steps + 1),
+                     series)
 
 
 def run_tracking_experiment(config: SimulationConfig,
@@ -272,7 +297,7 @@ def run_tracking_experiment(config: SimulationConfig,
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (config.n_steps + 1,):
             raise ValueError("reference must cover the horizon (n_steps + 1 samples)")
-    return _run(config, True, reference)
+    return _run(config, reference)
 
 
 def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:

@@ -3,7 +3,11 @@ import pytest
 
 from evflex.aggregate import AggregateState, build_output_matrix, measure
 from evflex.config import DistributionSpec, FleetDistributions
-from evflex.fleet import FleetSnapshot, FleetStep, FlexibilityEnvelope
+from evflex.fleet import FleetParams, FleetSnapshot, FleetStep, FlexibilityEnvelope, sample_fleet
+
+
+DT_5MIN = 5.0 / 60.0
+DAY_5MIN = 24 * 12
 
 
 def point(value: float) -> DistributionSpec:
@@ -71,3 +75,35 @@ def interval_index(layout, soc) -> np.ndarray:
 @pytest.fixture
 def table_distributions():
     return FleetDistributions()
+
+
+def edge_case_sessions(dt):
+    """(plug_in_h, plug_out_h) of one vehicle per plug-event edge case."""
+    j = round(10.0 / dt)  # grid point j * dt lies near 10 h
+
+    def at(i):
+        return i * dt
+
+    return [
+        # Yesterday's window ends inside the step in which today's starts.
+        (at(j) + 0.6 * dt, at(j) + 0.3 * dt + 24.0),
+        (at(j) + 0.2 * dt, at(j) + 0.7 * dt),  # shorter than a step, no grid point inside
+        (at(j) + 0.8 * dt, at(j) + 1.3 * dt),  # shorter than a step, one grid point inside
+        (20.0, 30.0),  # carried over: connected at t = 0
+        (24.0, 30.0),  # yesterday's plug-in exactly at t = 0
+        (0.0, 10.0),  # today's plug-in exactly at t = 0
+        (25.0, 40.0),  # plug-in >= 24 h: arrives after midnight
+        (at(j), at(j + 20)),  # plug-in and plug-out exactly on grid points
+        (at(j) + 8.0, at(j) + 24.0),  # yesterday's plug-out on a grid point (exact for 0.25 h)
+    ]
+
+
+def edge_case_params(distributions, seed: int) -> FleetParams:
+    """200 sampled vehicles for 5 min steps: the edge-case sessions first, with deadlines
+    that bind early, and every seventh vehicle arriving at the SOC floor."""
+    sessions = edge_case_sessions(DT_5MIN)
+    params = sample_fleet(distributions, 200, seed=seed)
+    params.plug_in_h[:len(sessions)], params.plug_out_h[:len(sessions)] = zip(*sessions)
+    params.demanded_soc[:len(sessions)] = 0.9
+    params.initial_soc[::7] = params.soc_min
+    return params

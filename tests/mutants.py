@@ -60,8 +60,8 @@ MUTANTS = (
     Mutant("state step", "the transition's next slot is off by one", "aggregate.py",
            "np.r_[table[CS, 1:n], table[IS, n + 1]]", "np.r_[table[CS, :n - 1], table[IS, n + 1]]"),
     Mutant("state step", "the pre-churn clamp is skipped under a command", "aggregate.py",
-           "            np.maximum(x, 0.0, out=x)\n        if n_in or n_out:",
-           "        if n_in or n_out:"),
+           "            np.maximum(x, 0.0, out=x)\n        if (n_in or n_out) and n_new > 0:",
+           "        if (n_in or n_out) and n_new > 0:"),
     Mutant("state step", "renormalization is dropped", "aggregate.py", "x /= total", "pass"),
     Mutant("state step", "the planned-on state is changed in place", "aggregate.py",
            "else pre.x.copy()", "else pre.x"),
@@ -70,6 +70,15 @@ MUTANTS = (
            "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
     Mutant("running sums", "every lane records lane 0's envelope", "scenario.py",
            "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
+    # The prediction run's model pass, a resync period at a time; `finish_step`, which it shares
+    # with `advance`, is covered by the state-step mutants above.
+    Mutant("model pass", "the block's churn is read one step early", "scenario.py",
+           "counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]",
+           "counts, events = np.diff(ptr[2 * s:2 * e - 1]), binned[ptr[2 * s]:ptr[2 * e - 2]]"),
+    Mutant("model pass", "the pattern is kept after the fleet empties", "scenario.py",
+           "pattern = model.finish_step(", "model.finish_step("),
+    Mutant("model pass", "the last partial block is dropped", "scenario.py",
+           "for s in range(0, k_steps + 1, every):", "for s in range(0, k_steps + 2 - every, every):"),
     # The reference draw and the dispatch plan.
     Mutant("reference draw", "the draw spans the whole band", "scenario.py",
            "half = 0.5 * central_fraction * (p_u - p_l)", "half = 0.5 * (p_u - p_l)"),

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.control import DispatchCommand, actuate_array
 from evflex.aggregate import StateLayout
-from evflex.fleet import (Connection, Fleet, FleetSnapshot, Schedule, _deadline, _events,
-                          sample_fleet, step_stream)
+from evflex.fleet import (Connection, Fleet, FleetSnapshot, FleetStep, FlexibilityEnvelope,
+                          Schedule, _deadline, _events, sample_fleet, step_stream)
 from evflex.imm import imm_flexibility
 
-from conftest import deterministic_distributions, point
+from conftest import (DAY_5MIN, DT_5MIN, deterministic_distributions, edge_case_params,
+                      edge_case_sessions, point)
 
 DT_15S = 15.0 / 3600.0
 
@@ -419,27 +420,6 @@ class WindowOracle:
         return np.flatnonzero(arrivals), np.flatnonzero(departures), deadline[now]
 
 
-def edge_case_sessions(dt):
-    """(plug_in_h, plug_out_h) of one vehicle per plug-event edge case."""
-    j = round(10.0 / dt)  # grid point j * dt lies near 10 h
-
-    def at(i):
-        return i * dt
-
-    return [
-        # Yesterday's window ends inside the step in which today's starts.
-        (at(j) + 0.6 * dt, at(j) + 0.3 * dt + 24.0),
-        (at(j) + 0.2 * dt, at(j) + 0.7 * dt),  # shorter than a step, no grid point inside
-        (at(j) + 0.8 * dt, at(j) + 1.3 * dt),  # shorter than a step, one grid point inside
-        (20.0, 30.0),  # carried over: connected at t = 0
-        (24.0, 30.0),  # yesterday's plug-in exactly at t = 0
-        (0.0, 10.0),  # today's plug-in exactly at t = 0
-        (25.0, 40.0),  # plug-in >= 24 h: arrives after midnight
-        (at(j), at(j + 20)),  # plug-in and plug-out exactly on grid points
-        (at(j) + 8.0, at(j) + 24.0),  # yesterday's plug-out on a grid point (exact for 0.25 h)
-    ]
-
-
 class TestEventKernel:
     """The bucketed stepwise kernel against the full-length oracle, bitwise,
     at every step: connection mask, plug events, deadlines, SOC and modes."""
@@ -471,20 +451,9 @@ class TestEventKernel:
         assert events > 200
 
 
-DT_5MIN = 5.0 / 60.0
-DAY_5MIN = 24 * 12
-
-
 def sampled_edge_fleet(distributions, seed: int) -> Fleet:
-    """200 sampled vehicles with 5 min steps: the edge-case sessions first,
-    with deadlines that bind early, and every seventh vehicle arriving at
-    the SOC floor."""
-    sessions = edge_case_sessions(DT_5MIN)
-    params = sample_fleet(distributions, 200, seed=seed)
-    params.plug_in_h[:len(sessions)], params.plug_out_h[:len(sessions)] = zip(*sessions)
-    params.demanded_soc[:len(sessions)] = 0.9
-    params.initial_soc[::7] = params.soc_min
-    return Fleet(params, DT_5MIN, seed=seed)
+    """`edge_case_params` as a fleet with 5 min steps."""
+    return Fleet(edge_case_params(distributions, seed), DT_5MIN, seed=seed)
 
 
 def random_commands(variant, n_steps: int, seed: int, fleet, hold: int = DAY_5MIN // 6,
@@ -638,19 +607,29 @@ def same(ours, theirs) -> bool:
     return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
+def schedule_step(schedule: Schedule, j: int) -> tuple[FleetStep, FlexibilityEnvelope]:
+    """Step j of `schedule` read as `Fleet.step` gives it: its plug events, the arrivals
+    [ptr[2j], ptr[2j + 1]) of the flat events and then the departures up to ptr[2j + 2], and
+    the envelope after it."""
+    a, m, e = schedule._ptr[2 * j:2 * j + 3]
+    ids, soc, mode = schedule.ids, schedule.soc, schedule.connection
+    return (FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e]),
+            FlexibilityEnvelope(*schedule._rows[j].tolist()))
+
+
 def assert_schedule_matches_steps(fleet: Fleet, n_steps: int, every: int = 1) -> Schedule:
     """The `Schedule` of a twin of `fleet` against `fleet` stepped uncontrolled, bitwise: each
     step's four sums, envelope and plug events (ids, SOC, mode), and the snapshot (ids, SOC,
     mode, rated powers) at t = 0 and every `every` steps."""
     schedule = Schedule(Fleet(fleet.params, fleet.dt_hours, fleet.seed), n_steps)
     for k in range(n_steps + 1):
+        ours, envelope = schedule_step(schedule, k)
         if k:
-            ours, theirs = schedule.step(), fleet.step()
-            assert all(map(same, astuple(ours), astuple(theirs))), k
+            assert all(map(same, astuple(ours), astuple(fleet.step()))), k
         assert same(schedule.sums[k], fleet._sums[0]), k
-        assert same(astuple(schedule.envelopes[0]), astuple(fleet.envelopes[0])), k
+        assert same(astuple(envelope), astuple(fleet.envelopes[0])), k
         if k % every == 0:
-            assert all(map(same, astuple(schedule.snapshot()), astuple(fleet.snapshot()))), k
+            assert all(map(same, astuple(schedule.snapshot(k)), astuple(fleet.snapshot()))), k
     return schedule
 
 

@@ -1,4 +1,6 @@
 import json
+import re
+from copy import deepcopy
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from evflex import cli, scenario
-from evflex.aggregate import FlexibilityEnvelope
+from evflex.aggregate import FlexibilityEnvelope, measure
 from evflex.cli import main
 from evflex.config import (
     DistributionSpec,
@@ -28,7 +30,7 @@ from evflex.scenario import (
     write_tracking_csv,
 )
 
-from conftest import deterministic_distributions
+from conftest import deterministic_distributions, edge_case_params
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -341,6 +343,118 @@ class TestFleetPaths:
         run_tracking_experiment(config)
         assert len(calls) == config.n_steps
         assert all(len(commands) == 2 for commands in calls)  # one lane per variant
+
+
+def stepwise_prediction(config) -> dict:
+    """The uncontrolled run stepped, the model pass's oracle: at every step `Fleet.step`, then
+    each model's `advance`, a resync every `resync_steps` (k = 0 included) and `measure` of
+    its output; the truth is the fleet's running envelope."""
+    k_steps, names = config.n_steps, config.variants
+    fleet = Fleet(scenario.sample_fleet(config.distributions, config.n_ev, config.seed),
+                  config.dt_hours, config.seed)
+    models = scenario._models(config)
+    noise = {name: scenario._noise_rng_or_none(config, name) for name in names}
+    series = {name: scenario.VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
+              for name in names}
+    for k in range(k_steps + 1):
+        step = fleet.step() if k else None
+        for name in names:
+            model, vs = models[name], series[name]
+            if k:
+                model.advance(step)
+            if k % config.resync_steps == 0:
+                model.resync(fleet.snapshot())
+            env = fleet.envelopes[0]
+            vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
+            vs.imm_kw.T[k] = env.p_ev_kw, env.p_u_kw, env.p_l_kw
+            vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
+    return series
+
+
+def assert_pass_matches_steps(config):
+    """`run_prediction_experiment` against `stepwise_prediction`, bitwise (signed zeros too)."""
+    ours, theirs = run_prediction_experiment(config).variants, stepwise_prediction(config)
+    assert list(ours) == list(theirs) == list(config.variants)
+    for name in config.variants:
+        for column in ("states", "n_connected", "model_kw", "imm_kw"):
+            a, b = getattr(ours[name], column), getattr(theirs[name], column)
+            rows = np.flatnonzero((a.view(np.uint8) != b.view(np.uint8)).reshape(
+                a.shape[0], -1).any(axis=1))
+            assert a.dtype == b.dtype and a.shape == b.shape and rows.size == 0, (
+                name, column, rows[:5])
+    return ours
+
+
+def with_params(monkeypatch, params):
+    """Both runs of a test build their fleet from a copy of `params`."""
+    monkeypatch.setattr(scenario, "sample_fleet", lambda *args: deepcopy(params))
+
+
+class TestModelPass:
+    """The prediction run's model pass, a resync period at a time, equals the stepwise loop
+    bitwise, and refuses a schedule whose plug events disagree with its snapshots."""
+
+    def test_the_edge_case_fleet(self, monkeypatch, table_distributions):
+        config = small_config(n_ev=200, horizon_hours=24.0, dt_seconds=300.0,
+                              resync_minutes=60.0, distributions=table_distributions)
+        with_params(monkeypatch, edge_case_params(table_distributions, seed=21))
+        assert_pass_matches_steps(config)
+
+    @pytest.mark.parametrize("seed", [7, 1, 29])
+    def test_a_day_of_500_vehicles(self, seed):
+        assert_pass_matches_steps(SimulationConfig(n_ev=500, seed=seed, transition_samples=2000))
+
+    def test_a_fleet_that_empties_and_refills_between_resyncs(self, monkeypatch,
+                                                              table_distributions):
+        # Sessions of about [0.5, 4), [1, 5), [2, 6.06) h from yesterday, then [6.5, 14) and
+        # [11, 16) h today, with a resync every hour: the fleet empties and refills between the
+        # resyncs at 6 and 7 h, and then stays empty from 16 h.
+        config = small_config(n_ev=5, horizon_hours=24.0, dt_seconds=60.0, resync_minutes=60.0,
+                              distributions=table_distributions)
+        params = replace(sample_fleet(table_distributions, 5, seed=3),
+                         plug_in_h=np.array([24.52, 25.07, 26.13, 6.52, 11.11]),
+                         plug_out_h=np.array([28.03, 29.09, 30.06, 14.04, 16.07]))
+        with_params(monkeypatch, params)
+        for vs in assert_pass_matches_steps(config).values():
+            n, refilled = vs.n_connected[360:420], vs.n_connected[360:420].nonzero()[0][-1]
+            assert n[0] == n[-1] == 1 and not n.all() and vs.n_connected[-1] == 0
+            # Refilled, the model keeps the zero pattern of the empty fleet up to the resync.
+            assert (vs.model_kw[:, 360 + refilled] == 0).all() and vs.imm_kw[:, 419].any()
+
+    def test_measurement_noise(self):
+        assert_pass_matches_steps(small_config(measurement_noise_kw=(25.0, 5.0, 12.5)))
+
+    def test_a_horizon_off_the_resync_grid(self):
+        # Load time refuses a horizon that the resync period does not divide, so the test
+        # sets it after: 183 steps, resyncs every 20, the last period rows 180 to 183.
+        config = small_config()
+        object.__setattr__(config, "horizon_hours", 3.0 + 3 * config.dt_hours)
+        assert config.n_steps % config.resync_steps == 3
+        assert_pass_matches_steps(config)
+
+    def test_a_resync_at_every_step(self):
+        assert_pass_matches_steps(small_config(dt_seconds=60.0, resync_minutes=1.0))
+
+    @pytest.mark.parametrize("variant", ["ssm", "essm"])
+    def test_a_single_variant(self, variant):
+        assert_pass_matches_steps(small_config(variants=(variant,)))
+
+    def test_a_miscounted_plug_event_is_refused(self, monkeypatch):
+        class Miscounted(scenario.Schedule):
+            """Counts the run's first departure as an arrival of its step."""
+
+            def __init__(self, fleet, n_steps):
+                super().__init__(fleet, n_steps)
+                ptr = np.array(self._ptr)
+                ptr[1 + 2 * np.flatnonzero(ptr[1:-1:2] < ptr[2::2])[0]] += 1
+                self._ptr = memoryview(ptr)
+
+        monkeypatch.setattr(scenario, "Schedule", Miscounted)
+        with pytest.raises(ValueError, match="the model pass propagated") as refused:
+            run_prediction_experiment(small_config())
+        propagated, observed = map(int, re.findall(r"(\d+) connected vehicles, the snapshot "
+                                                   r"has (\d+)", str(refused.value))[0])
+        assert propagated == observed + 2
 
 
 class TestCsvSurfaces:
