@@ -1,17 +1,17 @@
-"""Experiment orchestration: 24 h prediction and tracking loops, reference
+"""Experiment orchestration: 24 h prediction and tracking runs, reference
 generation, error metrics and CSV surfaces.
 
-Both experiments run one step loop. The prediction run reads the uncontrolled
-fleet from its event schedule, built once with every plug event binned at
-once, and propagates every configured model variant alongside it (recursion
-each step with the observed plug-in/out churn, hard resync from telemetry
-every resync period). The tracking run steps the fleet and closes the loop per
-variant: each step the controller plans a dispatch against the model's
-predicted pre-control state, broadcasts switching rates, and the fleet
-actuates them. Variants drive clones of the same fleet (same seed, same
-per-step draws) that step in lockstep against one reference, so their
-tracking is directly comparable. Scripted reference windows lie on the step
-grid and never overlap (checked at load time).
+The prediction run reads the uncontrolled fleet from its event schedule, built
+once with every plug event binned at once, and runs every configured model
+variant alongside it in one pass per resync period: a hard resync from
+telemetry, then the recursion with the observed plug-in/out churn of each
+step. The tracking run steps the fleet and closes the loop per variant: each
+step the controller plans a dispatch against the model's predicted
+pre-control state, broadcasts switching rates, and the fleet actuates them.
+Variants drive clones of the same fleet (same seed, same per-step draws) that
+step in lockstep against one reference, so their tracking is directly
+comparable. Scripted reference windows lie on the step grid and never overlap
+(checked at load time).
 """
 
 from __future__ import annotations
