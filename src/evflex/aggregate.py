@@ -11,12 +11,14 @@ layouts share one interface:
 * extended variant ("essm"): two extra absorbing states for idle-at-floor and
   idle-at-ceiling vehicles, with dedicated control inputs back out of them.
 
-That fold, in `StateLayout.state_table` (the state of each mode and SOC
-slot), is the one place where the variants differ; every other structure is
-read off the table. The population moves under a column-stochastic transition
-matrix estimated by Monte Carlo, is steered by a signed incidence input matrix
-(one column per switch between two states), and maps to (power, upper bound,
-lower bound) through `imm`'s capability rule scaled by the connected count.
+That fold, in `StateLayout.state_table` (the state of each mode and SOC slot),
+is the one place where the variants differ; every other structure is read off
+the table. Uncontrolled, the plain chain is the extended one lumped by it
+(`fold`), and the prediction run derives the plain model from the extended one
+that way. The population moves under a column-stochastic transition matrix
+estimated by Monte Carlo, is steered by a signed incidence input matrix (one
+column per switch between two states), and maps to (power, upper bound, lower
+bound) through `imm`'s capability rule scaled by the connected count.
 """
 
 from __future__ import annotations
@@ -253,6 +255,15 @@ def output_coefficients(layout: StateLayout) -> np.ndarray:
     return np.array([power, dischargeable - forced, -chargeable - forced], dtype=float)
 
 
+def fold(plain: StateLayout, ext: StateLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The fold, read off the state tables: the 0/1 matrix F, x_plain = x_ext F, that adds each
+    boundary state to its edge idle interval, and `keep`, the extended state of each plain
+    state's representative key, so `output_coefficients(ext)[:, keep]` is the plain one's."""
+    f, on = np.zeros((ext.dimension, plain.dimension)), plain.state_table >= 0
+    f[ext.state_table[on], plain.state_table[on]] = 1.0
+    return f, ext.state_table.take(np.unique(plain.state_table, return_index=True)[1][1:])
+
+
 def build_output_matrix(state: AggregateState) -> np.ndarray:
     """Scale the sign pattern into kW: -1 entries carry the average rated
     charging power, +1 entries the average rated discharging power, times the
@@ -295,16 +306,20 @@ def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
     denom = n_ev_connected + 2 * n_in - keys.size
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    return churn_noise(np.array([n_in, keys.size - n_in]), np.array([denom]), keys, layout)[0]
+    return churn_noise((n_in, keys.size - n_in), denom, keys, layout)[0]
 
 
-def churn_noise(counts: np.ndarray, n_new: np.ndarray, keys: np.ndarray,
-                layout: StateLayout) -> np.ndarray:
+def churn_noise(counts, n_new, keys: np.ndarray, layout: StateLayout) -> np.ndarray:
     """`compute_noise` of each step of a run: `keys` holds the steps' plug events in order,
     each step's arrivals then its departures, `counts` how many of each (flat, in that
-    order) and `n_new` the count connected after each step. Integer counts, one division."""
-    d = layout.dimension  # counts: exact as +-1 weights
-    cells = np.repeat(np.arange(0, counts.size * d, d), counts) + layout.state_table.take(keys)
+    order) and `n_new` the count connected after each step. Integer counts, one division;
+    a single step (two counts) is counted without the block offsets."""
+    d, states = layout.dimension, layout.state_table.take(keys)
+    if len(counts) == 2:
+        a = counts[0]
+        return ((np.bincount(states[:a], minlength=d) - np.bincount(states[a:], minlength=d))
+                / n_new)[None]
+    cells = np.repeat(np.arange(0, counts.size * d, d), counts) + states
     both = np.bincount(cells, minlength=counts.size * d).reshape(-1, 2, d)
     return (both[:, 0] - both[:, 1]) / n_new[:, None]
 

@@ -2,16 +2,16 @@
 generation, error metrics and CSV surfaces.
 
 The prediction run reads the uncontrolled fleet from its event schedule, built
-once with every plug event binned at once, and runs every configured model
-variant alongside it in one pass per resync period: a hard resync from
-telemetry, then the recursion with the observed plug-in/out churn of each
-step. The tracking run steps the fleet and closes the loop per variant: each
-step the controller plans a dispatch against the model's predicted
-pre-control state, broadcasts switching rates, and the fleet actuates them.
-Variants drive clones of the same fleet (same seed, same per-step draws) that
-step in lockstep against one reference, so their tracking is directly
-comparable. Scripted reference windows lie on the step grid and never overlap
-(checked at load time).
+once with every plug event binned at once, and runs the models alongside it in
+one pass per resync period: a hard resync from telemetry, then the recursion
+with the observed plug-in/out churn of each step. With both variants only the
+extended model runs; the plain one is its fold. The tracking run steps the
+fleet and closes the loop per variant: each step the controller plans a
+dispatch against the model's predicted pre-control state, broadcasts switching
+rates, and the fleet actuates them. Variants drive clones of the same fleet
+(same seed, same per-step draws) that step in lockstep against one reference,
+so their tracking is directly comparable. Scripted reference windows lie on
+the step grid and never overlap (checked at load time).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
-                        build_transition_matrix, churn_keys, churn_noise, measure,
+                        build_transition_matrix, churn_keys, churn_noise, fold, measure,
                         move_probabilities)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
@@ -151,9 +151,7 @@ class RunResult:
         return rows
 
     def tracking_rms_kw(self, variant: str) -> float:
-        vs = self.variants[variant]
-        err = vs.imm_p_kw - self.reference_kw
-        return float(np.sqrt(np.mean(err ** 2)))
+        return float(np.sqrt(np.mean((self.variants[variant].imm_p_kw - self.reference_kw) ** 2)))
 
 
 def _models(config: SimulationConfig) -> dict[str, AggregateModel]:
@@ -246,7 +244,8 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     snapshot; one count over the period's plug events gives the churn of each of its steps;
     the recursion runs in place in the recorded states, each step finished by
     `AggregateModel.finish_step`; one stacked product gives the period's outputs. The count
-    of connected vehicles that the pass propagates must equal the next snapshot's."""
+    of connected vehicles that the pass propagates must equal the next snapshot's. With both
+    variants only essm's pass runs; ssm's rows are its fold (`fold`: X F, C's kept columns)."""
     k_steps, names, every = config.n_steps, config.variants, config.resync_steps
     # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
     fleet = Fleet(sample_fleet(config.distributions, config.n_ev, config.seed), config.dt_hours,
@@ -258,6 +257,7 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
+    f, keep = fold(models[SSM].layout, models[ESSM].layout) if len(names) == 2 else (None, None)
     n = None
     for s in range(0, k_steps + 1, every):  # the period's rows: s, its resync, to e - 1
         e, snap = min(s + every, k_steps + 1), schedule.snapshot(s)
@@ -271,17 +271,20 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
             n.append(max(n[-1] + change, 0))
         counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]
         busy = counts.reshape(-1, 2).any(axis=1).tolist()
-        for name in names:
+        for name in (ESSM, SSM) if f is not None else names:
             model, vs = models[name], series[name]
-            model.resync(snap, keys)
-            x, c, pattern = vs.states[s:e], np.empty((m, 3, model.layout.dimension)), model._pattern
-            x[0], c[0] = model.state.x, model.mats.C
-            # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
-            churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
-            for i in range(1, m):
-                np.matmul(model.mats.A, x[i - 1], out=x[i])
-                pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
-                                            pattern, c[i])
+            if name == SSM and f is not None:  # essm folded; C: its kept columns, contiguous
+                x, c = np.matmul(series[ESSM].states[s:e], f, out=vs.states[s:e]), c.take(keep, 2)
+            else:
+                model.resync(snap, keys)
+                x, c, pattern = vs.states[s:e], np.empty((m, *model.mats.C.shape)), model._pattern
+                x[0], c[0] = model.state.x, model.mats.C
+                # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
+                churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
+                for i in range(1, m):
+                    np.matmul(model.mats.A, x[i - 1], out=x[i])
+                    pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
+                                                pattern, c[i])
             vs.model_kw.T[s:e] = measure(c, x, *noise[name])
             vs.n_connected[s:e], vs.imm_kw.T[s:e] = n[:m], schedule._rows[s:e]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, np.zeros(k_steps + 1),
@@ -302,11 +305,8 @@ def run_tracking_experiment(config: SimulationConfig,
 
 def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:
     """Prediction-error table over fleet sizes."""
-    rows = []
-    for n in n_ev_list:
-        result = run_prediction_experiment(replace(config, n_ev=int(n)))
-        rows.extend(result.prediction_errors())
-    return rows
+    return [row for n in n_ev_list
+            for row in run_prediction_experiment(replace(config, n_ev=int(n))).prediction_errors()]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ def deterministic_distributions(power=6.0, eff=0.9, capacity=24.0, initial=0.5,
     )
 
 
+def fold_of(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plain state each extended state of an N-interval layout folds into
+    (the empty and full idle states into the bottom and top idle intervals),
+    and the extended states that are not boundary states."""
+    return np.r_[:3 * n, n, 2 * n - 1, 3 * n], np.r_[:3 * n, 3 * n + 2]
+
+
 def make_snapshot(soc, connection, pc=6.0, pd=None) -> FleetSnapshot:
     """Hand-built telemetry for aggregate/control tests."""
     soc = np.asarray(soc, dtype=float)

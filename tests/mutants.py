@@ -79,6 +79,17 @@ MUTANTS = (
            "pattern = model.finish_step(", "model.finish_step("),
     Mutant("model pass", "the last partial block is dropped", "scenario.py",
            "for s in range(0, k_steps + 1, every):", "for s in range(0, k_steps + 2 - every, every):"),
+    # The fold that derives ssm's rows from essm's in a two-variant pass, and the one-step
+    # churn count that `advance` takes.
+    Mutant("fold", "the pass folds the ceiling state into the bottom idle interval",
+           "aggregate.py", "    f[ext.state_table[on], plain.state_table[on]] = 1.0\n",
+           "    f[ext.state_table[on], plain.state_table[on]] = 1.0\n"
+           "    f[ext.full_idle_index] = np.eye(plain.dimension)[plain.idle.start]\n"),
+    Mutant("fold", "ssm's C takes the empty-idle column for the forced-charging one",
+           "scenario.py", "c.take(keep, 2)", "c[:, :, :-2]"),
+    Mutant("state step", "the one-step churn count drops the step's first departure",
+           "aggregate.py", "np.bincount(states[a:], minlength=d)",
+           "np.bincount(states[a + 1:], minlength=d)"),
     # The reference draw and the dispatch plan.
     Mutant("reference draw", "the draw spans the whole band", "scenario.py",
            "half = 0.5 * central_fraction * (p_u - p_l)", "half = 0.5 * (p_u - p_l)"),

@@ -18,15 +18,17 @@ from evflex.aggregate import (
     build_output_matrix,
     build_transition_matrix,
     churn_keys,
+    churn_noise,
     compute_noise,
     discretize,
     estimate_transition_matrix,
     output_coefficients,
 )
+from evflex.aggregate import fold as read_fold
 from evflex.fleet import Connection, Fleet, sample_fleet
 
-from conftest import (deterministic_distributions, interval_index, make_events, make_snapshot,
-                      output)
+from conftest import (deterministic_distributions, fold_of, interval_index, make_events,
+                      make_snapshot, output)
 
 DT_15S = 15.0 / 3600.0
 LAY10 = StateLayout(10, ESSM)
@@ -140,16 +142,10 @@ class TestStateTable:
             layout.state_index(np.array([Connection.IDLE, Connection.DISCONNECTED]), [0.5, 0.5])
 
 
-def fold_of(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The plain state each extended state of an N-interval layout folds into
-    (the empty and full idle states into the bottom and top idle intervals),
-    and the extended states that are not boundary states."""
-    return np.r_[:3 * n, n, 2 * n - 1, 3 * n], np.r_[:3 * n, 3 * n + 2]
-
-
 class TestFold:
     """The plain model is the extended one with its two boundary states folded
-    into the edge idle intervals (F), as structure and, uncontrolled, at run time."""
+    into the edge idle intervals (F), as structure and, uncontrolled, at run time;
+    `aggregate.fold` reads F and the kept states off the two state tables."""
 
     @pytest.mark.parametrize("n", [2, 3, 10])
     @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.9)])
@@ -168,6 +164,8 @@ class TestFold:
         assert same(build_input_matrix(plain), f @ build_input_matrix(ext)[:, :4 * n])
         assert same(output_coefficients(plain), output_coefficients(ext)[:, keep])
         assert same(np.r_[fold, -1][ext.state_table], plain.state_table)
+        f_read, keep_read = read_fold(plain, ext)
+        assert same(f_read, f.T) and same(keep_read, keep)
 
     def test_uncontrolled_plain_model_is_the_extended_one_folded(self, table_distributions):
         # 300 vehicles for 4 h at 15 s steps, resynced every 5 min as the scenarios do.
@@ -590,6 +588,23 @@ class TestComputeNoise:
         conn = np.full(3, Connection.CHARGING, dtype=np.int8)
         with pytest.raises(ValueError, match="emptied"):
             noise_of(3, [], [], soc, conn, LAY10)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_is_the_block_form_bitwise(self, data):
+        # A single step (two counts) skips the block offsets; its row must be the one the block
+        # form gives that step as the first of two (the second step without plug events).
+        layout = data.draw(st.sampled_from([LAY10, LAY10_SSM, StateLayout(3, ESSM, 0.1, 0.9)]))
+        n_in, n_out = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        n_new = data.draw(st.integers(1, 40))
+        row = layout.n_intervals + 2  # keys of the disconnected row, the first, map to no state
+        keys = np.array(data.draw(st.lists(st.integers(row, 5 * row - 1), min_size=n_in + n_out,
+                                           max_size=n_in + n_out)), dtype=np.intp)
+        one = churn_noise(np.array([n_in, n_out]), np.array([n_new]), keys, layout)
+        block = churn_noise(np.array([n_in, n_out, 0, 0]), np.array([n_new, 1]), keys, layout)
+        assert one.shape == (1, layout.dimension) and one.tobytes() == block[:1].tobytes()
+        n_ev = n_new - n_in + n_out
+        assert compute_noise(n_ev, n_in, keys, layout).tobytes() == one[0].tobytes()
 
 
 class TestResyncAndModel:

@@ -30,7 +30,7 @@ from evflex.scenario import (
     write_tracking_csv,
 )
 
-from conftest import deterministic_distributions, edge_case_params
+from conftest import deterministic_distributions, edge_case_params, fold_of
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -345,10 +345,11 @@ class TestFleetPaths:
         assert all(len(commands) == 2 for commands in calls)  # one lane per variant
 
 
-def stepwise_prediction(config) -> dict:
+def stepwise_prediction(config) -> tuple[dict, dict]:
     """The uncontrolled run stepped, the model pass's oracle: at every step `Fleet.step`, then
     each model's `advance`, a resync every `resync_steps` (k = 0 included) and `measure` of
-    its output; the truth is the fleet's running envelope."""
+    its output; the truth is the fleet's running envelope. Returns the series and each
+    model's output matrix C at every step."""
     k_steps, names = config.n_steps, config.variants
     fleet = Fleet(scenario.sample_fleet(config.distributions, config.n_ev, config.seed),
                   config.dt_hours, config.seed)
@@ -356,6 +357,7 @@ def stepwise_prediction(config) -> dict:
     noise = {name: scenario._noise_rng_or_none(config, name) for name in names}
     series = {name: scenario.VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
+    c = {name: np.zeros((k_steps + 1, 3, models[name].layout.dimension)) for name in names}
     for k in range(k_steps + 1):
         step = fleet.step() if k else None
         for name in names:
@@ -368,21 +370,58 @@ def stepwise_prediction(config) -> dict:
             vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
             vs.imm_kw.T[k] = env.p_ev_kw, env.p_u_kw, env.p_l_kw
             vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
-    return series
+            c[name][k] = model.mats.C
+    return series, c
+
+
+def assert_bitwise(a, b, what) -> None:
+    """Equal dtype, shape and bytes (signed zeros too); a failure names the first rows that
+    differ."""
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    rows = np.flatnonzero((a.view(np.uint8) != b.view(np.uint8)).reshape(a.shape[0], -1).any(
+        axis=1))
+    assert rows.size == 0, (what, rows[:5])
 
 
 def assert_pass_matches_steps(config):
-    """`run_prediction_experiment` against `stepwise_prediction`, bitwise (signed zeros too)."""
-    ours, theirs = run_prediction_experiment(config).variants, stepwise_prediction(config)
+    """`run_prediction_experiment` against `stepwise_prediction`: bitwise for every model that
+    the pass propagates. With both variants only essm's is propagated, and ssm's rows are
+    checked as its fold (`assert_ssm_is_the_fold`)."""
+    result, (theirs, c) = run_prediction_experiment(config), stepwise_prediction(config)
+    ours, folded = result.variants, set(config.variants) == {"ssm", "essm"}
     assert list(ours) == list(theirs) == list(config.variants)
     for name in config.variants:
-        for column in ("states", "n_connected", "model_kw", "imm_kw"):
-            a, b = getattr(ours[name], column), getattr(theirs[name], column)
-            rows = np.flatnonzero((a.view(np.uint8) != b.view(np.uint8)).reshape(
-                a.shape[0], -1).any(axis=1))
-            assert a.dtype == b.dtype and a.shape == b.shape and rows.size == 0, (
-                name, column, rows[:5])
+        derived = folded and name == "ssm"
+        for column in ("n_connected", "imm_kw") + (() if derived else ("states", "model_kw")):
+            assert_bitwise(getattr(ours[name], column), getattr(theirs[name], column),
+                           (name, column))
+    if folded:
+        assert_ssm_is_the_fold(config, ours, theirs, c)
     return ours
+
+
+def assert_ssm_is_the_fold(config, ours, theirs, c) -> None:
+    """In a two-variant run ssm's rows are essm's folded, bitwise: its states X F (each boundary
+    state added to its edge idle interval) and its outputs through essm's C on the kept
+    columns, which is ssm's own C bitwise, plus noise from ssm's own stream; the product reads
+    C contiguous, as every output does (on a strided stack numpy's matmul takes its own loop,
+    which rounds otherwise). ssm's own stepwise recursion stays the oracle: the fold is within
+    1e-12 of it, states absolute and outputs relative (the chain lumps; only the rounding of
+    the merged sums differs)."""
+    fold, keep = fold_of(config.n_intervals)
+    x = ours["essm"].states
+    folded = np.zeros((x.shape[0], keep.size))
+    for j, i in enumerate(fold):
+        folded[:, i] += x[:, j]
+    assert_bitwise(ours["ssm"].states, folded, ("ssm", "states", "fold"))
+    assert_bitwise(c["ssm"], c["essm"][:, :, keep], ("ssm", "C", "fold"))
+    y = measure(np.ascontiguousarray(c["essm"][:, :, keep]), folded,
+                *scenario._noise_rng_or_none(config, "ssm"))
+    assert_bitwise(ours["ssm"].model_kw, y.T, ("ssm", "model_kw", "fold"))
+    own = theirs["ssm"]
+    assert np.abs(ours["ssm"].states - own.states).max() <= 1e-12
+    assert (np.abs(ours["ssm"].model_kw - own.model_kw) <= 1e-12 * np.abs(own.model_kw)).all()
 
 
 def with_params(monkeypatch, params):
@@ -392,7 +431,8 @@ def with_params(monkeypatch, params):
 
 class TestModelPass:
     """The prediction run's model pass, a resync period at a time, equals the stepwise loop
-    bitwise, and refuses a schedule whose plug events disagree with its snapshots."""
+    bitwise for every model it propagates, derives ssm as essm's fold when both run, and
+    refuses a schedule whose plug events disagree with its snapshots."""
 
     def test_the_edge_case_fleet(self, monkeypatch, table_distributions):
         config = small_config(n_ev=200, horizon_hours=24.0, dt_seconds=300.0,
@@ -438,6 +478,9 @@ class TestModelPass:
     @pytest.mark.parametrize("variant", ["ssm", "essm"])
     def test_a_single_variant(self, variant):
         assert_pass_matches_steps(small_config(variants=(variant,)))
+
+    def test_the_variants_in_reverse_order(self):
+        assert_pass_matches_steps(small_config(variants=("essm", "ssm")))
 
     def test_a_miscounted_plug_event_is_refused(self, monkeypatch):
         class Miscounted(scenario.Schedule):
