@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope, soc_rates
+from .fleet import (CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope, envelope_rule,
+                    soc_rates)
 from .imm import term_table
 
 SSM = "ssm"
@@ -122,9 +123,9 @@ class StateLayout:
         rank, n = self._edges.searchsorted(soc, "right"), self.n_intervals  # edges reached
         return np.asarray(connection, dtype=np.intp) * (n + 2) + self._slots.take(rank)
 
-    def state_index(self, connection, soc, keys=None) -> np.ndarray:
-        """Map (connection mode, SOC) telemetry, or its `keys`, to state indices."""
-        out = self.state_table.take(self.keys(connection, soc) if keys is None else keys)
+    def state_index(self, connection, soc) -> np.ndarray:
+        """Map (connection mode, SOC) telemetry to state indices."""
+        out = self.state_table.take(self.keys(connection, soc))
         if (out < 0).any():
             raise ValueError("cannot discretize disconnected vehicles")
         return out
@@ -150,8 +151,8 @@ class SystemMatrices:
     C: np.ndarray
 
 
-def discretize(snapshot: FleetSnapshot, layout: StateLayout, keys=None) -> AggregateState:
-    """Bin connected vehicles (or their `keys`, binned already) into the layout's states.
+def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
+    """Bin connected vehicles into the layout's states.
 
     Average rated powers are taken over the charging / discharging sets; when
     a set is empty they fall back to the mean over all connected vehicles so
@@ -160,7 +161,7 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout, keys=None) -> Aggre
     n_conn = snapshot.n_connected
     if n_conn == 0:
         return AggregateState(layout, np.zeros(layout.dimension), 0, 0.0, 0.0)
-    idx = layout.state_index(snapshot.connection, snapshot.soc, keys)
+    idx = layout.state_index(snapshot.connection, snapshot.soc)
     counts = np.bincount(idx, minlength=layout.dimension).astype(float)
     x = counts / n_conn
     cs, ds = snapshot.connection == CS, snapshot.connection == DS
@@ -251,8 +252,7 @@ def output_coefficients(layout: StateLayout) -> np.ndarray:
     mode, slot = np.divmod(first, n + 2)
     position = np.r_[np.ones(n, np.intp), 0, 2].take(slot)  # inside, the floor, the ceiling
     terms = term_table(layout.soc_min, layout.soc_max)[position, mode].sum(axis=1)
-    power, dischargeable, chargeable, forced = terms.T
-    return np.array([power, dischargeable - forced, -chargeable - forced], dtype=float)
+    return np.array(envelope_rule(*terms.T), dtype=float)
 
 
 def fold(plain: StateLayout, ext: StateLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -342,16 +342,15 @@ class AggregateModel:
         a = estimate_transition_matrix(distributions, layout, dt_hours, n_samples, seed)
         return cls(layout, a)
 
-    def resync(self, snapshot: FleetSnapshot, keys: np.ndarray | None = None) -> None:
-        """Replace the model state with fresh telemetry (periodic hard update);
-        `keys`: as for `discretize`. C is n times the sign pattern scaled by
-        the snapshot's (p_ac, p_ad), which hold until the next resync.
+    def resync(self, snapshot: FleetSnapshot) -> None:
+        """Replace the model state with fresh telemetry (periodic hard update). C is n
+        times the sign pattern scaled by the snapshot's (p_ac, p_ad), held to the next resync.
 
         Re-bins every vehicle, which also refreshes forced-charging
         membership; promotion into forced charging is observed here rather
         than modeled in the transition matrix.
         """
-        state = discretize(snapshot, self.layout, keys)
+        state = discretize(snapshot, self.layout)
         self._pattern = _scale_output(self._coeff, self._positive, state)
         self.state, self.mats.C = state, state.n_ev_connected * self._pattern
 

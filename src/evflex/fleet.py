@@ -214,6 +214,11 @@ def _due(k, bound, soc_a, slope) -> np.ndarray:
     return k + np.maximum(np.ceil((bound - soc_a) / slope), 1.0).astype(np.int64)
 
 
+def envelope_rule(power, dischargeable, chargeable, forced):
+    """imm's envelope (power, upper, lower bound) of the four sums, on floats or arrays."""
+    return power, dischargeable - forced, -chargeable - forced
+
+
 def _terms(table, reach, units, soc, mode) -> np.ndarray:
     """Shares of the running sums: rated powers in int64 `units` times the term table's
     coefficients at the SOC position (how many of `reach` the SOC reaches) and mode."""
@@ -340,9 +345,8 @@ class Fleet:
             self._held[ids] = terms
         elif k:
             return
-        self.envelopes = tuple([
-            FlexibilityEnvelope(power, dischargeable - forced, -chargeable - forced)
-            for power, dischargeable, chargeable, forced in (self._sums / _KW_UNITS).tolist()])
+        self.envelopes = tuple([FlexibilityEnvelope(*envelope_rule(*sums))
+                                for sums in (self._sums / _KW_UNITS).tolist()])
 
     def set_state(self, ids, soc, mode) -> None:
         """Place connected vehicles (flat ids) at (soc, mode); the next step commits them."""
@@ -419,19 +423,18 @@ class Fleet:
 
 class Schedule:
     """The uncontrolled run of a one-lane fleet, known at t = 0: each step's four sums and
-    envelope row (`sums`, `_rows`), its plug events, and snapshots at rising steps. A session
+    envelope row (`sums`, `_rows`), its plug events, and its snapshot at any step. A session
     connects charging, is promoted on its first step if its forced-charging rule binds (its
     only check: a charging anchor's slack stays), idles from full and leaves: it holds one
     share of the sums up to full and one up to plug-out, and each step's sums add the changes
-    of share at it. The schedule takes the fleet over: each snapshot moves the fleet's anchors
-    to its step and reads the fleet's."""
+    of share at it. The schedule reads the fleet at t = 0 and never writes it: a snapshot
+    reads the anchors of the sessions connected at its step."""
 
     def __init__(self, fleet: Fleet, n_steps: int):
         f, p, dt, (lo, hi) = fleet, fleet.params, fleet.dt_hours, fleet._range
         if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
             raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
                              "watched")
-        self._fleet, self._done = f, 0
         # Sessions by vehicle, yesterday's first: first step c1 (1 if placed), plug-out step b.
         ids, which = f._on.T.nonzero()
         start, b = f._start[which, ids], f._end[which, ids]
@@ -442,11 +445,14 @@ class Schedule:
         check = _soc(soc, slope, k, k, lo, hi)  # a charging session is checked once, if there
         promote = (mode == CS) & (c1 < b) & _binds(f._demanded[ids], check, _deadline(
             c1 * dt, f._m_end[ids], f._plug_out[ids]), k * dt, f._rate_c[ids])
-        soc, mode = np.where(promote, check, soc), np.where(promote, FCS, mode)
+        soc, mode, t0_mode = np.where(promote, check, soc), np.where(promote, FCS, mode), mode
         full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
         on = slope.nonzero()[0]
         full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
         del which, check, promote, on  # freed early: held to the end, they raised peak RSS
+        # What a snapshot reads: each session's span, anchor and mode at t = 0, before promotion.
+        self._sessions = ids, start, b, full, soc, slope, k, mode, t0_mode
+        self._rated, self._range = (p.rated_charge_kw, p.rated_discharge_kw), (lo, hi)
 
         # Each session's share from its first step, then idle at the ceiling from full.
         units = f._units[ids]
@@ -459,12 +465,11 @@ class Schedule:
             move.at(change, np.minimum(at, n_steps + 1), share)
         del units, first, idle
         self.sums = np.cumsum(change[:-1], axis=0)
-        power, dischargeable, chargeable, forced = (self.sums / _KW_UNITS).T
-        self._rows = np.stack([power, dischargeable - forced, -chargeable - forced], 1)
+        self._rows = np.stack(envelope_rule(*(self.sums / _KW_UNITS).T), 1)
 
         # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
         # departures, with their state the step before, up to ptr[2j + 2]; ids ascending. Only
-        # the run's events and changes are kept.
+        # the run's events are kept.
         arrive, absorbed = (start > 0).nonzero()[0], full < b  # absorbed: full by b - 1
         key = np.concatenate([2 * start[arrive], 2 * b + 1])
         order = np.argsort(key, kind="stable")[:np.count_nonzero(key <= 2 * n_steps + 1)]
@@ -474,25 +479,13 @@ class Schedule:
         self.connection = np.concatenate([np.full(arrive.size, CS, np.int8),
                                           np.where(absorbed, IS, mode)])[order]
         self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
-        del key, order
-
-        # The fleet's anchor changes by step: from its first step, each session's anchor; from
-        # full, idle at the ceiling; from plug-out, none (so within a step).
-        absorbed, none = absorbed.nonzero()[0], np.full(ids.size, DISCONNECTED, np.int8)
-        at = np.concatenate([c1, full[absorbed], b])
-        order = np.argsort(at, kind="stable")[:np.count_nonzero(at <= n_steps)]
-        self._changes = [np.concatenate(parts, dtype=kind)[order] for kind, parts in (
-            (np.int32, [c1, full[absorbed], b]), (np.int32, [ids, ids[absorbed], ids]),
-            (float, [soc, np.full(absorbed.size, hi), soc]), (np.int32, [k, full[absorbed], b]),
-            (np.int8, [mode, np.full(absorbed.size, IS, np.int8), none]))]
 
     def snapshot(self, step: int) -> FleetSnapshot:
-        """The fleet's snapshot at `step`, no earlier than the last one's, its anchors moved
-        there in one batch (each vehicle's last change)."""
-        f, (at, ids, soc, k, mode) = self._fleet, self._changes
-        done, self._done = self._done, int(at.searchsorted(step, "right"))
-        last = self._done - 1 - np.unique(ids[done:self._done][::-1], return_index=True)[1]
-        ids = ids[last]
-        f._soc_a[ids], f._k_a[ids], f._mode[ids] = soc[last], k[last], mode[last]
-        f._slope[ids], f.step_index = f._slopes[mode[last], ids], step
-        return f.snapshot()
+        """The fleet's snapshot at `step`, in any order: the sessions connected then, idle at
+        the ceiling from full and else at their anchor's SOC."""
+        (ids, start, b, full, soc, slope, k, mode, t0_mode), (lo, hi) = self._sessions, self._range
+        on = ((start <= step) & (step < b)).nonzero()[0]
+        ids, full = ids[on], step >= full[on]
+        soc = np.where(full, hi, _soc(soc[on], slope[on], step, k[on], lo, hi))
+        mode = np.where(full, IS, (mode if step else t0_mode)[on])
+        return FleetSnapshot(ids, soc, mode, self._rated[0][ids], self._rated[1][ids])

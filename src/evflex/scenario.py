@@ -2,16 +2,16 @@
 generation, error metrics and CSV surfaces.
 
 The prediction run reads the uncontrolled fleet from its event schedule, built
-once with every plug event binned at once, and runs the models alongside it in
-one pass per resync period: a hard resync from telemetry, then the recursion
-with the observed plug-in/out churn of each step. With both variants only the
-extended model runs; the plain one is its fold. The tracking run steps the
-fleet and closes the loop per variant: each step the controller plans a
-dispatch against the model's predicted pre-control state, broadcasts switching
-rates, and the fleet actuates them. Variants drive clones of the same fleet
-(same seed, same per-step draws) that step in lockstep against one reference,
-so their tracking is directly comparable. Scripted reference windows lie on
-the step grid and never overlap (checked at load time).
+once with every plug event binned at once, and runs the extended model
+alongside it in one pass per resync period: a hard resync from telemetry, then
+the recursion with the observed plug-in/out churn of each step. The plain
+model's rows are that pass's fold, whichever variants run. The tracking run
+steps the fleet and closes the loop per variant: each step the controller
+plans a dispatch against the model's predicted pre-control state, broadcasts
+switching rates, and the fleet actuates them. Variants drive clones of the
+same fleet (same seed, same per-step draws) that step in lockstep against one
+reference, so their tracking is directly comparable. Scripted reference
+windows lie on the step grid and never overlap (checked at load time).
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ class RunResult:
 
 
 def _models(config: SimulationConfig) -> dict[str, AggregateModel]:
-    """Each variant's model, all from one draw of the move probabilities: the
+    """Both variants' models, from one draw of the move probabilities: the
     layouts share the interval width."""
     d = config.distributions
-    layouts = [StateLayout(config.n_intervals, v, d.soc_min, d.soc_max) for v in config.variants]
+    layouts = [StateLayout(config.n_intervals, v, d.soc_min, d.soc_max) for v in VARIANTS]
     moves = move_probabilities(d, layouts[0].width, config.dt_hours, config.transition_samples,
                                config.seed)
     return {lay.variant: AggregateModel(lay, build_transition_matrix(lay, *moves))
@@ -195,7 +195,7 @@ def _run(config: SimulationConfig, reference: np.ndarray | None) -> RunResult:
     if reference is None:
         reference = np.zeros(k_steps + 1)
         generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
-        lead = models[ESSM if ESSM in models else names[0]]
+        lead = models[ESSM if ESSM in names else names[0]]
     for r, name in enumerate(names):
         _record(fleet, r, name, series, models, noise, True, 0)
 
@@ -240,52 +240,50 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     variant's model predicts alongside from telemetry.
 
     The fleet's whole run is one `Schedule`, its plug events binned once, and its rows are the
-    ground truth. The models run one pass per resync period: each resyncs from the period's
-    snapshot; one count over the period's plug events gives the churn of each of its steps;
-    the recursion runs in place in the recorded states, each step finished by
-    `AggregateModel.finish_step`; one stacked product gives the period's outputs. The count
-    of connected vehicles that the pass propagates must equal the next snapshot's. With both
-    variants only essm's pass runs; ssm's rows are its fold (`fold`: X F, C's kept columns)."""
+    ground truth. Whichever variants run, one model pass, essm's, runs per resync period: a
+    resync from the period's snapshot, one count of each step's churn over the period's plug
+    events, and the recursion in place in essm's rows (a private buffer when essm is not run),
+    each step finished by `AggregateModel.finish_step`; one stacked product gives the period's
+    outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns). The count
+    of connected vehicles that the pass propagates must equal the next snapshot's."""
     k_steps, names, every = config.n_steps, config.variants, config.resync_steps
     # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
     fleet = Fleet(sample_fleet(config.distributions, config.n_ev, config.seed), config.dt_hours,
                   config.seed)
     models = _models(config)
-    schedule = Schedule(fleet, k_steps)
-    layout = models[names[0]].layout  # keys depend only on N and the SOC range
-    binned, ptr = layout.keys(schedule.connection, schedule.soc), schedule._ptr
+    schedule, model = Schedule(fleet, k_steps), models[ESSM]
+    binned, ptr = model.layout.keys(schedule.connection, schedule.soc), schedule._ptr
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
-    f, keep = fold(models[SSM].layout, models[ESSM].layout) if len(names) == 2 else (None, None)
+    states = (series[ESSM].states if ESSM in series
+              else np.zeros((k_steps + 1, model.layout.dimension)))
+    f, keep = fold(models[SSM].layout, model.layout)
     n = None
     for s in range(0, k_steps + 1, every):  # the period's rows: s, its resync, to e - 1
         e, snap = min(s + every, k_steps + 1), schedule.snapshot(s)
         if n is not None and n[-1] != snap.n_connected:
             raise ValueError(f"step {s}: the model pass propagated {n[-1]} connected vehicles, "
                              f"the snapshot has {snap.n_connected}")
-        keys, m = layout.keys(snap.connection, snap.soc), e - s
         # The arrivals and departures of each step up to the next resync, and the count after.
-        counts, n = np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [snap.n_connected]
+        m, counts, n = e - s, np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [snap.n_connected]
         for change in (counts[::2] - counts[1::2]).tolist():
             n.append(max(n[-1] + change, 0))
         counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]
         busy = counts.reshape(-1, 2).any(axis=1).tolist()
-        for name in (ESSM, SSM) if f is not None else names:
-            model, vs = models[name], series[name]
-            if name == SSM and f is not None:  # essm folded; C: its kept columns, contiguous
-                x, c = np.matmul(series[ESSM].states[s:e], f, out=vs.states[s:e]), c.take(keep, 2)
-            else:
-                model.resync(snap, keys)
-                x, c, pattern = vs.states[s:e], np.empty((m, *model.mats.C.shape)), model._pattern
-                x[0], c[0] = model.state.x, model.mats.C
-                # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
-                churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
-                for i in range(1, m):
-                    np.matmul(model.mats.A, x[i - 1], out=x[i])
-                    pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
-                                                pattern, c[i])
-            vs.model_kw.T[s:e] = measure(c, x, *noise[name])
+        model.resync(snap)
+        x, c, pattern = states[s:e], np.empty((m, *model.mats.C.shape)), model._pattern
+        x[0], c[0] = model.state.x, model.mats.C
+        # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
+        churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
+        for i in range(1, m):
+            np.matmul(model.mats.A, x[i - 1], out=x[i])
+            pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
+                                        pattern, c[i])
+        for name in names:  # ssm: essm folded, C its kept columns, contiguous
+            vs = series[name]
+            y = (c, x) if name == ESSM else (c.take(keep, 2), np.matmul(x, f, out=vs.states[s:e]))
+            vs.model_kw.T[s:e] = measure(*y, *noise[name])
             vs.n_connected[s:e], vs.imm_kw.T[s:e] = n[:m], schedule._rows[s:e]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, np.zeros(k_steps + 1),
                      series)

@@ -164,9 +164,10 @@ MUTANTS = (
            "fleet.py", "(b, idle, np.subtract)", "(b - 1, idle, np.subtract)"),
     Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
            "_soc(soc, slope, b - 1, k, lo, hi)", "_soc(soc, slope, b, k, lo, hi)"),
-    Mutant("SOC law", "a snapshot takes each vehicle's first change of its batch", "fleet.py",
-           "last = self._done - 1 - np.unique(ids[done:self._done][::-1], return_index=True)[1]",
-           "last = done + np.unique(ids[done:self._done], return_index=True)[1]"),
+    Mutant("SOC law", "a full session is snapshot charging one step longer", "fleet.py",
+           "ids, full = ids[on], step >= full[on]", "ids, full = ids[on], step > full[on]"),
+    Mutant("deadline rule", "a placed session is snapshot forced at t = 0", "fleet.py",
+           "(mode if step else t0_mode)[on]", "mode[on]"),
     Mutant("deadline rule", "the schedule checks a session that left on its first step",
            "fleet.py", "promote = (mode == CS) & (c1 < b) &", "promote = (mode == CS) &"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",

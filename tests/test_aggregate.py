@@ -184,9 +184,8 @@ class TestFold:
                 plain.advance(events, keys=keys)
             if k % resync_steps == 0:
                 snap = fleet.snapshot()
-                keys = ext.layout.keys(snap.connection, snap.soc)
-                ext.resync(snap, keys)
-                plain.resync(snap, keys)
+                ext.resync(snap)
+                plain.resync(snap)
             x, st_ = ext.state.x, ext.state
             folded = np.bincount(fold, weights=x, minlength=plain.layout.dimension)
             assert np.abs(folded - plain.state.x).max() <= 1e-12, k

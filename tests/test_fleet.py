@@ -664,6 +664,19 @@ class TestSchedule:
         schedule = assert_schedule_matches_steps(fleet, 2)
         assert schedule.connection[0] == Connection.CHARGING
 
+    @pytest.mark.parametrize("seed", [7, 29])
+    def test_snapshots_in_any_order_leave_the_fleet_alone(self, table_distributions, seed):
+        fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), DT_5MIN, seed=seed)
+        anchors = {name: value.copy() for name, value in vars(fleet).items()
+                   if isinstance(value, np.ndarray)}
+        schedule = Schedule(fleet, DAY_5MIN)
+        in_order = [astuple(schedule.snapshot(k)) for k in range(DAY_5MIN + 1)]
+        for k in [*range(DAY_5MIN, -1, -1), 0, 0, 150, 150, DAY_5MIN, 1]:  # reversed, repeated
+            assert all(map(same, astuple(schedule.snapshot(k)), in_order[k])), k
+        assert fleet.step_index == 0
+        assert all(same(value, getattr(fleet, name)) for name, value in anchors.items())
+        assert_schedule_matches_steps(fleet, DAY_5MIN)  # the fleet is still its t = 0 self
+
     def test_refuses_what_it_cannot_replay(self, table_distributions):
         params = sample_fleet(table_distributions, 20, seed=3)
         with pytest.raises(ValueError, match="one-lane"):

@@ -384,44 +384,57 @@ def assert_bitwise(a, b, what) -> None:
     assert rows.size == 0, (what, rows[:5])
 
 
+def with_variants(config, variants):
+    """`config` with other variants, its other fields as they are (set after load, so a horizon
+    off the resync grid stays)."""
+    config = deepcopy(config)
+    object.__setattr__(config, "variants", variants)
+    return config
+
+
 def assert_pass_matches_steps(config):
-    """`run_prediction_experiment` against `stepwise_prediction`: bitwise for every model that
-    the pass propagates. With both variants only essm's is propagated, and ssm's rows are
-    checked as its fold (`assert_ssm_is_the_fold`)."""
-    result, (theirs, c) = run_prediction_experiment(config), stepwise_prediction(config)
-    ours, folded = result.variants, set(config.variants) == {"ssm", "essm"}
-    assert list(ours) == list(theirs) == list(config.variants)
+    """`run_prediction_experiment` against `stepwise_prediction`: essm bitwise, the one model
+    the pass propagates; ssm, whenever it runs, as the fold of essm's rows
+    (`assert_ssm_is_the_fold`); a run of ssm alone bitwise as the ssm of a run of both."""
+    ours = run_prediction_experiment(config).variants
+    theirs, c = stepwise_prediction(with_variants(config, ("ssm", "essm")))
+    assert list(ours) == list(config.variants)
     for name in config.variants:
-        derived = folded and name == "ssm"
-        for column in ("n_connected", "imm_kw") + (() if derived else ("states", "model_kw")):
+        for column in ("n_connected", "imm_kw") + (("states", "model_kw") if name == "essm"
+                                                   else ()):
             assert_bitwise(getattr(ours[name], column), getattr(theirs[name], column),
                            (name, column))
-    if folded:
-        assert_ssm_is_the_fold(config, ours, theirs, c)
+    if "ssm" in ours:
+        assert_ssm_is_the_fold(config, ours["ssm"], theirs, c)
+    if "essm" not in ours:
+        both = run_prediction_experiment(with_variants(config, ("ssm", "essm"))).variants
+        for column in ("states", "model_kw", "n_connected"):
+            assert_bitwise(getattr(ours["ssm"], column), getattr(both["ssm"], column),
+                           ("ssm", column, "alone"))
     return ours
 
 
-def assert_ssm_is_the_fold(config, ours, theirs, c) -> None:
-    """In a two-variant run ssm's rows are essm's folded, bitwise: its states X F (each boundary
-    state added to its edge idle interval) and its outputs through essm's C on the kept
-    columns, which is ssm's own C bitwise, plus noise from ssm's own stream; the product reads
-    C contiguous, as every output does (on a strided stack numpy's matmul takes its own loop,
-    which rounds otherwise). ssm's own stepwise recursion stays the oracle: the fold is within
-    1e-12 of it, states absolute and outputs relative (the chain lumps; only the rounding of
-    the merged sums differs)."""
+def assert_ssm_is_the_fold(config, ssm, theirs, c) -> None:
+    """ssm's rows are essm's folded, bitwise: its states X F (each boundary state added to its
+    edge idle interval) and its outputs through essm's C on the kept columns, which is ssm's
+    own C bitwise, plus noise from ssm's own stream; the product reads C contiguous, as every
+    output does (on a strided stack numpy's matmul takes its own loop, which rounds
+    otherwise). ssm's own stepwise recursion stays the oracle: the fold is within 1e-12 of it,
+    states absolute and outputs relative (the chain lumps; only the rounding of the merged
+    sums differs)."""
     fold, keep = fold_of(config.n_intervals)
-    x = ours["essm"].states
+    x = theirs["essm"].states
     folded = np.zeros((x.shape[0], keep.size))
     for j, i in enumerate(fold):
         folded[:, i] += x[:, j]
-    assert_bitwise(ours["ssm"].states, folded, ("ssm", "states", "fold"))
+    assert_bitwise(ssm.states, folded, ("ssm", "states", "fold"))
     assert_bitwise(c["ssm"], c["essm"][:, :, keep], ("ssm", "C", "fold"))
     y = measure(np.ascontiguousarray(c["essm"][:, :, keep]), folded,
                 *scenario._noise_rng_or_none(config, "ssm"))
-    assert_bitwise(ours["ssm"].model_kw, y.T, ("ssm", "model_kw", "fold"))
+    assert_bitwise(ssm.model_kw, y.T, ("ssm", "model_kw", "fold"))
     own = theirs["ssm"]
-    assert np.abs(ours["ssm"].states - own.states).max() <= 1e-12
-    assert (np.abs(ours["ssm"].model_kw - own.model_kw) <= 1e-12 * np.abs(own.model_kw)).all()
+    assert np.abs(ssm.states - own.states).max() <= 1e-12
+    assert (np.abs(ssm.model_kw - own.model_kw) <= 1e-12 * np.abs(own.model_kw)).all()
 
 
 def with_params(monkeypatch, params):
@@ -430,8 +443,8 @@ def with_params(monkeypatch, params):
 
 
 class TestModelPass:
-    """The prediction run's model pass, a resync period at a time, equals the stepwise loop
-    bitwise for every model it propagates, derives ssm as essm's fold when both run, and
+    """The prediction run's model pass, a resync period at a time, propagates essm alone and
+    equals the stepwise loop bitwise, derives ssm as essm's fold whichever variants run, and
     refuses a schedule whose plug events disagree with its snapshots."""
 
     def test_the_edge_case_fleet(self, monkeypatch, table_distributions):
@@ -478,6 +491,14 @@ class TestModelPass:
     @pytest.mark.parametrize("variant", ["ssm", "essm"])
     def test_a_single_variant(self, variant):
         assert_pass_matches_steps(small_config(variants=(variant,)))
+
+    @pytest.mark.parametrize("seed", [7, 29])
+    def test_a_run_of_ssm_alone_is_the_ssm_of_both(self, seed):
+        config = SimulationConfig(n_ev=500, seed=seed, transition_samples=2000)
+        alone = run_prediction_experiment(replace(config, variants=("ssm",))).variants["ssm"]
+        both = run_prediction_experiment(config).variants["ssm"]
+        for column in ("states", "model_kw", "n_connected"):
+            assert_bitwise(getattr(alone, column), getattr(both, column), column)
 
     def test_the_variants_in_reverse_order(self):
         assert_pass_matches_steps(small_config(variants=("essm", "ssm")))
