@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FleetDistributions
-from .fleet import (CS, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope, envelope_rule,
-                    soc_rates)
+from .fleet import (CS, DISCONNECTED, DS, IS, FleetSnapshot, FleetStep, FlexibilityEnvelope,
+                    Schedule, envelope_rule, soc_rates)
 from .imm import term_table
 
 SSM = "ssm"
@@ -65,7 +65,7 @@ class StateLayout:
         if self.variant == ESSM:
             table[IS, n:] = self.empty_idle_index, self.full_idle_index
         object.__setattr__(self, "state_table", table.ravel())
-        # For `keys`: the least SOC of each slot rank past the floor: above the floor, then
+        # `edges`: the least SOC of each slot rank past the floor: above the floor, then
         # (soc - floor)/width > k for each interval k = 1..N-1, then the ceiling.
         lo, hi, k = self.soc_min, self.soc_max, np.arange(1.0, n)
         edge = lo + k * self.width
@@ -73,7 +73,7 @@ class StateLayout:
             edge = np.nextafter(edge, lo)
         while ((edge - lo) / self.width <= k).any():  # then raise each to its edge
             edge = np.where((edge - lo) / self.width <= k, np.nextafter(edge, hi), edge)
-        object.__setattr__(self, "_edges", np.r_[np.nextafter(lo, hi), edge, hi])
+        object.__setattr__(self, "edges", np.r_[np.nextafter(lo, hi), edge, hi])
         object.__setattr__(self, "_slots", np.r_[n, :n, n + 1])
 
     @property
@@ -120,7 +120,7 @@ class StateLayout:
         the floor, N + 1 at the ceiling, and else the 0-based interval
         ceil((soc - floor)/width) - 1, at most N - 1. Keys depend only on the
         interval count and SOC range, so layouts sharing those share them."""
-        rank, n = self._edges.searchsorted(soc, "right"), self.n_intervals  # edges reached
+        rank, n = self.edges.searchsorted(soc, "right"), self.n_intervals  # edges reached
         return np.asarray(connection, dtype=np.intp) * (n + 2) + self._slots.take(rank)
 
     def state_index(self, connection, soc) -> np.ndarray:
@@ -151,24 +151,86 @@ class SystemMatrices:
     C: np.ndarray
 
 
-def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
-    """Bin connected vehicles into the layout's states.
-
-    Average rated powers are taken over the charging / discharging sets; when
-    a set is empty they fall back to the mean over all connected vehicles so
-    the output matrix keeps describing what the fleet could do.
-    """
-    n_conn = snapshot.n_connected
-    if n_conn == 0:
+def state_of(layout: StateLayout, counts: np.ndarray, rated, connected: np.ndarray,
+             charging: np.ndarray, discharging: np.ndarray) -> AggregateState:
+    """The state a resync takes from the connected vehicles' `counts` per state: x = counts / n,
+    and the mean rated (charging, discharging) powers, `rated` masked by `charging` and by
+    `discharging`, or by `connected` where a set is empty, so the output matrix keeps describing
+    what the fleet could do."""
+    n = int(counts.sum())
+    if n == 0:
         return AggregateState(layout, np.zeros(layout.dimension), 0, 0.0, 0.0)
-    idx = layout.state_index(snapshot.connection, snapshot.soc)
-    counts = np.bincount(idx, minlength=layout.dimension).astype(float)
-    x = counts / n_conn
-    cs, ds = snapshot.connection == CS, snapshot.connection == DS
-    rc, rd = snapshot.rated_charge_kw, snapshot.rated_discharge_kw
-    sets = rc[cs] if cs.any() else rc, rd[ds] if ds.any() else rd
+    sets = (np.compress(m if m.any() else connected, r)
+            for r, m in zip(rated, (charging, discharging)))
     p_ac, p_ad = (float(v.sum() / v.size) for v in sets)  # `mean` bitwise, without its wrapper
-    return AggregateState(layout, x, n_conn, p_ac, p_ad)
+    return AggregateState(layout, counts / n, n, p_ac, p_ad)
+
+
+def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
+    """Bin connected vehicles into the layout's states (`state_of`)."""
+    mode = snapshot.connection
+    counts = np.bincount(layout.state_index(mode, snapshot.soc), minlength=layout.dimension)
+    return state_of(layout, counts, (snapshot.rated_charge_kw, snapshot.rated_discharge_kw),
+                    mode != DISCONNECTED, mode == CS, mode == DS)
+
+
+def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list[AggregateState]:
+    """`discretize` of the schedule's snapshot every `every` steps from t = 0, off its sessions.
+    A session changes state only on its first step, on step 1 if placed (a promotion), where its
+    SOC crosses an interior edge (a moving mode's floor and ceiling slots share its edge intervals'
+    states), when full and at plug-out: one int64 table of those changes per (row ceil(step /
+    every), state) and a cumsum count exactly. A crossing is one division, settled by the SOC law
+    there and a step before (it is monotone). Means gather in session order, as the snapshot."""
+    ids, start, end, full, soc, slope, k, mode, t0_mode = schedule.sessions
+    rows, edges = schedule.n_steps // every + 1, layout.edges
+    c1, placed = np.maximum(start, 1), ((start == 0) & (end > 1)).nonzero()[0]
+    # The state of each (mode, rank): how many edges a SOC reaches (`StateLayout.keys`).
+    bins = layout.state_table.take(layout.keys(np.arange(5)[:, None], np.r_[layout.soc_min, edges]))
+
+    def state(step, on=slice(None)):  # of the sessions `on` at `step`, as the snapshot bins it
+        idle = step >= full[on]
+        return bins[np.where(idle, IS, np.where(step == 0, t0_mode[on], mode[on])),
+                    edges.searchsorted(np.where(idle, layout.soc_max,
+                                                schedule.session_soc(step, on)), "right")]
+
+    def changes():  # (steps, states before them, states from them; None: not connected)
+        yield start, None, state(start)
+        yield 1, state(0, placed), state(1, placed)
+        moving = ((slope > 0) & (c1 + 1 < full)).nonzero()[0]  # may cross an edge in (c1, full)
+        soc_a, rate, k_a, c1_m, full_m = (a[moving] for a in (soc, slope, k, c1, full))
+        for r in range(1, layout.n_intervals):
+            ahead = np.ceil(np.maximum(edges[r] - soc_a, 0.0) / rate)  # steps from the anchor
+            at = np.minimum(k_a + ahead, full_m).astype(np.int32)
+            reached = schedule.session_soc(np.stack([at - 1, at]), moving) >= edges[r]
+            at = at - reached[0] + ~reached[1]
+            inside = ((c1_m < at) & (at < full_m)).nonzero()[0]
+            yield at[inside], bins[mode[moving[inside]], r], bins[mode[moving[inside]], r + 1]
+        filling = ((c1 < full) & (full < end)).nonzero()[0]
+        yield full[filling], state(full[filling] - 1, filling), state(full[filling], filling)
+        yield end, state(end - 1), None
+
+    cells = np.zeros((rows + 1) * layout.dimension, np.int64)  # the last row: after the run
+    for steps, old, new in changes():
+        row = np.minimum(-(-steps // every), rows) * layout.dimension
+        for states, sign in ((new, 1), (old, -1)):
+            if states is not None:
+                cells += sign * np.bincount(row + states, minlength=cells.size)
+    counts = np.cumsum(cells.reshape(rows + 1, -1)[:-1], axis=0)
+    del cells, row, states, old, c1, placed  # freed before the means
+
+    # Each session's rows from which it is connected, gone and not charging (a session promoted
+    # on step 1 charges at t = 0 only). A block of 16 rows gathers the sessions connected in it.
+    first, gone, filled = (np.minimum(-(-s // every), rows).astype(np.min_scalar_type(rows))
+                           for s in (start, end, full))
+    charging_to, out = np.where(mode == CS, filled, t0_mode == CS), []
+    for i0 in range(0, rows, 16):
+        near = ((first < i0 + 16) & (i0 < gone)).nonzero()[0]
+        on_from, on_to, cs_to, who = (a.take(near) for a in (first, gone, charging_to, ids))
+        rated, nothing = [r.take(who) for r in schedule.rated], np.zeros(near.size, bool)
+        for i in range(i0, min(i0 + 16, rows)):
+            on = (on_from <= i) & (i < on_to)
+            out.append(state_of(layout, counts[i], rated, on, on & (i < cs_to), nothing))
+    return out
 
 
 def estimate_transition_matrix(distributions: FleetDistributions, layout: StateLayout,
@@ -298,22 +360,12 @@ def churn_keys(events: FleetStep, layout: StateLayout, lanes: int = 1) -> np.nda
     return layout.keys(conn, soc).reshape(lanes, -1)
 
 
-def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
-                  layout: StateLayout) -> np.ndarray:
-    """Churn disturbance from the step's plug events, given as the keys of
-    `n_in` arrivals then of the departures:
-    (N_in x_in - N_out x_out) / (N_ev + N_in - N_out)."""
-    denom = n_ev_connected + 2 * n_in - keys.size
-    if denom == 0:
-        raise ValueError("fleet emptied during the interval; reset the state instead")
-    return churn_noise((n_in, keys.size - n_in), denom, keys, layout)[0]
-
-
 def churn_noise(counts, n_new, keys: np.ndarray, layout: StateLayout) -> np.ndarray:
-    """`compute_noise` of each step of a run: `keys` holds the steps' plug events in order,
-    each step's arrivals then its departures, `counts` how many of each (flat, in that
-    order) and `n_new` the count connected after each step. Integer counts, one division;
-    a single step (two counts) is counted without the block offsets."""
+    """The churn disturbance (N_in x_in - N_out x_out) / N_new of each step of a run: `keys`
+    holds the steps' plug events in order, each step's arrivals then its departures, `counts`
+    how many of each (flat, in that order) and `n_new` the count connected after each step.
+    Integer counts, one division; a single step (two counts) is counted without the block
+    offsets."""
     d, states = layout.dimension, layout.state_table.take(keys)
     if len(counts) == 2:
         a = counts[0]
@@ -342,15 +394,17 @@ class AggregateModel:
         a = estimate_transition_matrix(distributions, layout, dt_hours, n_samples, seed)
         return cls(layout, a)
 
-    def resync(self, snapshot: FleetSnapshot) -> None:
-        """Replace the model state with fresh telemetry (periodic hard update). C is n
-        times the sign pattern scaled by the snapshot's (p_ac, p_ad), held to the next resync.
+    def resync(self, telemetry: FleetSnapshot | AggregateState) -> None:
+        """Replace the model state with fresh telemetry (periodic hard update): a snapshot, or
+        the state `state_of` gives its counts. C is n times the sign pattern scaled by its
+        (p_ac, p_ad), held to the next resync.
 
         Re-bins every vehicle, which also refreshes forced-charging
         membership; promotion into forced charging is observed here rather
         than modeled in the transition matrix.
         """
-        state = discretize(snapshot, self.layout)
+        state = (telemetry if isinstance(telemetry, AggregateState)
+                 else discretize(telemetry, self.layout))
         self._pattern = _scale_output(self._coeff, self._positive, state)
         self.state, self.mats.C = state, state.n_ev_connected * self._pattern
 
@@ -387,7 +441,7 @@ class AggregateModel:
             np.maximum(x, 0.0, out=x)
         if (n_in or n_out) and n_new > 0:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
-            churn = compute_noise(st.n_ev_connected, n_in, keys, self.layout)
+            churn = churn_noise((n_in, n_out), n_new, keys, self.layout)[0]
         self._pattern = self.finish_step(x, n_new, churn, self._pattern, self.mats.C)
         powers = (st.p_ac_kw, st.p_ad_kw) if n_new > 0 else (0.0, 0.0)
         self.state = AggregateState(self.layout, x, max(n_new, 0), *powers)

@@ -423,15 +423,17 @@ class Fleet:
 
 class Schedule:
     """The uncontrolled run of a one-lane fleet, known at t = 0: each step's four sums and
-    envelope row (`sums`, `_rows`), its plug events, and its snapshot at any step. A session
-    connects charging, is promoted on its first step if its forced-charging rule binds (its
-    only check: a charging anchor's slack stays), idles from full and leaves: it holds one
-    share of the sums up to full and one up to plug-out, and each step's sums add the changes
-    of share at it. The schedule reads the fleet at t = 0 and never writes it: a snapshot
-    reads the anchors of the sessions connected at its step."""
+    envelope row (`sums`, `_rows`), its plug events, and its sessions. A session connects
+    charging, is promoted on its first step if its forced-charging rule binds (its only check:
+    a charging anchor's slack stays), idles from full and leaves: it holds one share of the
+    sums up to full and one up to plug-out, and each step's sums add the changes of share at
+    it. The schedule reads the fleet at t = 0 and never writes it. `sessions` (read-only, by
+    vehicle, yesterday's first): vehicle id, first step, plug-out step, step of full (or
+    plug-out), anchor SOC, slope, anchor step, mode, and mode at t = 0 before promotion."""
 
     def __init__(self, fleet: Fleet, n_steps: int):
         f, p, dt, (lo, hi) = fleet, fleet.params, fleet.dt_hours, fleet._range
+        self._range = lo, hi
         if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
             raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
                              "watched")
@@ -450,9 +452,10 @@ class Schedule:
         on = slope.nonzero()[0]
         full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
         del which, check, promote, on  # freed early: held to the end, they raised peak RSS
-        # What a snapshot reads: each session's span, anchor and mode at t = 0, before promotion.
-        self._sessions = ids, start, b, full, soc, slope, k, mode, t0_mode
-        self._rated, self._range = (p.rated_charge_kw, p.rated_discharge_kw), (lo, hi)
+        self.sessions = ids, start, b, full, soc, slope, k, mode, t0_mode
+        for array in self.sessions:
+            array.flags.writeable = False
+        self.rated, self.n_steps = (p.rated_charge_kw, p.rated_discharge_kw), n_steps
 
         # Each session's share from its first step, then idle at the ceiling from full.
         units = f._units[ids]
@@ -480,12 +483,7 @@ class Schedule:
                                           np.where(absorbed, IS, mode)])[order]
         self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
 
-    def snapshot(self, step: int) -> FleetSnapshot:
-        """The fleet's snapshot at `step`, in any order: the sessions connected then, idle at
-        the ceiling from full and else at their anchor's SOC."""
-        (ids, start, b, full, soc, slope, k, mode, t0_mode), (lo, hi) = self._sessions, self._range
-        on = ((start <= step) & (step < b)).nonzero()[0]
-        ids, full = ids[on], step >= full[on]
-        soc = np.where(full, hi, _soc(soc[on], slope[on], step, k[on], lo, hi))
-        mode = np.where(full, IS, (mode if step else t0_mode)[on])
-        return FleetSnapshot(ids, soc, mode, self._rated[0][ids], self._rated[1][ids])
+    def session_soc(self, step, on) -> np.ndarray:
+        """The SOC law of the sessions `on` at `step` (one, or one each), as if never full."""
+        soc, slope, k = (self.sessions[i][on] for i in (4, 5, 6))
+        return _soc(soc, slope, step, k, *self._range)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
                         build_transition_matrix, churn_keys, churn_noise, fold, measure,
-                        move_probabilities)
+                        move_probabilities, schedule_states)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, Schedule, sample_fleet
@@ -241,17 +241,19 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
 
     The fleet's whole run is one `Schedule`, its plug events binned once, and its rows are the
     ground truth. Whichever variants run, one model pass, essm's, runs per resync period: a
-    resync from the period's snapshot, one count of each step's churn over the period's plug
-    events, and the recursion in place in essm's rows (a private buffer when essm is not run),
-    each step finished by `AggregateModel.finish_step`; one stacked product gives the period's
-    outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns). The count
-    of connected vehicles that the pass propagates must equal the next snapshot's."""
+    resync to the state of the period's snapshot, counted off the schedule's sessions for
+    every period at once (`schedule_states`), one count of each step's churn over the period's
+    plug events, and the recursion in place in essm's rows (a private buffer when essm is not
+    run), each step finished by `AggregateModel.finish_step`; one stacked product gives the
+    period's outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns). The
+    count of connected vehicles that the pass propagates must equal the next snapshot's."""
     k_steps, names, every = config.n_steps, config.variants, config.resync_steps
     # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
     fleet = Fleet(sample_fleet(config.distributions, config.n_ev, config.seed), config.dt_hours,
                   config.seed)
     models = _models(config)
     schedule, model = Schedule(fleet, k_steps), models[ESSM]
+    resyncs = schedule_states(schedule, model.layout, every)
     binned, ptr = model.layout.keys(schedule.connection, schedule.soc), schedule._ptr
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
@@ -259,20 +261,20 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     states = (series[ESSM].states if ESSM in series
               else np.zeros((k_steps + 1, model.layout.dimension)))
     f, keep = fold(models[SSM].layout, model.layout)
-    n = None
-    for s in range(0, k_steps + 1, every):  # the period's rows: s, its resync, to e - 1
-        e, snap = min(s + every, k_steps + 1), schedule.snapshot(s)
-        if n is not None and n[-1] != snap.n_connected:
+    outputs, n = np.empty((min(every, k_steps + 1), *model.mats.C.shape)), None  # C stacks
+    for s, st in zip(range(0, k_steps + 1, every), resyncs):  # rows s, its resync, to e - 1
+        e = min(s + every, k_steps + 1)
+        if n is not None and n[-1] != st.n_ev_connected:
             raise ValueError(f"step {s}: the model pass propagated {n[-1]} connected vehicles, "
-                             f"the snapshot has {snap.n_connected}")
+                             f"the snapshot has {st.n_ev_connected}")
         # The arrivals and departures of each step up to the next resync, and the count after.
-        m, counts, n = e - s, np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [snap.n_connected]
+        m, counts, n = e - s, np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [st.n_ev_connected]
         for change in (counts[::2] - counts[1::2]).tolist():
             n.append(max(n[-1] + change, 0))
         counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]
         busy = counts.reshape(-1, 2).any(axis=1).tolist()
-        model.resync(snap)
-        x, c, pattern = states[s:e], np.empty((m, *model.mats.C.shape)), model._pattern
+        model.resync(st)
+        x, c, pattern = states[s:e], outputs[:m], model._pattern
         x[0], c[0] = model.state.x, model.mats.C
         # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
         churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)

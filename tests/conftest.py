@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from evflex.aggregate import AggregateState, build_output_matrix, measure
+from evflex.aggregate import (AggregateState, StateLayout, build_output_matrix, churn_noise,
+                              measure)
 from evflex.config import DistributionSpec, FleetDistributions
-from evflex.fleet import FleetParams, FleetSnapshot, FleetStep, FlexibilityEnvelope, sample_fleet
+from evflex.fleet import (IS, FleetParams, FleetSnapshot, FleetStep, FlexibilityEnvelope, Schedule,
+                          _soc, sample_fleet)
 
 
 DT_5MIN = 5.0 / 60.0
@@ -52,6 +54,30 @@ def make_snapshot(soc, connection, pc=6.0, pd=None) -> FleetSnapshot:
         rated_charge_kw=pc_arr,
         rated_discharge_kw=pd_arr,
     )
+
+
+def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
+                  layout: StateLayout) -> np.ndarray:
+    """Churn disturbance from the step's plug events, given as the keys of
+    `n_in` arrivals then of the departures:
+    (N_in x_in - N_out x_out) / (N_ev + N_in - N_out)."""
+    denom = n_ev_connected + 2 * n_in - keys.size
+    if denom == 0:
+        raise ValueError("fleet emptied during the interval; reset the state instead")
+    return churn_noise((n_in, keys.size - n_in), denom, keys, layout)[0]
+
+
+def schedule_snapshot(schedule: Schedule, step: int) -> FleetSnapshot:
+    """The snapshot of the fleet that `schedule` replays, at `step`, in any order: the sessions
+    connected then, idle at the ceiling from full and else at their anchor's SOC. The oracle of
+    `aggregate.schedule_states`."""
+    (ids, start, b, full, soc, slope, k, mode, t0_mode), (lo, hi) = (schedule.sessions,
+                                                                     schedule._range)
+    on = ((start <= step) & (step < b)).nonzero()[0]
+    ids, full = ids[on], step >= full[on]
+    soc = np.where(full, hi, _soc(soc[on], slope[on], step, k[on], lo, hi))
+    mode = np.where(full, IS, (mode if step else t0_mode)[on])
+    return FleetSnapshot(ids, soc, mode, schedule.rated[0][ids], schedule.rated[1][ids])
 
 
 def make_events(in_events=None, out_events=None) -> FleetStep:

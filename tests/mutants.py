@@ -78,7 +78,8 @@ MUTANTS = (
     Mutant("model pass", "the pattern is kept after the fleet empties", "scenario.py",
            "pattern = model.finish_step(", "model.finish_step("),
     Mutant("model pass", "the last partial block is dropped", "scenario.py",
-           "for s in range(0, k_steps + 1, every):", "for s in range(0, k_steps + 2 - every, every):"),
+           "zip(range(0, k_steps + 1, every), resyncs)",
+           "zip(range(0, k_steps + 2 - every, every), resyncs)"),
     # The fold that derives ssm's rows from essm's in a two-variant pass, and the one-step
     # churn count that `advance` takes.
     Mutant("fold", "the pass folds the ceiling state into the bottom idle interval",
@@ -164,10 +165,21 @@ MUTANTS = (
            "fleet.py", "(b, idle, np.subtract)", "(b - 1, idle, np.subtract)"),
     Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
            "_soc(soc, slope, b - 1, k, lo, hi)", "_soc(soc, slope, b, k, lo, hi)"),
-    Mutant("SOC law", "a full session is snapshot charging one step longer", "fleet.py",
-           "ids, full = ids[on], step >= full[on]", "ids, full = ids[on], step > full[on]"),
-    Mutant("deadline rule", "a placed session is snapshot forced at t = 0", "fleet.py",
-           "(mode if step else t0_mode)[on]", "mode[on]"),
+    # Each resync's state counted off the schedule's sessions, and the rule it shares with
+    # `discretize`.
+    Mutant("SOC law", "a full session is counted charging one step longer", "aggregate.py",
+           "idle = step >= full[on]", "idle = step > full[on]"),
+    Mutant("deadline rule", "a placed session is counted forced at t = 0", "aggregate.py",
+           "np.where(step == 0, t0_mode[on], mode[on])", "mode[on]"),
+    Mutant("SOC law", "an edge crossing is counted a step late", "aggregate.py",
+           "yield at[inside], bins[", "yield at[inside] + 1, bins["),
+    Mutant("state table", "the last interval edge is never crossed", "aggregate.py",
+           "for r in range(1, layout.n_intervals):", "for r in range(1, layout.n_intervals - 1):"),
+    Mutant("capability", "forced vehicles count in p_ac's charging set", "aggregate.py",
+           "np.where(mode == CS, filled,", "np.where(mode != IS, filled,"),
+    Mutant("SOC law", "a vehicle placed at t = 0 idles below the ceiling", "fleet.py",
+           "np.where(soc[ids] >= params.soc_max, IS, CS)",
+           "np.where(soc[ids] >= 0.9 * params.soc_max, IS, CS)"),
     Mutant("deadline rule", "the schedule checks a session that left on its first step",
            "fleet.py", "promote = (mode == CS) & (c1 < b) &", "promote = (mode == CS) &"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",

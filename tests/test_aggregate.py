@@ -19,16 +19,17 @@ from evflex.aggregate import (
     build_transition_matrix,
     churn_keys,
     churn_noise,
-    compute_noise,
     discretize,
     estimate_transition_matrix,
     output_coefficients,
+    schedule_states,
 )
 from evflex.aggregate import fold as read_fold
-from evflex.fleet import Connection, Fleet, sample_fleet
+from evflex.fleet import Connection, Fleet, Schedule, sample_fleet
 
-from conftest import (deterministic_distributions, fold_of, interval_index, make_events,
-                      make_snapshot, output)
+from conftest import (DAY_5MIN, DT_5MIN, compute_noise, deterministic_distributions,
+                      edge_case_params, fold_of, interval_index, make_events, make_snapshot,
+                      output, schedule_snapshot)
 
 DT_15S = 15.0 / 3600.0
 LAY10 = StateLayout(10, ESSM)
@@ -235,6 +236,52 @@ class TestDiscretize:
         st_ = discretize(snap, LAY10)
         assert st_.empty
         assert st_.x.sum() == 0.0
+
+
+def assert_states_are_the_snapshots(fleet: Fleet, n_steps: int, every: int,
+                                    layout: StateLayout) -> list:
+    """`schedule_states` of the fleet's schedule against `discretize` of the oracle snapshot
+    at every resync step, t = 0 included, bitwise: x (so the counts, given n), n and the mean
+    rated powers."""
+    schedule = Schedule(fleet, n_steps)
+    ours = schedule_states(schedule, layout, every)
+    steps = range(0, n_steps + 1, every)
+    assert len(ours) == len(steps)
+    for step, state in zip(steps, ours):
+        snap = discretize(schedule_snapshot(schedule, step), layout)
+        assert state.layout == layout and state.n_ev_connected == snap.n_ev_connected, step
+        assert state.x.dtype == snap.x.dtype and state.x.tobytes() == snap.x.tobytes(), step
+        assert np.array([state.p_ac_kw, state.p_ad_kw]).tobytes() == \
+            np.array([snap.p_ac_kw, snap.p_ad_kw]).tobytes(), step
+    return ours
+
+
+class TestScheduleStates:
+    """Every resync's state counted off the schedule's sessions equals `discretize` of its
+    snapshot, bitwise."""
+
+    @pytest.mark.parametrize("every", [1, 12])
+    @pytest.mark.parametrize("variant", [ESSM, SSM])
+    def test_the_edge_case_fleet(self, table_distributions, variant, every):
+        fleet = Fleet(edge_case_params(table_distributions, seed=21), DT_5MIN, seed=21)
+        ours = assert_states_are_the_snapshots(fleet, DAY_5MIN, every, StateLayout(10, variant))
+        assert ours[0].n_ev_connected > 0  # carried-over sessions
+
+    @pytest.mark.parametrize("dt_seconds, every", [(15.0, 20), (300.0, 1)])
+    @pytest.mark.parametrize("seed", [7, 29])
+    def test_a_day_of_500_vehicles(self, table_distributions, seed, dt_seconds, every):
+        dt = dt_seconds / 3600.0
+        fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), dt, seed=seed)
+        ours = assert_states_are_the_snapshots(fleet, round(24.0 / dt), every, LAY10)
+        forced = [s.x[LAY10.fcs_index] > 0 for s in ours]
+        assert not forced[0] and any(forced)  # promoted on step 1 or on arrival, never at t = 0
+
+    def test_a_session_leaving_on_its_first_step(self):
+        # Placed charging at t = 0, gone on step 1: counted at t = 0 only.
+        fleet = Fleet(sample_fleet(deterministic_distributions(
+            initial=0.1, plug_in=23.0, plug_out=24.0 + DT_15S / 2), 1, seed=1), DT_15S, seed=1)
+        ours = assert_states_are_the_snapshots(fleet, 40, 1, LAY10)
+        assert [s.n_ev_connected for s in ours[:3]] == [1, 0, 0]
 
 
 class TestTransitionMatrix:

@@ -14,7 +14,7 @@ from evflex.fleet import (Connection, Fleet, FleetSnapshot, FleetStep, Flexibili
 from evflex.imm import imm_flexibility
 
 from conftest import (DAY_5MIN, DT_5MIN, deterministic_distributions, edge_case_params,
-                      edge_case_sessions, point)
+                      edge_case_sessions, point, schedule_snapshot)
 
 DT_15S = 15.0 / 3600.0
 
@@ -629,7 +629,8 @@ def assert_schedule_matches_steps(fleet: Fleet, n_steps: int, every: int = 1) ->
         assert same(schedule.sums[k], fleet._sums[0]), k
         assert same(astuple(envelope), astuple(fleet.envelopes[0])), k
         if k % every == 0:
-            assert all(map(same, astuple(schedule.snapshot(k)), astuple(fleet.snapshot()))), k
+            assert all(map(same, astuple(schedule_snapshot(schedule, k)),
+                           astuple(fleet.snapshot()))), k
     return schedule
 
 
@@ -670,9 +671,9 @@ class TestSchedule:
         anchors = {name: value.copy() for name, value in vars(fleet).items()
                    if isinstance(value, np.ndarray)}
         schedule = Schedule(fleet, DAY_5MIN)
-        in_order = [astuple(schedule.snapshot(k)) for k in range(DAY_5MIN + 1)]
+        in_order = [astuple(schedule_snapshot(schedule, k)) for k in range(DAY_5MIN + 1)]
         for k in [*range(DAY_5MIN, -1, -1), 0, 0, 150, 150, DAY_5MIN, 1]:  # reversed, repeated
-            assert all(map(same, astuple(schedule.snapshot(k)), in_order[k])), k
+            assert all(map(same, astuple(schedule_snapshot(schedule, k)), in_order[k])), k
         assert fleet.step_index == 0
         assert all(same(value, getattr(fleet, name)) for name, value in anchors.items())
         assert_schedule_matches_steps(fleet, DAY_5MIN)  # the fleet is still its t = 0 self

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evflex import cli, scenario
-from evflex.aggregate import FlexibilityEnvelope, measure
+from evflex.aggregate import FlexibilityEnvelope, StateLayout, fold, measure
 from evflex.cli import main
 from evflex.config import (
     DistributionSpec,
@@ -437,6 +437,17 @@ def assert_ssm_is_the_fold(config, ssm, theirs, c) -> None:
     assert (np.abs(ssm.model_kw - own.model_kw) <= 1e-12 * np.abs(own.model_kw)).all()
 
 
+def assert_the_fold_is_exact(config) -> None:
+    """Uncontrolled, no vehicle idles below the ceiling, discharges or idles empty, so essm's
+    interior idle, discharging and empty-idle states are exactly +0.0 in every row; each of
+    ssm's states then adds one state of essm's to exact zeros, and ssm's rows are X F bitwise."""
+    run, n = run_prediction_experiment(config).variants, config.n_intervals
+    x = run["essm"].states
+    assert_bitwise(x[:, n:3 * n + 1], np.zeros((x.shape[0], 2 * n + 1)), "zero states")
+    f = fold(StateLayout(n, "ssm"), StateLayout(n, "essm"))[0]
+    assert_bitwise(run["ssm"].states, x @ f, "X F")
+
+
 def with_params(monkeypatch, params):
     """Both runs of a test build their fleet from a copy of `params`."""
     monkeypatch.setattr(scenario, "sample_fleet", lambda *args: deepcopy(params))
@@ -456,6 +467,16 @@ class TestModelPass:
     @pytest.mark.parametrize("seed", [7, 1, 29])
     def test_a_day_of_500_vehicles(self, seed):
         assert_pass_matches_steps(SimulationConfig(n_ev=500, seed=seed, transition_samples=2000))
+
+    def test_the_fold_is_exact_on_the_edge_case_fleet(self, monkeypatch, table_distributions):
+        config = small_config(n_ev=200, horizon_hours=24.0, dt_seconds=300.0,
+                              resync_minutes=60.0, distributions=table_distributions)
+        with_params(monkeypatch, edge_case_params(table_distributions, seed=21))
+        assert_the_fold_is_exact(config)
+
+    @pytest.mark.parametrize("seed", [7, 29])
+    def test_the_fold_is_exact_over_a_day(self, seed):
+        assert_the_fold_is_exact(SimulationConfig(n_ev=500, seed=seed, transition_samples=2000))
 
     def test_a_fleet_that_empties_and_refills_between_resyncs(self, monkeypatch,
                                                               table_distributions):
