@@ -223,10 +223,11 @@ def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list
     first, gone, filled = (np.minimum(-(-s // every), rows).astype(np.min_scalar_type(rows))
                            for s in (start, end, full))
     charging_to, out = np.where(mode == CS, filled, t0_mode == CS), []
+    rated_kw = schedule.params.rated_charge_kw, schedule.params.rated_discharge_kw
     for i0 in range(0, rows, 16):
         near = ((first < i0 + 16) & (i0 < gone)).nonzero()[0]
         on_from, on_to, cs_to, who = (a.take(near) for a in (first, gone, charging_to, ids))
-        rated, nothing = [r.take(who) for r in schedule.rated], np.zeros(near.size, bool)
+        rated, nothing = [r.take(who) for r in rated_kw], np.zeros(near.size, bool)
         for i in range(i0, min(i0 + 16, rows)):
             on = (on_from <= i) & (i < on_to)
             out.append(state_of(layout, counts[i], rated, on, on & (i < cs_to), nothing))
@@ -428,7 +429,7 @@ class AggregateModel:
         Entries of A x + B u below -1e-9 mean an inadmissible input slipped
         through planning and raise; smaller negatives are clamped as float
         dust. A x alone has none: A and x are >= +0 (np.maximum(-0.0, 0.0) is
-        +0.0). The rest of the step is `finish_step`'s.
+        +0.0). The rest of the step is `_finish_step`'s.
         """
         st, n_in, n_out = self.state, events.n_in, events.n_out
         n_new, churn = st.n_ev_connected + n_in - n_out, None
@@ -442,13 +443,34 @@ class AggregateModel:
         if (n_in or n_out) and n_new > 0:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
             churn = churn_noise((n_in, n_out), n_new, keys, self.layout)[0]
-        self._pattern = self.finish_step(x, n_new, churn, self._pattern, self.mats.C)
+        self._pattern = self._finish_step(x, n_new, churn, self._pattern, self.mats.C)
         powers = (st.p_ac_kw, st.p_ad_kw) if n_new > 0 else (0.0, 0.0)
         self.state = AggregateState(self.layout, x, max(n_new, 0), *powers)
 
-    def finish_step(self, x: np.ndarray, n_new: int, churn: np.ndarray | None,
-                    pattern: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The state step after the recursion, in place, which `advance` and the prediction pass
+    def run_period(self, state: AggregateState, counts: np.ndarray, keys: np.ndarray,
+                   x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Resync to `state`, then run the uncontrolled recursion over one resync period in place:
+        x[0], c[0] are the resync's state and output matrix, x[i] is A x[i - 1] finished by step
+        i's churn. `counts` and `keys` are the period's plug events (`Schedule.period`). Returns
+        the count connected at each row, and after the period if the run goes on."""
+        m = len(x)
+        # A schedule's counts are exact, so none falls below 0; the next resync checks them.
+        n = np.cumsum(np.r_[state.n_ev_connected, counts[::2] - counts[1::2]])
+        counts = counts[:2 * m - 2]
+        busy = counts.reshape(-1, 2).any(axis=1).tolist()
+        self.resync(state)
+        x[0], c[0], pattern = self.state.x, self.mats.C, self._pattern
+        # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
+        churn = churn_noise(counts, np.maximum(n[1:m], 1), keys, self.layout)
+        for i, n_i in enumerate(n[1:m].tolist(), 1):
+            np.matmul(self.mats.A, x[i - 1], out=x[i])
+            pattern = self._finish_step(x[i], n_i, churn[i - 1] if busy[i - 1] else None,
+                                        pattern, c[i])
+        return n
+
+    def _finish_step(self, x: np.ndarray, n_new: int, churn: np.ndarray | None,
+                     pattern: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The state step after the recursion, in place, which `advance` and `run_period`
         share: `x`, a step's recursed state, takes the step's `churn` (None: no plug event), is
         clamped and renormalized, and the output matrix `c` is set to n_new · `pattern`, n_new
         the count connected after the step. The churn term is observed telemetry and may

@@ -225,6 +225,54 @@ def _terms(table, reach, units, soc, mode) -> np.ndarray:
     return np.matmul(units[:, None], table[reach.searchsorted(soc, "right"), mode])[:, 0]
 
 
+# What the step kernel and the event schedule read off the parameters, from one place.
+def _sessions(params: FleetParams, dt_hours: float):
+    """Per [yesterday's or today's session, vehicle], the steps of arrival (0: placed at t = 0)
+    and plug-out and whether it is on; the grid's size; the placed vehicles' ids, SOC and mode."""
+    if dt_hours <= 0:
+        raise ValueError("dt must be > 0")
+    m_start = params.plug_in_h - HOURS_PER_DAY
+    # Window [s, e) holds the vehicle after steps a <= j < b, a and b the
+    # first grid points at or after s and e. The grid holds the step
+    # loop's own floats and reaches past every plug-out.
+    last = max(float(params.plug_out_h.max()), 0.0)
+    grid = np.arange(int(np.ceil(last / dt_hours)) + 2) * dt_hours
+    a_m, b_m, a_e, b_e = np.searchsorted(grid, np.stack(
+        [m_start, params.plug_out_h - HOURS_PER_DAY, params.plug_in_h, params.plug_out_h]))
+    m_ok, e_ok = b_m > a_m, b_e > a_e  # a window shorter than a step is empty
+    # Yesterday's session ending on the step today's starts is one
+    # continuous connection: no departure, no arrival, no SOC reset.
+    merged = m_ok & e_ok & (b_m >= a_e)
+    start, end = (np.stack(s).astype(np.int32) for s in (
+        [a_m, a_e], [np.where(merged, b_e, b_m), b_e]))
+    # Carried-over vehicles, whose yesterday window holds t = 0, charged
+    # without interruption since plugging in; fast-forward that history.
+    carried = m_ok & (a_m == 0)
+    ids = np.flatnonzero(carried | (e_ok & (a_e == 0)))
+    elapsed = np.where(carried, -m_start, 0.0)
+    soc = np.minimum(params.initial_soc + elapsed * params.charge_rate_per_h, params.soc_max)[ids]
+    return (start, end, np.stack([m_ok, e_ok & ~merged]), grid.size, ids, soc,
+            np.where(soc >= params.soc_max, IS, CS).astype(np.int8))
+
+
+def _rules(params: FleetParams, dt_hours: float):
+    """What the rules read off the parameters: per vehicle, the deadlines (yesterday's and
+    today's plug-out), demanded SOC and SOC change per hour charging; per [mode, vehicle], the
+    SOC change per step; per vehicle, the rated powers in the sums' int64 units; imm's term table,
+    the SOCs a position in it counts, and per mode the bound a moving anchor heads for."""
+    from .imm import term_table  # imm reads this module's mode codes
+    lo, hi, rate_c = params.soc_min, params.soc_max, params.charge_rate_per_h
+    dsoc_c, dsoc_d = (rate * dt_hours for rate in (rate_c, params.discharge_rate_per_h))
+    zero = np.zeros(params.n_ev)
+    rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
+    if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
+        raise ValueError("fleet rated power exceeds the running sums' range")
+    return (np.stack([params.plug_out_h - HOURS_PER_DAY, params.plug_out_h, params.demanded_soc,
+                      rate_c]), np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c]),
+            np.rint(rated * _KW_UNITS).astype(np.int64), term_table(lo, hi),
+            np.array([np.nextafter(lo, hi), hi]), np.array([lo, hi, lo, lo, hi]))
+
+
 class Fleet:
     """Event-driven fleet state machine over one or more lanes: the step kernel.
 
@@ -240,46 +288,26 @@ class Fleet:
     watched vehicles and those a command addresses, and keeps each lane's imm
     envelope (`envelopes`, as of the last step or t = 0) as running sums over
     them. Draws are keyed by step and vehicle. A fleet that no command steers
-    need not be stepped: its `Schedule` holds the whole run, by the same rules.
+    is not built: its parameters' `Schedule` holds the whole run, by the same rules.
     """
 
     def __init__(self, params: FleetParams, dt_hours: float, seed: int, lanes: int = 1):
-        if dt_hours <= 0:
-            raise ValueError("dt must be > 0")
+        start, end, on, steps, placed, soc, mode = _sessions(params, dt_hours)
         self.params, self.dt_hours, self.seed, self.lanes = params, dt_hours, seed, lanes
         self.step_index = 0
         n = params.n_ev
-        m_start = params.plug_in_h - HOURS_PER_DAY
-        m_end = params.plug_out_h - HOURS_PER_DAY
+        self._arrivals = _bucket(start, on & (start > 0), steps, lanes)
+        self._departures = _bucket(end, on, steps, lanes)
 
-        # Window [s, e) holds the vehicle after steps a <= j < b, a and b the
-        # first grid points at or after s and e. The grid holds the step
-        # loop's own floats and reaches past every plug-out.
-        last = max(float(params.plug_out_h.max()), 0.0)
-        grid = np.arange(int(np.ceil(last / dt_hours)) + 2) * dt_hours
-        a_m, b_m, a_e, b_e = np.searchsorted(grid, np.stack(
-            [m_start, m_end, params.plug_in_h, params.plug_out_h]))
-        m_ok, e_ok = b_m > a_m, b_e > a_e  # a window shorter than a step is empty
-        # Yesterday's session ending on the step today's starts is one
-        # continuous connection: no departure, no arrival, no SOC reset.
-        merged = m_ok & e_ok & (b_m >= a_e)
-        # Sessions per [yesterday's or today's, vehicle], where `_on`: the steps of arrival (0:
-        # placed at t = 0) and of plug-out.
-        self._start, self._end = (np.stack(s).astype(np.int32) for s in (
-            [a_m, a_e], [np.where(merged, b_e, b_m), b_e]))
-        self._on = np.stack([m_ok, e_ok & ~merged])
-        self._arrivals = _bucket(self._start, self._on & (self._start > 0), grid.size, lanes)
-        self._departures = _bucket(self._end, self._on, grid.size, lanes)
-
-        # Per flat id, the parameters the steps read; per [mode, flat id], the
-        # SOC change per step and the SOC below which an anchor is watched
-        # for forced charging (charging once; see `step`).
-        self._m_end, self._plug_out, self._demanded, self._rate_c, rate_d = np.tile([
-            m_end, params.plug_out_h, params.demanded_soc, params.charge_rate_per_h,
-            params.discharge_rate_per_h], lanes)
-        zero, never = np.zeros(n * lanes), np.full(n * lanes, -np.inf)
-        dsoc_c, dsoc_d = self._rate_c * dt_hours, rate_d * dt_hours
-        self._slopes = np.stack([zero, dsoc_c, zero, -dsoc_d, dsoc_c])
+        # Per flat id, the parameters the steps read and the rated powers in the sums' units;
+        # per [mode, flat id], the SOC change per step and the SOC below which an anchor is
+        # watched for forced charging (charging once; see `step`). Per mode, the bound a moving
+        # anchor heads for; a SOC's position in the term table: how many of `_reach` it reaches.
+        deadlines, slopes, units, self._term_table, self._reach, self._bound = _rules(
+            params, dt_hours)
+        self._m_end, self._plug_out, self._demanded, self._rate_c = np.tile(deadlines, lanes)
+        self._slopes, self._units = np.tile(slopes, lanes), np.tile(units, (lanes, 1))
+        never = np.full(n * lanes, -np.inf)
         self._watch_below = np.stack([never, -never, self._demanded, -never, never])
         # Anchors: SOC `_soc_a` at step `_k_a` (a float: no int conversion in `_soc`) in `_mode`;
         # `_due`: the step (-1: none) of full or empty; `_watch`, `_dirty`: to check, to commit.
@@ -287,29 +315,13 @@ class Fleet:
         self._mode = np.full(n * lanes, DISCONNECTED, dtype=np.int8)
         self._due = np.full(n * lanes, -1, dtype=np.int64)
         self._watch, self._dirty = np.zeros((2, n * lanes), dtype=bool)
-        rated = np.stack([params.rated_charge_kw, params.rated_discharge_kw], axis=1)
-        if rated.sum() >= 2.0 ** 62 / _KW_UNITS:
-            raise ValueError("fleet rated power exceeds the running sums' range")
-        self._units = np.tile(np.rint(rated * _KW_UNITS).astype(np.int64), (lanes, 1))
-        from .control import actuate_array  # control and imm read this module's mode codes
-        from .imm import term_table
-        self._actuate, self._term_table = actuate_array, term_table(params.soc_min, params.soc_max)
-        # Per mode, the bound a moving anchor heads for; the range a command's layout must span;
-        # a SOC's position in the term table: how many of `_reach` it reaches.
-        lo, hi = params.soc_min, params.soc_max
-        self._bound, self._range = np.array([lo, hi, lo, lo, hi]), (lo, hi)
-        self._reach = np.array([np.nextafter(lo, hi), hi])
+        from .control import actuate_array  # control reads this module's mode codes
+        self._actuate, self._range = actuate_array, (params.soc_min, params.soc_max)
         self._held = np.zeros((n * lanes, 4), dtype=np.int64)  # each vehicle's share of the sums
         self._sums = np.zeros((lanes, 4), dtype=np.int64)  # per lane
 
-        # Carried-over vehicles, whose yesterday window holds t = 0, charged
-        # without interruption since plugging in; fast-forward that history.
-        connected = (m_ok & (a_m == 0)) | (e_ok & (a_e == 0))
-        elapsed = np.where(m_ok & (a_m == 0), -m_start, 0.0)
-        soc = np.minimum(params.initial_soc + elapsed * params.charge_rate_per_h, params.soc_max)
-        ids = np.flatnonzero(connected)
-        self.set_state((ids + n * np.arange(lanes)[:, None]).ravel(), np.tile(soc[ids], lanes),
-                       np.tile(np.where(soc[ids] >= params.soc_max, IS, CS), lanes))
+        self.set_state((placed + n * np.arange(lanes)[:, None]).ravel(), np.tile(soc, lanes),
+                       np.tile(mode, lanes))
         # The envelopes at t = 0; step 1 commits the placed vehicles again at its SOC, as it
         # does every anchor (one placed at a bound in a moving mode leaves it on that step).
         self._commit(0)
@@ -422,53 +434,56 @@ class Fleet:
 
 
 class Schedule:
-    """The uncontrolled run of a one-lane fleet, known at t = 0: each step's four sums and
-    envelope row (`sums`, `_rows`), its plug events, and its sessions. A session connects
-    charging, is promoted on its first step if its forced-charging rule binds (its only check:
-    a charging anchor's slack stays), idles from full and leaves: it holds one share of the
-    sums up to full and one up to plug-out, and each step's sums add the changes of share at
-    it. The schedule reads the fleet at t = 0 and never writes it. `sessions` (read-only, by
-    vehicle, yesterday's first): vehicle id, first step, plug-out step, step of full (or
-    plug-out), anchor SOC, slope, anchor step, mode, and mode at t = 0 before promotion."""
+    """The uncontrolled run of a fleet, known at t = 0 from its parameters: each step's four sums
+    and envelope row (`sums`, `rows`, read-only), its plug events, and its sessions. A session
+    connects charging, is promoted on its first step if its forced-charging rule binds (its only
+    check: a charging anchor's slack stays), idles from full and leaves: it holds one share of
+    the sums up to full and one up to plug-out, and each step's sums add the changes of share at
+    it. The sessions, the t = 0 placement and the rules are the step kernel's, so the schedule
+    is a one-lane `Fleet` stepped without commands. `sessions` (read-only, by vehicle,
+    yesterday's first): vehicle id, first step, plug-out step, step of full (or plug-out),
+    anchor SOC, slope, anchor step, mode, and mode at t = 0 before promotion."""
 
-    def __init__(self, fleet: Fleet, n_steps: int):
-        f, p, dt, (lo, hi) = fleet, fleet.params, fleet.dt_hours, fleet._range
-        self._range = lo, hi
-        if f.lanes != 1 or f.step_index or (f._watch & (f._mode != CS)).any():
-            raise ValueError("a schedule replays a one-lane fleet from t = 0 with no idle vehicle "
-                             "watched")
+    def __init__(self, params: FleetParams, dt_hours: float, n_steps: int):
+        p, dt, lo, hi = params, dt_hours, params.soc_min, params.soc_max
+        start, end, on, _, _, placed_soc, placed_mode = _sessions(p, dt)
         # Sessions by vehicle, yesterday's first: first step c1 (1 if placed), plug-out step b.
-        ids, which = f._on.T.nonzero()
-        start, b = f._start[which, ids], f._end[which, ids]
+        ids, which = on.T.nonzero()
+        start, b = start[which, ids], end[which, ids]
         c1, placed = np.maximum(start, 1), start == 0
-        soc = np.where(placed, f._soc_a[ids], p.initial_soc[ids])
-        mode = np.where(placed, f._mode[ids], CS)
-        k, slope = c1 - 1, f._slopes[mode, ids]  # k: the anchor's step
+        # A placed vehicle has one session from step 0, so they line up with `_sessions`' ids.
+        soc, mode = p.initial_soc[ids], np.full(ids.size, CS, np.int8)
+        soc[placed], mode[placed] = placed_soc, placed_mode
+        (m_end, plug_out, demanded, rate_c), slopes, units, table, reach, bound = _rules(p, dt)
+        k, slope = c1 - 1, slopes[mode, ids]  # k: the anchor's step
         check = _soc(soc, slope, k, k, lo, hi)  # a charging session is checked once, if there
-        promote = (mode == CS) & (c1 < b) & _binds(f._demanded[ids], check, _deadline(
-            c1 * dt, f._m_end[ids], f._plug_out[ids]), k * dt, f._rate_c[ids])
+        promote = (mode == CS) & (c1 < b) & _binds(demanded[ids], check, _deadline(
+            c1 * dt, m_end[ids], plug_out[ids]), k * dt, rate_c[ids])
         soc, mode, t0_mode = np.where(promote, check, soc), np.where(promote, FCS, mode), mode
-        full, slope = b.copy(), f._slopes[mode, ids]  # full: the step of full, or plug-out
-        on = slope.nonzero()[0]
-        full[on] = np.minimum(_due(k[on], f._bound.take(mode[on]), soc[on], slope[on]), b[on])
+        # The sums at t = 0: the placed sessions' shares, as placed.
+        units = units[ids]
+        t0 = _terms(table, reach, units[placed], check[placed], t0_mode[placed]).sum(axis=0)
+        full, slope = b.copy(), slopes[mode, ids]  # full: the step of full, or plug-out
+        moving = slope.nonzero()[0]
+        full[moving] = np.minimum(_due(k[moving], bound.take(mode[moving]), soc[moving],
+                                       slope[moving]), b[moving])
         del which, check, promote, on  # freed early: held to the end, they raised peak RSS
         self.sessions = ids, start, b, full, soc, slope, k, mode, t0_mode
-        for array in self.sessions:
-            array.flags.writeable = False
-        self.rated, self.n_steps = (p.rated_charge_kw, p.rated_discharge_kw), n_steps
+        self.params, self.n_steps = p, n_steps
 
         # Each session's share from its first step, then idle at the ceiling from full.
-        units = f._units[ids]
-        first = _terms(f._term_table, f._reach, units, _soc(soc, slope, c1, k, lo, hi), mode)
-        idle = _terms(f._term_table, f._reach, units, hi, IS)
+        first = _terms(table, reach, units, _soc(soc, slope, c1, k, lo, hi), mode)
+        idle = _terms(table, reach, units, hi, IS)
         change = np.zeros((n_steps + 2, 4), dtype=np.int64)  # the last row: after the run
-        change[0], change[1] = f._sums[0], -f._sums[0]  # step 1 commits t = 0's shares anew
+        change[0], change[1] = t0, -t0  # step 1 commits t = 0's shares anew
         for at, share, move in ((c1, first, np.add), (full, first, np.subtract),
                                 (full, idle, np.add), (b, idle, np.subtract)):
             move.at(change, np.minimum(at, n_steps + 1), share)
         del units, first, idle
         self.sums = np.cumsum(change[:-1], axis=0)
-        self._rows = np.stack(envelope_rule(*(self.sums / _KW_UNITS).T), 1)
+        self.rows = np.stack(envelope_rule(*(self.sums / _KW_UNITS).T), 1)
+        for array in (*self.sessions, self.sums, self.rows):
+            array.flags.writeable = False
 
         # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
         # departures, with their state the step before, up to ptr[2j + 2]; ids ascending. Only
@@ -483,7 +498,15 @@ class Schedule:
                                           np.where(absorbed, IS, mode)])[order]
         self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
 
+    def period(self, s: int, e: int) -> tuple[np.ndarray, slice]:
+        """The plug events of the resync period of rows s to e - 1: the arrival and departure
+        counts of steps s + 1 to e, the next resync's (within the run), interleaved, and the slice
+        of the flat events (`ids`, `soc`, `connection`) of steps s + 1 to e - 1."""
+        ptr = self._ptr
+        return (np.diff(ptr[2 * s + 2:2 * min(e, self.n_steps) + 3]),
+                slice(ptr[2 * s + 2], ptr[2 * e]))
+
     def session_soc(self, step, on) -> np.ndarray:
         """The SOC law of the sessions `on` at `step` (one, or one each), as if never full."""
         soc, slope, k = (self.sessions[i][on] for i in (4, 5, 6))
-        return _soc(soc, slope, step, k, *self._range)
+        return _soc(soc, slope, step, k, self.params.soc_min, self.params.soc_max)

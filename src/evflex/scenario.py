@@ -1,17 +1,16 @@
 """Experiment orchestration: 24 h prediction and tracking runs, reference
 generation, error metrics and CSV surfaces.
 
-The prediction run reads the uncontrolled fleet from its event schedule, built
-once with every plug event binned at once, and runs the extended model
-alongside it in one pass per resync period: a hard resync from telemetry, then
-the recursion with the observed plug-in/out churn of each step. The plain
-model's rows are that pass's fold, whichever variants run. The tracking run
-steps the fleet and closes the loop per variant: each step the controller
-plans a dispatch against the model's predicted pre-control state, broadcasts
-switching rates, and the fleet actuates them. Variants drive clones of the
-same fleet (same seed, same per-step draws) that step in lockstep against one
-reference, so their tracking is directly comparable. Scripted reference
-windows lie on the step grid and never overlap (checked at load time).
+The prediction run builds no fleet: it reads the uncontrolled run from the
+`Schedule` of the fleet's parameters and runs the extended model's pass over
+each resync period (`AggregateModel.run_period`). The plain model's rows are
+that pass's fold, whichever variants run. The tracking run steps the fleet and
+closes the loop per variant: each step the controller plans a dispatch against
+the model's predicted pre-control state, broadcasts switching rates, and the
+fleet actuates them. Variants drive clones of the same fleet (same seed, same
+per-step draws) that step in lockstep against one reference, so their tracking
+is directly comparable. Scripted reference windows lie on the step grid and
+never overlap (checked at load time).
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
-                        build_transition_matrix, churn_keys, churn_noise, fold, measure,
-                        move_probabilities, schedule_states)
+                        build_transition_matrix, churn_keys, fold, measure, move_probabilities,
+                        schedule_states)
 from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
 from .control import plan_dispatch, to_switching_probabilities
 from .fleet import Fleet, Schedule, sample_fleet
@@ -239,22 +238,19 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     """Uncontrolled 24 h run: every vehicle charges until full or gone, every
     variant's model predicts alongside from telemetry.
 
-    The fleet's whole run is one `Schedule`, its plug events binned once, and its rows are the
-    ground truth. Whichever variants run, one model pass, essm's, runs per resync period: a
-    resync to the state of the period's snapshot, counted off the schedule's sessions for
-    every period at once (`schedule_states`), one count of each step's churn over the period's
-    plug events, and the recursion in place in essm's rows (a private buffer when essm is not
-    run), each step finished by `AggregateModel.finish_step`; one stacked product gives the
+    No `Fleet` is built: the whole run is the `Schedule` of the fleet's parameters, whose rows
+    are the ground truth. Whichever variants run, one model pass, essm's, runs per resync
+    period (`AggregateModel.run_period`) from the state `schedule_states` counts for it, in
+    place in essm's rows (a private buffer when essm is not run); one stacked product gives the
     period's outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns). The
-    count of connected vehicles that the pass propagates must equal the next snapshot's."""
+    count of connected vehicles that the pass propagates must equal the next resync's."""
     k_steps, names, every = config.n_steps, config.variants, config.resync_steps
-    # The fleet first, its schedule after the models: other orders measured a higher peak RSS.
-    fleet = Fleet(sample_fleet(config.distributions, config.n_ev, config.seed), config.dt_hours,
-                  config.seed)
+    # The parameters, the models, then the schedule: the schedule first measured a higher peak RSS.
+    params = sample_fleet(config.distributions, config.n_ev, config.seed)
     models = _models(config)
-    schedule, model = Schedule(fleet, k_steps), models[ESSM]
+    schedule, model = Schedule(params, config.dt_hours, k_steps), models[ESSM]
     resyncs = schedule_states(schedule, model.layout, every)
-    binned, ptr = model.layout.keys(schedule.connection, schedule.soc), schedule._ptr
+    binned = model.layout.keys(schedule.connection, schedule.soc)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
@@ -267,26 +263,14 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
         if n is not None and n[-1] != st.n_ev_connected:
             raise ValueError(f"step {s}: the model pass propagated {n[-1]} connected vehicles, "
                              f"the snapshot has {st.n_ev_connected}")
-        # The arrivals and departures of each step up to the next resync, and the count after.
-        m, counts, n = e - s, np.diff(ptr[2 * s + 2:2 * min(e, k_steps) + 3]), [st.n_ev_connected]
-        for change in (counts[::2] - counts[1::2]).tolist():
-            n.append(max(n[-1] + change, 0))
-        counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]
-        busy = counts.reshape(-1, 2).any(axis=1).tolist()
-        model.resync(st)
-        x, c, pattern = states[s:e], outputs[:m], model._pattern
-        x[0], c[0] = model.state.x, model.mats.C
-        # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
-        churn = churn_noise(counts, np.maximum(n[1:m], 1), events, model.layout)
-        for i in range(1, m):
-            np.matmul(model.mats.A, x[i - 1], out=x[i])
-            pattern = model.finish_step(x[i], n[i], churn[i - 1] if busy[i - 1] else None,
-                                        pattern, c[i])
+        counts, events = schedule.period(s, e)
+        x, c = states[s:e], outputs[:e - s]
+        n = model.run_period(st, counts, binned[events], x, c)
         for name in names:  # ssm: essm folded, C its kept columns, contiguous
             vs = series[name]
             y = (c, x) if name == ESSM else (c.take(keep, 2), np.matmul(x, f, out=vs.states[s:e]))
             vs.model_kw.T[s:e] = measure(*y, *noise[name])
-            vs.n_connected[s:e], vs.imm_kw.T[s:e] = n[:m], schedule._rows[s:e]
+            vs.n_connected[s:e], vs.imm_kw.T[s:e] = n[:e - s], schedule.rows[s:e]
     return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, np.zeros(k_steps + 1),
                      series)
 

@@ -5,7 +5,7 @@ from evflex.aggregate import (AggregateState, StateLayout, build_output_matrix, 
                               measure)
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.fleet import (IS, FleetParams, FleetSnapshot, FleetStep, FlexibilityEnvelope, Schedule,
-                          _soc, sample_fleet)
+                          sample_fleet)
 
 
 DT_5MIN = 5.0 / 60.0
@@ -71,13 +71,12 @@ def schedule_snapshot(schedule: Schedule, step: int) -> FleetSnapshot:
     """The snapshot of the fleet that `schedule` replays, at `step`, in any order: the sessions
     connected then, idle at the ceiling from full and else at their anchor's SOC. The oracle of
     `aggregate.schedule_states`."""
-    (ids, start, b, full, soc, slope, k, mode, t0_mode), (lo, hi) = (schedule.sessions,
-                                                                     schedule._range)
-    on = ((start <= step) & (step < b)).nonzero()[0]
+    ids, start, b, full, _, _, _, mode, t0_mode = schedule.sessions
+    on, p = ((start <= step) & (step < b)).nonzero()[0], schedule.params
     ids, full = ids[on], step >= full[on]
-    soc = np.where(full, hi, _soc(soc[on], slope[on], step, k[on], lo, hi))
+    soc = np.where(full, p.soc_max, schedule.session_soc(step, on))
     mode = np.where(full, IS, (mode if step else t0_mode)[on])
-    return FleetSnapshot(ids, soc, mode, schedule.rated[0][ids], schedule.rated[1][ids])
+    return FleetSnapshot(ids, soc, mode, p.rated_charge_kw[ids], p.rated_discharge_kw[ids])
 
 
 def make_events(in_events=None, out_events=None) -> FleetStep:

@@ -70,13 +70,13 @@ MUTANTS = (
            "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
     Mutant("running sums", "every lane records lane 0's envelope", "scenario.py",
            "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
-    # The prediction run's model pass, a resync period at a time; `finish_step`, which it shares
-    # with `advance`, is covered by the state-step mutants above.
-    Mutant("model pass", "the block's churn is read one step early", "scenario.py",
-           "counts, events = counts[:2 * m - 2], binned[ptr[2 * s + 2]:ptr[2 * e]]",
-           "counts, events = np.diff(ptr[2 * s:2 * e - 1]), binned[ptr[2 * s]:ptr[2 * e - 2]]"),
-    Mutant("model pass", "the pattern is kept after the fleet empties", "scenario.py",
-           "pattern = model.finish_step(", "model.finish_step("),
+    # The prediction run's model pass, a resync period at a time (`run_period`, and the loop over
+    # the periods); `_finish_step`, which it shares with `advance`, is covered by the state-step
+    # mutants above.
+    Mutant("model pass", "the block's churn is read one step early", "aggregate.py",
+           "churn[i - 1] if busy[i - 1] else None", "churn[i - 2] if busy[i - 2] else None"),
+    Mutant("model pass", "the pattern is kept after the fleet empties", "aggregate.py",
+           "            pattern = self._finish_step(", "            self._finish_step("),
     Mutant("model pass", "the last partial block is dropped", "scenario.py",
            "zip(range(0, k_steps + 1, every), resyncs)",
            "zip(range(0, k_steps + 2 - every, every), resyncs)"),
@@ -148,8 +148,7 @@ MUTANTS = (
            "self._anchor(arrivals, np.concatenate([in_soc] * lanes), CS, k0)\n"
            "            self._watch[arrivals] = False\n"),
     Mutant("capability", "the floor is read as inside", "fleet.py",
-           "self._reach = np.array([np.nextafter(lo, hi), hi])",
-           "self._reach = np.array([lo, hi])"),
+           "np.array([np.nextafter(lo, hi), hi])", "np.array([lo, hi])"),
     Mutant("deadline rule", "switched vehicles are never watched", "fleet.py",
            "self._anchor(ids[moved], soc[moved], new[moved], k0)\n",
            "self._anchor(ids[moved], soc[moved], new[moved], k0)\n"
@@ -178,8 +177,10 @@ MUTANTS = (
     Mutant("capability", "forced vehicles count in p_ac's charging set", "aggregate.py",
            "np.where(mode == CS, filled,", "np.where(mode != IS, filled,"),
     Mutant("SOC law", "a vehicle placed at t = 0 idles below the ceiling", "fleet.py",
-           "np.where(soc[ids] >= params.soc_max, IS, CS)",
-           "np.where(soc[ids] >= 0.9 * params.soc_max, IS, CS)"),
+           "np.where(soc >= params.soc_max, IS, CS)",
+           "np.where(soc >= 0.9 * params.soc_max, IS, CS)"),
+    Mutant("running sums", "the schedule's t = 0 shares are taken in the promoted mode",
+           "fleet.py", "check[placed], t0_mode[placed])", "check[placed], mode[placed])"),
     Mutant("deadline rule", "the schedule checks a session that left on its first step",
            "fleet.py", "promote = (mode == CS) & (c1 < b) &", "promote = (mode == CS) &"),
     Mutant("deadline rule", "charging vehicles stay watched", "fleet.py",

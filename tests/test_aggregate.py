@@ -243,7 +243,7 @@ def assert_states_are_the_snapshots(fleet: Fleet, n_steps: int, every: int,
     """`schedule_states` of the fleet's schedule against `discretize` of the oracle snapshot
     at every resync step, t = 0 included, bitwise: x (so the counts, given n), n and the mean
     rated powers."""
-    schedule = Schedule(fleet, n_steps)
+    schedule = Schedule(fleet.params, fleet.dt_hours, n_steps)
     ours = schedule_states(schedule, layout, every)
     steps = range(0, n_steps + 1, every)
     assert len(ours) == len(steps)

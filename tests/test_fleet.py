@@ -607,27 +607,27 @@ def same(ours, theirs) -> bool:
     return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
-def schedule_step(schedule: Schedule, j: int) -> tuple[FleetStep, FlexibilityEnvelope]:
-    """Step j of `schedule` read as `Fleet.step` gives it: its plug events, the arrivals
-    [ptr[2j], ptr[2j + 1]) of the flat events and then the departures up to ptr[2j + 2], and
-    the envelope after it."""
-    a, m, e = schedule._ptr[2 * j:2 * j + 3]
+def schedule_step(schedule: Schedule, j: int) -> FleetStep:
+    """Step j >= 1 of `schedule` read as `Fleet.step` gives it: its plug events, the arrivals,
+    then the departures, of the slice of the flat events that `Schedule.period` gives."""
+    counts, events = schedule.period(j - 1, j + 1)
+    m = events.start + counts[0]
+    a, d = slice(events.start, m), slice(m, events.stop)
     ids, soc, mode = schedule.ids, schedule.soc, schedule.connection
-    return (FleetStep(ids[a:m], soc[a:m], mode[a:m], ids[m:e], soc[m:e], mode[m:e]),
-            FlexibilityEnvelope(*schedule._rows[j].tolist()))
+    return FleetStep(ids[a], soc[a], mode[a], ids[d], soc[d], mode[d])
 
 
 def assert_schedule_matches_steps(fleet: Fleet, n_steps: int, every: int = 1) -> Schedule:
-    """The `Schedule` of a twin of `fleet` against `fleet` stepped uncontrolled, bitwise: each
-    step's four sums, envelope and plug events (ids, SOC, mode), and the snapshot (ids, SOC,
-    mode, rated powers) at t = 0 and every `every` steps."""
-    schedule = Schedule(Fleet(fleet.params, fleet.dt_hours, fleet.seed), n_steps)
+    """The `Schedule` of `fleet`'s parameters against `fleet` stepped uncontrolled, bitwise:
+    each step's four sums, envelope and plug events (ids, SOC, mode), and the snapshot (ids,
+    SOC, mode, rated powers) at t = 0 and every `every` steps."""
+    schedule = Schedule(fleet.params, fleet.dt_hours, n_steps)
     for k in range(n_steps + 1):
-        ours, envelope = schedule_step(schedule, k)
         if k:
-            assert all(map(same, astuple(ours), astuple(fleet.step()))), k
+            assert all(map(same, astuple(schedule_step(schedule, k)), astuple(fleet.step()))), k
         assert same(schedule.sums[k], fleet._sums[0]), k
-        assert same(astuple(envelope), astuple(fleet.envelopes[0])), k
+        assert same(astuple(FlexibilityEnvelope(*schedule.rows[k].tolist())),
+                    astuple(fleet.envelopes[0])), k
         if k % every == 0:
             assert all(map(same, astuple(schedule_snapshot(schedule, k)),
                            astuple(fleet.snapshot()))), k
@@ -667,28 +667,21 @@ class TestSchedule:
 
     @pytest.mark.parametrize("seed", [7, 29])
     def test_snapshots_in_any_order_leave_the_fleet_alone(self, table_distributions, seed):
-        fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), DT_5MIN, seed=seed)
-        anchors = {name: value.copy() for name, value in vars(fleet).items()
-                   if isinstance(value, np.ndarray)}
-        schedule = Schedule(fleet, DAY_5MIN)
+        params = sample_fleet(table_distributions, 500, seed=seed)
+        fields = {name: value.copy() for name, value in vars(params).items()
+                  if isinstance(value, np.ndarray)}
+        schedule = Schedule(params, DT_5MIN, DAY_5MIN)
         in_order = [astuple(schedule_snapshot(schedule, k)) for k in range(DAY_5MIN + 1)]
         for k in [*range(DAY_5MIN, -1, -1), 0, 0, 150, 150, DAY_5MIN, 1]:  # reversed, repeated
             assert all(map(same, astuple(schedule_snapshot(schedule, k)), in_order[k])), k
-        assert fleet.step_index == 0
-        assert all(same(value, getattr(fleet, name)) for name, value in anchors.items())
-        assert_schedule_matches_steps(fleet, DAY_5MIN)  # the fleet is still its t = 0 self
+        assert all(same(value, getattr(params, name)) for name, value in fields.items())
+        assert_schedule_matches_steps(Fleet(params, DT_5MIN, seed=seed), DAY_5MIN)
 
-    def test_refuses_what_it_cannot_replay(self, table_distributions):
-        params = sample_fleet(table_distributions, 20, seed=3)
-        with pytest.raises(ValueError, match="one-lane"):
-            Schedule(Fleet(params, DT_5MIN, seed=3, lanes=2), DAY_5MIN)
-        stepped = Fleet(params, DT_5MIN, seed=3)
-        stepped.step()
-        with pytest.raises(ValueError, match="from t = 0"):
-            Schedule(stepped, DAY_5MIN)
-        idle = one_vehicle(0.5, Connection.IDLE, demanded=0.9)  # watched at every step
-        with pytest.raises(ValueError, match="idle"):
-            Schedule(idle, 10)
+    def test_its_tables_are_read_only(self, table_distributions):
+        schedule = Schedule(sample_fleet(table_distributions, 20, seed=3), DT_5MIN, DAY_5MIN)
+        for array in (*schedule.sessions, schedule.sums, schedule.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestLanes:

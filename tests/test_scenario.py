@@ -322,14 +322,14 @@ class TestTrackingExperiment:
 
 
 class TestFleetPaths:
-    """`predict` reads the uncontrolled fleet from its schedule and never steps it; `track`
+    """`predict` reads the uncontrolled fleet from its schedule and never builds it; `track`
     steps its fleet once a step."""
 
-    def test_predict_and_sweep_never_step_the_fleet(self, monkeypatch, tmp_path):
-        def step(self, *commands):
-            raise AssertionError("an uncontrolled run stepped the fleet")
+    def test_predict_and_sweep_build_no_fleet(self, monkeypatch, tmp_path):
+        def build(self, *args, **kwargs):
+            raise AssertionError("an uncontrolled run built a fleet")
 
-        monkeypatch.setattr(Fleet, "step", step)
+        monkeypatch.setattr(Fleet, "__init__", build)
         config = small_config(horizon_hours=1.0)
         assert run_prediction_experiment(config).variants["essm"].n_connected.all()
         assert len(scenario.sweep_prediction(config, [50, 100])) == 4
@@ -528,8 +528,8 @@ class TestModelPass:
         class Miscounted(scenario.Schedule):
             """Counts the run's first departure as an arrival of its step."""
 
-            def __init__(self, fleet, n_steps):
-                super().__init__(fleet, n_steps)
+            def __init__(self, *args):
+                super().__init__(*args)
                 ptr = np.array(self._ptr)
                 ptr[1 + 2 * np.flatnonzero(ptr[1:-1:2] < ptr[2::2])[0]] += 1
                 self._ptr = memoryview(ptr)
