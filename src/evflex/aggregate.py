@@ -174,8 +174,9 @@ def discretize(snapshot: FleetSnapshot, layout: StateLayout) -> AggregateState:
                     mode != DISCONNECTED, mode == CS, mode == DS)
 
 
-def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list[AggregateState]:
-    """`discretize` of the schedule's snapshot every `every` steps from t = 0, off its sessions.
+def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> tuple[list, np.ndarray]:
+    """`discretize` of the schedule's snapshot every `every` steps from t = 0, off its sessions,
+    and the churn counts: per (step, state), the arrivals less the departures `Fleet.step` gives.
     A session changes state only on its first step, on step 1 if placed (a promotion), where its
     SOC crosses an interior edge (a moving mode's floor and ceiling slots share its edge intervals'
     states), when full and at plug-out: one int64 table of those changes per (row ceil(step /
@@ -193,6 +194,13 @@ def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list
                     edges.searchsorted(np.where(idle, layout.soc_max,
                                                 schedule.session_soc(step, on)), "right")]
 
+    # Churn in the narrowest ints that hold ±n_ev (int64 measured more peak RSS); last row: after.
+    left, arriving, after = state(end - 1), (start > 0).nonzero()[0], schedule.n_steps + 1
+    arrived = bins[CS, edges.searchsorted(schedule.params.initial_soc[ids[arriving]], "right")]
+    churn = np.zeros((after + 1, layout.dimension), np.min_scalar_type(-schedule.params.n_ev - 1))
+    np.add.at(churn, (np.minimum(start[arriving], after), arrived), 1)
+    np.subtract.at(churn, (np.minimum(end, after), left), 1)
+
     def changes():  # (steps, states before them, states from them; None: not connected)
         yield start, None, state(start)
         yield 1, state(0, placed), state(1, placed)
@@ -207,7 +215,7 @@ def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list
             yield at[inside], bins[mode[moving[inside]], r], bins[mode[moving[inside]], r + 1]
         filling = ((c1 < full) & (full < end)).nonzero()[0]
         yield full[filling], state(full[filling] - 1, filling), state(full[filling], filling)
-        yield end, state(end - 1), None
+        yield end, left, None
 
     cells = np.zeros((rows + 1) * layout.dimension, np.int64)  # the last row: after the run
     for steps, old, new in changes():
@@ -216,7 +224,7 @@ def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list
             if states is not None:
                 cells += sign * np.bincount(row + states, minlength=cells.size)
     counts = np.cumsum(cells.reshape(rows + 1, -1)[:-1], axis=0)
-    del cells, row, states, old, c1, placed  # freed before the means
+    del cells, row, states, old, c1, placed, left, arrived  # freed before the means
 
     # Each session's rows from which it is connected, gone and not charging (a session promoted
     # on step 1 charges at t = 0 only). A block of 16 rows gathers the sessions connected in it.
@@ -231,7 +239,7 @@ def schedule_states(schedule: Schedule, layout: StateLayout, every: int) -> list
         for i in range(i0, min(i0 + 16, rows)):
             on = (on_from <= i) & (i < on_to)
             out.append(state_of(layout, counts[i], rated, on, on & (i < cs_to), nothing))
-    return out
+    return out, churn[:-1]
 
 
 def estimate_transition_matrix(distributions: FleetDistributions, layout: StateLayout,
@@ -361,20 +369,13 @@ def churn_keys(events: FleetStep, layout: StateLayout, lanes: int = 1) -> np.nda
     return layout.keys(conn, soc).reshape(lanes, -1)
 
 
-def churn_noise(counts, n_new, keys: np.ndarray, layout: StateLayout) -> np.ndarray:
-    """The churn disturbance (N_in x_in - N_out x_out) / N_new of each step of a run: `keys`
-    holds the steps' plug events in order, each step's arrivals then its departures, `counts`
-    how many of each (flat, in that order) and `n_new` the count connected after each step.
-    Integer counts, one division; a single step (two counts) is counted without the block
-    offsets."""
+def churn_noise(n_in: int, n_new, keys: np.ndarray, layout: StateLayout) -> np.ndarray:
+    """The churn disturbance (N_in x_in - N_out x_out) / N_new of one step: `keys` holds its plug
+    events' keys, the `n_in` arrivals first, then the departures, and `n_new` the count connected
+    after it. Integer counts, one division, as `run_period` takes for its steps."""
     d, states = layout.dimension, layout.state_table.take(keys)
-    if len(counts) == 2:
-        a = counts[0]
-        return ((np.bincount(states[:a], minlength=d) - np.bincount(states[a:], minlength=d))
-                / n_new)[None]
-    cells = np.repeat(np.arange(0, counts.size * d, d), counts) + states
-    both = np.bincount(cells, minlength=counts.size * d).reshape(-1, 2, d)
-    return (both[:, 0] - both[:, 1]) / n_new[:, None]
+    return (np.bincount(states[:n_in], minlength=d)
+            - np.bincount(states[n_in:], minlength=d)) / n_new
 
 
 class AggregateModel:
@@ -442,26 +443,26 @@ class AggregateModel:
             np.maximum(x, 0.0, out=x)
         if (n_in or n_out) and n_new > 0:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
-            churn = churn_noise((n_in, n_out), n_new, keys, self.layout)[0]
+            churn = churn_noise(n_in, n_new, keys, self.layout)
         self._pattern = self._finish_step(x, n_new, churn, self._pattern, self.mats.C)
         powers = (st.p_ac_kw, st.p_ad_kw) if n_new > 0 else (0.0, 0.0)
         self.state = AggregateState(self.layout, x, max(n_new, 0), *powers)
 
-    def run_period(self, state: AggregateState, counts: np.ndarray, keys: np.ndarray,
-                   x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def run_period(self, state: AggregateState, churn: np.ndarray, x: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
         """Resync to `state`, then run the uncontrolled recursion over one resync period in place:
         x[0], c[0] are the resync's state and output matrix, x[i] is A x[i - 1] finished by step
-        i's churn. `counts` and `keys` are the period's plug events (`Schedule.period`). Returns
-        the count connected at each row, and after the period if the run goes on."""
+        i's churn. `churn` holds the churn counts of the steps to the next resync's, within the run
+        (`schedule_states`). Returns the count connected at each row, then after the period."""
         m = len(x)
         # A schedule's counts are exact, so none falls below 0; the next resync checks them.
-        n = np.cumsum(np.r_[state.n_ev_connected, counts[::2] - counts[1::2]])
-        counts = counts[:2 * m - 2]
-        busy = counts.reshape(-1, 2).any(axis=1).tolist()
+        n = np.cumsum(np.r_[state.n_ev_connected, churn.sum(axis=1)])
+        busy = churn[:m - 1].any(axis=1).tolist()
         self.resync(state)
         x[0], c[0], pattern = self.state.x, self.mats.C, self._pattern
-        # A step that empties the fleet resets the state, so its churn, over 1, goes unused.
-        churn = churn_noise(counts, np.maximum(n[1:m], 1), keys, self.layout)
+        # A step that empties the fleet resets the state, so its churn, over 1, goes unused. A
+        # step whose events cancel in every state skips the add: +0.0 leaves x >= +0 as it is.
+        churn = churn[:m - 1] / np.maximum(n[1:m], 1)[:, None]
         for i, n_i in enumerate(n[1:m].tolist(), 1):
             np.matmul(self.mats.A, x[i - 1], out=x[i])
             pattern = self._finish_step(x[i], n_i, churn[i - 1] if busy[i - 1] else None,

@@ -435,14 +435,15 @@ class Fleet:
 
 class Schedule:
     """The uncontrolled run of a fleet, known at t = 0 from its parameters: each step's four sums
-    and envelope row (`sums`, `rows`, read-only), its plug events, and its sessions. A session
-    connects charging, is promoted on its first step if its forced-charging rule binds (its only
-    check: a charging anchor's slack stays), idles from full and leaves: it holds one share of
-    the sums up to full and one up to plug-out, and each step's sums add the changes of share at
-    it. The sessions, the t = 0 placement and the rules are the step kernel's, so the schedule
-    is a one-lane `Fleet` stepped without commands. `sessions` (read-only, by vehicle,
-    yesterday's first): vehicle id, first step, plug-out step, step of full (or plug-out),
-    anchor SOC, slope, anchor step, mode, and mode at t = 0 before promotion."""
+    and envelope row (`sums`, `rows`, read-only), and its sessions, whose first and plug-out steps
+    are its plug events (`aggregate.schedule_states` counts them). A session connects charging, is
+    promoted on its first step if its forced-charging rule binds (its only check: a charging
+    anchor's slack stays), idles from full and leaves: it holds one share of the sums up to full
+    and one up to plug-out, and each step's sums add the changes of share at it. The sessions, the
+    t = 0 placement and the rules are the step kernel's, so the schedule is a one-lane `Fleet`
+    stepped without commands. `sessions` (read-only, by vehicle, yesterday's first): vehicle id,
+    first step, plug-out step, step of full (or plug-out), anchor SOC, slope, anchor step, mode,
+    and mode at t = 0 before promotion."""
 
     def __init__(self, params: FleetParams, dt_hours: float, n_steps: int):
         p, dt, lo, hi = params, dt_hours, params.soc_min, params.soc_max
@@ -484,27 +485,6 @@ class Schedule:
         self.rows = np.stack(envelope_rule(*(self.sums / _KW_UNITS).T), 1)
         for array in (*self.sessions, self.sums, self.rows):
             array.flags.writeable = False
-
-        # Step j's arrivals are [ptr[2j], ptr[2j + 1]) of the flat plug events, then its
-        # departures, with their state the step before, up to ptr[2j + 2]; ids ascending. Only
-        # the run's events are kept.
-        arrive, absorbed = (start > 0).nonzero()[0], full < b  # absorbed: full by b - 1
-        key = np.concatenate([2 * start[arrive], 2 * b + 1])
-        order = np.argsort(key, kind="stable")[:np.count_nonzero(key <= 2 * n_steps + 1)]
-        self.ids = np.concatenate([ids[arrive], ids])[order]
-        self.soc = np.concatenate([p.initial_soc[ids[arrive]], np.where(
-            absorbed, hi, _soc(soc, slope, b - 1, k, lo, hi))])[order]
-        self.connection = np.concatenate([np.full(arrive.size, CS, np.int8),
-                                          np.where(absorbed, IS, mode)])[order]
-        self._ptr = memoryview(np.cumsum(np.r_[0, np.bincount(key, minlength=2 * n_steps + 3)]))
-
-    def period(self, s: int, e: int) -> tuple[np.ndarray, slice]:
-        """The plug events of the resync period of rows s to e - 1: the arrival and departure
-        counts of steps s + 1 to e, the next resync's (within the run), interleaved, and the slice
-        of the flat events (`ids`, `soc`, `connection`) of steps s + 1 to e - 1."""
-        ptr = self._ptr
-        return (np.diff(ptr[2 * s + 2:2 * min(e, self.n_steps) + 3]),
-                slice(ptr[2 * s + 2], ptr[2 * e]))
 
     def session_soc(self, step, on) -> np.ndarray:
         """The SOC law of the sessions `on` at `step` (one, or one each), as if never full."""

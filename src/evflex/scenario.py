@@ -1,16 +1,16 @@
 """Experiment orchestration: 24 h prediction and tracking runs, reference
 generation, error metrics and CSV surfaces.
 
-The prediction run builds no fleet: it reads the uncontrolled run from the
-`Schedule` of the fleet's parameters and runs the extended model's pass over
-each resync period (`AggregateModel.run_period`). The plain model's rows are
-that pass's fold, whichever variants run. The tracking run steps the fleet and
-closes the loop per variant: each step the controller plans a dispatch against
-the model's predicted pre-control state, broadcasts switching rates, and the
-fleet actuates them. Variants drive clones of the same fleet (same seed, same
-per-step draws) that step in lockstep against one reference, so their tracking
-is directly comparable. Scripted reference windows lie on the step grid and
-never overlap (checked at load time).
+The prediction run builds no fleet: it counts the resync states and churn of
+its parameters' `Schedule` (`schedule_states`) and runs the extended model's
+pass over each resync period (`AggregateModel.run_period`). The plain model's
+rows are that pass's fold, whichever variants run. The tracking run steps the
+fleet and closes the loop per variant: each step the controller plans a
+dispatch against the model's predicted pre-control state, broadcasts switching
+rates, and the fleet actuates them. Variants drive clones of the same fleet
+(same seed, same per-step draws) that step in lockstep against one reference,
+so their tracking is directly comparable. Scripted reference windows lie on
+the step grid and never overlap (checked at load time).
 """
 
 from __future__ import annotations
@@ -240,17 +240,16 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
 
     No `Fleet` is built: the whole run is the `Schedule` of the fleet's parameters, whose rows
     are the ground truth. Whichever variants run, one model pass, essm's, runs per resync
-    period (`AggregateModel.run_period`) from the state `schedule_states` counts for it, in
-    place in essm's rows (a private buffer when essm is not run); one stacked product gives the
-    period's outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns). The
-    count of connected vehicles that the pass propagates must equal the next resync's."""
+    period (`AggregateModel.run_period`) from the state and churn counts of `schedule_states`,
+    in place in essm's rows (a private buffer when essm is not run); one stacked product gives
+    the period's outputs. ssm's rows are the pass's fold (`fold`: X F, C on the kept columns).
+    The count of connected vehicles that the pass propagates must equal the next resync's."""
     k_steps, names, every = config.n_steps, config.variants, config.resync_steps
     # The parameters, the models, then the schedule: the schedule first measured a higher peak RSS.
     params = sample_fleet(config.distributions, config.n_ev, config.seed)
     models = _models(config)
     schedule, model = Schedule(params, config.dt_hours, k_steps), models[ESSM]
-    resyncs = schedule_states(schedule, model.layout, every)
-    binned = model.layout.keys(schedule.connection, schedule.soc)
+    resyncs, churn = schedule_states(schedule, model.layout, every)
     series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
               for name in names}
     noise = {name: _noise_rng_or_none(config, name) for name in names}
@@ -263,9 +262,8 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
         if n is not None and n[-1] != st.n_ev_connected:
             raise ValueError(f"step {s}: the model pass propagated {n[-1]} connected vehicles, "
                              f"the snapshot has {st.n_ev_connected}")
-        counts, events = schedule.period(s, e)
         x, c = states[s:e], outputs[:e - s]
-        n = model.run_period(st, counts, binned[events], x, c)
+        n = model.run_period(st, churn[s + 1:e + 1], x, c)
         for name in names:  # ssm: essm folded, C its kept columns, contiguous
             vs = series[name]
             y = (c, x) if name == ESSM else (c.take(keep, 2), np.matmul(x, f, out=vs.states[s:e]))

@@ -64,7 +64,7 @@ def compute_noise(n_ev_connected: int, n_in: int, keys: np.ndarray,
     denom = n_ev_connected + 2 * n_in - keys.size
     if denom == 0:
         raise ValueError("fleet emptied during the interval; reset the state instead")
-    return churn_noise((n_in, keys.size - n_in), denom, keys, layout)[0]
+    return churn_noise(n_in, denom, keys, layout)
 
 
 def schedule_snapshot(schedule: Schedule, step: int) -> FleetSnapshot:

@@ -89,8 +89,8 @@ MUTANTS = (
     Mutant("fold", "ssm's C takes the empty-idle column for the forced-charging one",
            "scenario.py", "c.take(keep, 2)", "c[:, :, :-2]"),
     Mutant("state step", "the one-step churn count drops the step's first departure",
-           "aggregate.py", "np.bincount(states[a:], minlength=d)",
-           "np.bincount(states[a + 1:], minlength=d)"),
+           "aggregate.py", "np.bincount(states[n_in:], minlength=d)",
+           "np.bincount(states[n_in + 1:], minlength=d)"),
     # The reference draw and the dispatch plan.
     Mutant("reference draw", "the draw spans the whole band", "scenario.py",
            "half = 0.5 * central_fraction * (p_u - p_l)", "half = 0.5 * (p_u - p_l)"),
@@ -162,10 +162,16 @@ MUTANTS = (
            "((c1, first, np.add),", "((c1 + 1, first, np.add),"),
     Mutant("running sums", "the schedule takes a departure's share out a step early",
            "fleet.py", "(b, idle, np.subtract)", "(b - 1, idle, np.subtract)"),
-    Mutant("SOC law", "the schedule reads a departure's state at its own step", "fleet.py",
-           "_soc(soc, slope, b - 1, k, lo, hi)", "_soc(soc, slope, b, k, lo, hi)"),
-    # Each resync's state counted off the schedule's sessions, and the rule it shares with
-    # `discretize`.
+    # Each resync's state and each step's churn counted off the schedule's sessions, and the rule
+    # it shares with `discretize`.
+    Mutant("SOC law", "the schedule reads a departure's state at its own step", "aggregate.py",
+           "state(end - 1)", "state(end)"),
+    Mutant("SOC law", "an arrival's churn is counted in its first step's state", "aggregate.py",
+           'bins[CS, edges.searchsorted(schedule.params.initial_soc[ids[arriving]], "right")]',
+           "state(start[arriving], arriving)"),
+    Mutant("state step", "the churn's ints cannot hold a whole fleet in one state",
+           "aggregate.py", "np.min_scalar_type(-schedule.params.n_ev - 1)",
+           "np.min_scalar_type(-schedule.params.n_ev)"),
     Mutant("SOC law", "a full session is counted charging one step longer", "aggregate.py",
            "idle = step >= full[on]", "idle = step > full[on]"),
     Mutant("deadline rule", "a placed session is counted forced at t = 0", "aggregate.py",
@@ -210,10 +216,10 @@ def tier1_passes(root: Path) -> bool:
     return run.returncode == 0
 
 
-def digests(root: Path) -> dict[str, str]:
+def digests(root: Path, workloads: dict[str, list[str]] = WORKLOADS) -> dict[str, str]:
     """sha256 of every CSV the workloads write, keyed by workload and file."""
     out = {}
-    for name, argv in WORKLOADS.items():
+    for name, argv in workloads.items():
         with tempfile.TemporaryDirectory() as tmp:
             subprocess.run([sys.executable, "-m", "evflex", *argv, "--out", tmp], cwd=root,
                            env=environment(root), check=True, capture_output=True)

@@ -18,7 +18,6 @@ from evflex.aggregate import (
     build_output_matrix,
     build_transition_matrix,
     churn_keys,
-    churn_noise,
     discretize,
     estimate_transition_matrix,
     output_coefficients,
@@ -244,7 +243,7 @@ def assert_states_are_the_snapshots(fleet: Fleet, n_steps: int, every: int,
     at every resync step, t = 0 included, bitwise: x (so the counts, given n), n and the mean
     rated powers."""
     schedule = Schedule(fleet.params, fleet.dt_hours, n_steps)
-    ours = schedule_states(schedule, layout, every)
+    ours, _ = schedule_states(schedule, layout, every)
     steps = range(0, n_steps + 1, every)
     assert len(ours) == len(steps)
     for step, state in zip(steps, ours):
@@ -259,6 +258,13 @@ def assert_states_are_the_snapshots(fleet: Fleet, n_steps: int, every: int,
 class TestScheduleStates:
     """Every resync's state counted off the schedule's sessions equals `discretize` of its
     snapshot, bitwise."""
+
+    def test_a_whole_fleet_plugs_in_and_out_on_one_step(self):
+        # 128 identical vehicles arrive in one state on one step and leave full on one: the
+        # churn's ints hold +128 and -128.
+        params = sample_fleet(deterministic_distributions(plug_in=30.0, plug_out=40.0), 128, 1)
+        _, churn = schedule_states(Schedule(params, DT_5MIN, DAY_5MIN), LAY10, 12)
+        assert sorted(churn[churn != 0].tolist()) == [-128, 128]
 
     @pytest.mark.parametrize("every", [1, 12])
     @pytest.mark.parametrize("variant", [ESSM, SSM])
@@ -634,23 +640,6 @@ class TestComputeNoise:
         conn = np.full(3, Connection.CHARGING, dtype=np.int8)
         with pytest.raises(ValueError, match="emptied"):
             noise_of(3, [], [], soc, conn, LAY10)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_one_step_is_the_block_form_bitwise(self, data):
-        # A single step (two counts) skips the block offsets; its row must be the one the block
-        # form gives that step as the first of two (the second step without plug events).
-        layout = data.draw(st.sampled_from([LAY10, LAY10_SSM, StateLayout(3, ESSM, 0.1, 0.9)]))
-        n_in, n_out = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
-        n_new = data.draw(st.integers(1, 40))
-        row = layout.n_intervals + 2  # keys of the disconnected row, the first, map to no state
-        keys = np.array(data.draw(st.lists(st.integers(row, 5 * row - 1), min_size=n_in + n_out,
-                                           max_size=n_in + n_out)), dtype=np.intp)
-        one = churn_noise(np.array([n_in, n_out]), np.array([n_new]), keys, layout)
-        block = churn_noise(np.array([n_in, n_out, 0, 0]), np.array([n_new, 1]), keys, layout)
-        assert one.shape == (1, layout.dimension) and one.tobytes() == block[:1].tobytes()
-        n_ev = n_new - n_in + n_out
-        assert compute_noise(n_ev, n_in, keys, layout).tobytes() == one[0].tobytes()
 
 
 class TestResyncAndModel:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from evflex.config import DistributionSpec, FleetDistributions
 from evflex.control import DispatchCommand, actuate_array
-from evflex.aggregate import StateLayout
+from evflex.aggregate import ESSM, SSM, StateLayout, schedule_states
 from evflex.fleet import (Connection, Fleet, FleetSnapshot, FleetStep, FlexibilityEnvelope,
                           Schedule, _deadline, _events, sample_fleet, step_stream)
 from evflex.imm import imm_flexibility
@@ -607,31 +607,36 @@ def same(ours, theirs) -> bool:
     return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
-def schedule_step(schedule: Schedule, j: int) -> FleetStep:
-    """Step j >= 1 of `schedule` read as `Fleet.step` gives it: its plug events, the arrivals,
-    then the departures, of the slice of the flat events that `Schedule.period` gives."""
-    counts, events = schedule.period(j - 1, j + 1)
-    m = events.start + counts[0]
-    a, d = slice(events.start, m), slice(m, events.stop)
-    ids, soc, mode = schedule.ids, schedule.soc, schedule.connection
-    return FleetStep(ids[a], soc[a], mode[a], ids[d], soc[d], mode[d])
-
-
-def assert_schedule_matches_steps(fleet: Fleet, n_steps: int, every: int = 1) -> Schedule:
+def assert_schedule_matches_steps(fleet: Fleet, n_steps: int,
+                                  every: int = 1) -> tuple[Schedule, list[FleetStep]]:
     """The `Schedule` of `fleet`'s parameters against `fleet` stepped uncontrolled, bitwise:
-    each step's four sums, envelope and plug events (ids, SOC, mode), and the snapshot (ids,
-    SOC, mode, rated powers) at t = 0 and every `every` steps."""
-    schedule = Schedule(fleet.params, fleet.dt_hours, n_steps)
+    each step's four sums and envelope, its churn counts (`schedule_states`, both layouts)
+    against the step's plug events binned by `StateLayout.keys`, arrivals less departures, and
+    the snapshot (ids, SOC, mode, rated powers) at t = 0 and every `every` steps. Returns the
+    schedule and the fleet's steps."""
+    p = fleet.params
+    schedule = Schedule(p, fleet.dt_hours, n_steps)
+    layouts = [StateLayout(10, variant, p.soc_min, p.soc_max) for variant in (ESSM, SSM)]
+    churns = [schedule_states(schedule, layout, every)[1] for layout in layouts]
+    steps = []
     for k in range(n_steps + 1):
         if k:
-            assert all(map(same, astuple(schedule_step(schedule, k)), astuple(fleet.step()))), k
+            steps.append(step := fleet.step())
+            for layout, churn in zip(layouts, churns):
+                d, states = layout.dimension, layout.state_table.take(layout.keys(
+                    np.r_[step.in_connection, step.out_connection],
+                    np.r_[step.in_soc, step.out_soc]))
+                assert np.array_equal(churn[k], np.bincount(states[:step.n_in], minlength=d)
+                                      - np.bincount(states[step.n_in:], minlength=d)), k
         assert same(schedule.sums[k], fleet._sums[0]), k
         assert same(astuple(FlexibilityEnvelope(*schedule.rows[k].tolist())),
                     astuple(fleet.envelopes[0])), k
         if k % every == 0:
             assert all(map(same, astuple(schedule_snapshot(schedule, k)),
                            astuple(fleet.snapshot()))), k
-    return schedule
+    assert all(churn.shape == (n_steps + 1, layout.dimension) and not churn[0].any()
+               for layout, churn in zip(layouts, churns))  # no plug event at t = 0, none after
+    return schedule, steps
 
 
 class TestSchedule:
@@ -641,20 +646,21 @@ class TestSchedule:
     def test_matches_steps_on_the_edge_cases(self, table_distributions, seed, n_steps):
         fleet = sampled_edge_fleet(table_distributions, seed=seed)
         assert fleet.snapshot().n_connected > 0  # carried-over sessions
-        schedule = assert_schedule_matches_steps(fleet, n_steps)
-        if n_steps == DAY_5MIN:  # floor arrivals; departures charging, forced and idle
-            assert (schedule.soc == fleet.params.soc_min).any()
-            assert np.isin([Connection.CHARGING, Connection.IDLE, Connection.FORCED_CHARGING],
-                           schedule.connection).all()
+        _, steps = assert_schedule_matches_steps(fleet, n_steps)
+        if n_steps == DAY_5MIN:  # floor arrivals; departures forced and idle (none charging)
+            assert any((step.in_soc == fleet.params.soc_min).any() for step in steps)
+            assert np.isin([Connection.IDLE, Connection.FORCED_CHARGING],
+                           np.concatenate([step.out_connection for step in steps])).all()
 
     @pytest.mark.parametrize("dt, n_steps, every",
                              [(DT_15S, 24 * 240, 20), (DT_5MIN, DAY_5MIN, 1)])
     @pytest.mark.parametrize("seed", [7, 1, 29])
     def test_matches_steps_over_a_day(self, table_distributions, seed, dt, n_steps, every):
         fleet = Fleet(sample_fleet(table_distributions, 500, seed=seed), dt, seed=seed)
-        schedule = assert_schedule_matches_steps(fleet, n_steps, every)
-        assert schedule.ids.size > 500
-        assert (schedule.connection == Connection.FORCED_CHARGING).any()
+        _, steps = assert_schedule_matches_steps(fleet, n_steps, every)
+        assert sum(step.n_in + step.n_out for step in steps) > 500
+        assert np.isin([Connection.CHARGING, Connection.IDLE, Connection.FORCED_CHARGING],
+                       np.concatenate([step.out_connection for step in steps])).all()
 
     def test_a_session_leaving_on_its_first_step_is_not_checked(self):
         # Yesterday's session ends inside step 1, its rule binding (a 300 kWh battery that
@@ -662,8 +668,9 @@ class TestSchedule:
         # kernel lets it go before any check.
         fleet = one_vehicle(capacity=300.0, initial=0.1, demanded=0.9, plug_in=23.0,
                             plug_out=24.0 + DT_15S / 2)
-        schedule = assert_schedule_matches_steps(fleet, 2)
-        assert schedule.connection[0] == Connection.CHARGING
+        schedule, steps = assert_schedule_matches_steps(fleet, 2)
+        assert steps[0].out_connection.tolist() == [Connection.CHARGING]
+        assert schedule.sessions[7][0] == Connection.CHARGING  # yesterday's, never promoted
 
     @pytest.mark.parametrize("seed", [7, 29])
     def test_snapshots_in_any_order_leave_the_fleet_alone(self, table_distributions, seed):
