@@ -18,6 +18,7 @@ from evflex.aggregate import (
     build_output_matrix,
     build_transition_matrix,
     churn_keys,
+    churn_noise,
     discretize,
     estimate_transition_matrix,
     output_coefficients,
@@ -640,6 +641,41 @@ class TestComputeNoise:
         conn = np.full(3, Connection.CHARGING, dtype=np.int8)
         with pytest.raises(ValueError, match="emptied"):
             noise_of(3, [], [], soc, conn, LAY10)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_is_the_block_form_bitwise(self, data):
+        # `advance` divides one step's churn counts (`churn_noise`); `run_period` divides a
+        # period's table of them at once. The step's row must be the same bits either way: here
+        # the first of two steps, the second without plug events.
+        layout = data.draw(st.sampled_from([LAY10, LAY10_SSM, StateLayout(3, ESSM, 0.1, 0.9)]))
+        n_in, n_out = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        n_new = data.draw(st.integers(max(1, n_in - n_out), 40))
+        row = layout.n_intervals + 2  # keys of the disconnected row, the first, map to no state
+        keys = np.array(data.draw(st.lists(st.integers(row, 5 * row - 1), min_size=n_in + n_out,
+                                           max_size=n_in + n_out)), dtype=np.intp)
+        one = churn_noise(n_in, n_new, keys, layout)
+        n_ev = n_new - n_in + n_out
+        assert compute_noise(n_ev, n_in, keys, layout).tobytes() == one.tobytes()
+
+        d, states = layout.dimension, layout.state_table.take(keys)
+        table = np.zeros((2, d), dtype=np.int16)  # the narrow ints `schedule_states` gives
+        table[0] = np.bincount(states[:n_in], minlength=d) - np.bincount(states[n_in:], minlength=d)
+        model, seen = AggregateModel(layout, np.eye(d)), []
+        finish = model._finish_step
+
+        def record(x, n_i, churn, pattern, c):
+            seen.append(None if churn is None else churn.copy())
+            return finish(x, n_i, churn, pattern, c)
+
+        model._finish_step = record
+        state = AggregateState(layout, np.full(d, 1.0 / d), n_ev, 6.0, 6.0)
+        n = model.run_period(state, table, np.empty((3, d)), np.empty((3, 3, d)))
+        assert n.tolist() == [n_ev, n_new, n_new] and seen[1] is None
+        if one.any():
+            assert one.shape == (d,) and seen[0].tobytes() == one.tobytes()
+        else:
+            assert seen[0] is None
 
 
 class TestResyncAndModel:
