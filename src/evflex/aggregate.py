@@ -247,12 +247,10 @@ def estimate_transition_matrix(distributions: FleetDistributions, layout: StateL
                                seed: int = 0) -> np.ndarray:
     """Monte Carlo estimate of the per-step transition matrix.
 
-    Draws parameter triples, converts them to one-step SOC moves, and under
-    the uniform-within-interval assumption turns the mean move into an
-    adjacent-interval transfer probability move/width: upward through the
-    charging block, downward through the discharging block, identity for
-    idle (see `build_transition_matrix`).
-    """
+    Draws parameter triples, converts them to one-step SOC moves, and under the
+    uniform-within-interval assumption turns the mean move into an adjacent-interval transfer
+    probability move/width: upward through the charging block, downward through the discharging
+    block, identity for idle (see `build_transition_matrix`)."""
     return build_transition_matrix(
         layout, *move_probabilities(distributions, layout.width, dt_hours, n_samples, seed))
 
@@ -336,9 +334,8 @@ def fold(plain: StateLayout, ext: StateLayout) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_output_matrix(state: AggregateState) -> np.ndarray:
-    """Scale the sign pattern into kW: -1 entries carry the average rated
-    charging power, +1 entries the average rated discharging power, times the
-    connected count."""
+    """Scale the sign pattern into kW: -1 entries carry the average rated charging power, +1
+    entries the average rated discharging power, times the connected count."""
     coeff = output_coefficients(state.layout)
     return state.n_ev_connected * _scale_output(coeff, coeff > 0, state)
 
@@ -398,13 +395,10 @@ class AggregateModel:
 
     def resync(self, telemetry: FleetSnapshot | AggregateState) -> None:
         """Replace the model state with fresh telemetry (periodic hard update): a snapshot, or
-        the state `state_of` gives its counts. C is n times the sign pattern scaled by its
-        (p_ac, p_ad), held to the next resync.
-
-        Re-bins every vehicle, which also refreshes forced-charging
-        membership; promotion into forced charging is observed here rather
-        than modeled in the transition matrix.
-        """
+        the state `state_of` gives its counts. C is n times the pattern, the sign pattern scaled
+        by its (p_ac, p_ad), held to the next resync (`_fill_outputs`). Re-binning every vehicle
+        also refreshes forced-charging membership: promotion into forced charging is observed
+        here rather than modeled in the transition matrix."""
         state = (telemetry if isinstance(telemetry, AggregateState)
                  else discretize(telemetry, self.layout))
         self._pattern = _scale_output(self._coeff, self._positive, state)
@@ -422,16 +416,14 @@ class AggregateModel:
 
     def advance(self, events: FleetStep, u: np.ndarray | None = None,
                 pre: AggregateState | None = None, keys: np.ndarray | None = None) -> None:
-        """Apply one step of x' = A x + B u + w, w the churn in the plug events
-        of one fleet step; `keys` are this model's lane's row of their
-        `churn_keys` (without them, the step's first lane's). `pre` is the
-        `pre_control` state `u` was planned on; it is left unchanged.
+        """Apply one step of x' = A x + B u + w, w the churn in the plug events of one fleet step;
+        `keys` are this model's lane's row of their `churn_keys` (without them, the step's first
+        lane's). `pre` is the `pre_control` state `u` was planned on; it is left unchanged.
 
-        Entries of A x + B u below -1e-9 mean an inadmissible input slipped
-        through planning and raise; smaller negatives are clamped as float
-        dust. A x alone has none: A and x are >= +0 (np.maximum(-0.0, 0.0) is
-        +0.0). The rest of the step is `_finish_step`'s.
-        """
+        Entries of A x + B u below -1e-9 mean an inadmissible input slipped through planning and
+        raise; smaller negatives are clamped as float dust. A x alone has none: A and x are >= +0
+        (np.maximum(-0.0, 0.0) is +0.0). The rest of the state step is `_finish_step`'s, and C is
+        `_fill_outputs`' one row; an emptied fleet keeps the zero pattern to the next resync."""
         st, n_in, n_out = self.state, events.n_in, events.n_out
         n_new, churn = st.n_ev_connected + n_in - n_out, None
         x = self.mats.A @ st.x if pre is None else pre.x.copy()  # finished in place
@@ -444,53 +436,60 @@ class AggregateModel:
         if (n_in or n_out) and n_new > 0:
             keys = churn_keys(events, self.layout)[0] if keys is None else keys
             churn = churn_noise(n_in, n_new, keys, self.layout)
-        self._pattern = self._finish_step(x, n_new, churn, self._pattern, self.mats.C)
+        if self._finish_step(x, n_new, churn):
+            self._pattern = self._zero
+        self._fill_outputs(self.mats.C[None], np.array([max(n_new, 0)]), 1)
         powers = (st.p_ac_kw, st.p_ad_kw) if n_new > 0 else (0.0, 0.0)
         self.state = AggregateState(self.layout, x, max(n_new, 0), *powers)
 
     def run_period(self, state: AggregateState, churn: np.ndarray, x: np.ndarray,
                    c: np.ndarray) -> np.ndarray:
         """Resync to `state`, then run the uncontrolled recursion over one resync period in place:
-        x[0], c[0] are the resync's state and output matrix, x[i] is A x[i - 1] finished by step
-        i's churn. `churn` holds the churn counts of the steps to the next resync's, within the run
-        (`schedule_states`). Returns the count connected at each row, then after the period."""
+        x[0] is the resync's state, x[i] is A x[i - 1] finished by step i's churn (`_finish_step`),
+        and `_fill_outputs` then fills the output-matrix stack `c` at once. `churn` holds the churn
+        counts of the steps to the next resync's, within the run (`schedule_states`). Returns the
+        count connected at each row, then after the period."""
         m = len(x)
         # A schedule's counts are exact, so none falls below 0; the next resync checks them.
-        n = np.cumsum(np.r_[state.n_ev_connected, churn.sum(axis=1)])
-        busy = churn[:m - 1].any(axis=1).tolist()
+        n = np.concatenate(([state.n_ev_connected], churn.sum(axis=1))).cumsum()
+        busy, emptied = churn[:m - 1].any(axis=1).tolist(), m
         self.resync(state)
-        x[0], c[0], pattern = self.state.x, self.mats.C, self._pattern
+        x[0] = self.state.x
         # A step that empties the fleet resets the state, so its churn, over 1, goes unused. A
         # step whose events cancel in every state skips the add: +0.0 leaves x >= +0 as it is.
         churn = churn[:m - 1] / np.maximum(n[1:m], 1)[:, None]
         for i, n_i in enumerate(n[1:m].tolist(), 1):
             np.matmul(self.mats.A, x[i - 1], out=x[i])
-            pattern = self._finish_step(x[i], n_i, churn[i - 1] if busy[i - 1] else None,
-                                        pattern, c[i])
+            if self._finish_step(x[i], n_i, churn[i - 1] if busy[i - 1] else None):
+                emptied = min(emptied, i)
+        self._fill_outputs(c, n[:m], emptied)
         return n
 
-    def _finish_step(self, x: np.ndarray, n_new: int, churn: np.ndarray | None,
-                     pattern: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The state step after the recursion, in place, which `advance` and `run_period`
-        share: `x`, a step's recursed state, takes the step's `churn` (None: no plug event), is
-        clamped and renormalized, and the output matrix `c` is set to n_new · `pattern`, n_new
-        the count connected after the step. The churn term is observed telemetry and may
-        legitimately overdraw an interval the model mispredicts between resyncs, hence the
-        clamp. A fleet that empties resets to the zero vector and the zero pattern (powers 0),
-        so arrivals into it define the state outright through the churn term. Returns the
-        pattern the step leaves."""
+    def _finish_step(self, x: np.ndarray, n_new: int, churn: np.ndarray | None) -> bool:
+        """The state step after the recursion, in place, which `advance` and `run_period` share:
+        `x`, a step's recursed state, takes the step's `churn` (None: no plug event), is clamped
+        and renormalized. The churn term is observed telemetry and may legitimately overdraw an
+        interval the model mispredicts between resyncs, hence the clamp. A fleet that empties
+        (n_new, the count after the step, is 0) resets to the zero vector, so arrivals into it
+        define the state outright through the churn term. Returns whether the fleet emptied."""
         if n_new <= 0:
             x.fill(0.0)
-            n_new, pattern = 0, self._zero
-        else:
-            if churn is not None:
-                x += churn
-                np.maximum(x, 0.0, out=x)
-            total = np.add.reduce(x)
-            if total > 0.0 and abs(total - 1.0) > SUM_TOL:
-                x /= total
-        np.multiply(n_new, pattern, out=c)
-        return pattern
+            return True
+        if churn is not None:
+            x += churn
+            np.maximum(x, 0.0, out=x)
+        total = np.add.reduce(x)
+        if total > 0.0 and abs(total - 1.0) > SUM_TOL:
+            x /= total
+        return False
+
+    def _fill_outputs(self, c: np.ndarray, n: np.ndarray, emptied: int) -> None:
+        """The output-matrix rule, in place over a stack `c` of rows since a resync: C_i = n_i ·
+        pattern, n_i the count connected at row i, the held pattern (the resync's until the fleet
+        empties) before row `emptied`, the first whose step empties it, and the zero one from it."""
+        np.multiply(n[:emptied, None, None], self._pattern, out=c[:emptied])
+        if emptied < len(n):
+            np.multiply(n[emptied:, None, None], self._zero, out=c[emptied:])
 
     def envelope(self) -> FlexibilityEnvelope:
         return FlexibilityEnvelope(*measure(self.mats.C, self.state.x).tolist())

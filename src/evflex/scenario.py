@@ -299,16 +299,16 @@ _BLOCK = 256  # rows per write: a whole table's cells as Python floats raised pe
 
 
 def _write_table(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """One row per sample; `columns` holds float 1-d columns or 2-d column blocks. The bytes
-    of np.savetxt(fmt=_CELL, delimiter=",", newline="\r\n"), a block of rows per write; a
-    column that is +0.0 throughout a block is written as the "0" it formats to."""
+    """One row per sample; `columns` holds float 1-d columns or 2-d column blocks. The bytes of
+    np.savetxt(fmt=_CELL, delimiter=",", newline="\r\n"), a block of rows per write and per `%`
+    (on the row format repeated); a column +0.0 throughout a block is the "0" it formats to."""
     table = np.column_stack(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block in np.split(table, range(_BLOCK, len(table), _BLOCK)):
             zero = ~block.view(np.int64).any(axis=0)
             row = ",".join(["0" if z else _CELL for z in zero.tolist()]) + "\r\n"
-            fh.write("".join([row % tuple(values) for values in block[:, ~zero].tolist()]))
+            fh.write(row * len(block) % tuple(block[:, ~zero].ravel().tolist()))
 
 
 def write_timeseries_csv(result: RunResult, path: str | Path) -> None:

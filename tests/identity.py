@@ -5,7 +5,9 @@ Runs each workload below in this tree and in PARENT_TREE (a checkout or a
 compares the SHA-256 of every CSV that each writes. It prints the workloads,
 then each CSV that moved or exists on one side only, and exits non-zero if
 any did. The workloads cover predict at 500 and 10,000 vehicles (seeds 7 and
-29), each variant alone, a sweep, and the tracking probes at 1,000 vehicles;
+29), each variant alone, predict-500 with measurement noise (from a config
+that the script writes into its temporary directory and passes to both trees
+by its absolute path), a sweep, and the tracking probes at 1,000 vehicles;
 predict-500, predict-10k and track-3k are the three `perfbench` workloads'
 jobs. The golden digests of `tests/test_golden.py` are pinned there and
 checked by tier-1.
@@ -17,7 +19,9 @@ pytest does not collect this file: its name does not start with `test_`.
 
 from __future__ import annotations
 
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 from mutants import ROOT, digests
@@ -38,9 +42,14 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/identity.py PARENT_TREE", file=sys.stderr)
         return 2
     parent = Path(argv[0]).resolve()
-    ours, theirs = digests(ROOT, WORKLOADS), digests(parent, WORKLOADS)
+    with tempfile.TemporaryDirectory() as tmp:
+        noisy = Path(tmp) / "noise.json"
+        noisy.write_text(json.dumps({"measurement_noise_kw": [25.0, 5.0, 12.5]}))
+        workloads = {**WORKLOADS, "predict-500-noise": [
+            "predict", "--n-ev", "500", "--seed", "7", "--config", str(noisy)]}
+        ours, theirs = digests(ROOT, workloads), digests(parent, workloads)
     moved = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
-    for name in WORKLOADS:
+    for name in workloads:
         print(f"{name}: {sum(k.startswith(name + '/') for k in ours)} CSVs")
     for key in moved:
         print(f"MOVED     {key}")

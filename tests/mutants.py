@@ -72,11 +72,16 @@ MUTANTS = (
            "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
     # The prediction run's model pass, a resync period at a time (`run_period`, and the loop over
     # the periods); `_finish_step`, which it shares with `advance`, is covered by the state-step
-    # mutants above.
+    # mutants above. The output-matrix stack is filled once a period (`_fill_outputs`).
     Mutant("model pass", "the block's churn is read one step early", "aggregate.py",
            "churn[i - 1] if busy[i - 1] else None", "churn[i - 2] if busy[i - 2] else None"),
     Mutant("model pass", "the pattern is kept after the fleet empties", "aggregate.py",
-           "            pattern = self._finish_step(", "            self._finish_step("),
+           "np.multiply(n[emptied:, None, None], self._zero,",
+           "np.multiply(n[emptied:, None, None], self._pattern,"),
+    # One row late would change nothing: the emptying row's n is 0, and 0 · pattern has the
+    # bits of 0 · zero pattern (the zero pattern is the coefficients times 0.0, signs kept).
+    Mutant("model pass", "the stack takes the zero pattern two steps late", "aggregate.py",
+           "emptied = min(emptied, i)", "emptied = min(emptied, i + 2)"),
     Mutant("model pass", "the last partial block is dropped", "scenario.py",
            "zip(range(0, k_steps + 1, every), resyncs)",
            "zip(range(0, k_steps + 2 - every, every), resyncs)"),

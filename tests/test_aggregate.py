@@ -664,9 +664,9 @@ class TestComputeNoise:
         model, seen = AggregateModel(layout, np.eye(d)), []
         finish = model._finish_step
 
-        def record(x, n_i, churn, pattern, c):
+        def record(x, n_i, churn):
             seen.append(None if churn is None else churn.copy())
-            return finish(x, n_i, churn, pattern, c)
+            return finish(x, n_i, churn)
 
         model._finish_step = record
         state = AggregateState(layout, np.full(d, 1.0 / d), n_ev, 6.0, 6.0)
@@ -724,6 +724,48 @@ class TestResyncAndModel:
         changes = np.flatnonzero(np.diff(connected)) + 2  # steps at which the count changed
         assert (changes % resync_steps).any()
         assert connected[-1] == 0 and 0 in connected[:600] and max(connected[600:]) == 2
+
+    @pytest.mark.parametrize("variant", [SSM, ESSM])
+    def test_period_pass_empties_and_refills_bitwise(self, table_distributions, variant):
+        # The five sessions above, the first moved to [6.04, 6.12) h and the third to end at
+        # 6.03 h: inside the period of rows 360-364 the fleet empties at step 362 and refills at
+        # 363, and inside the next it empties again, so rows after an emptying step take the zero
+        # pattern while vehicles are connected. Each row of `run_period`'s x and C stack must be
+        # the stepwise run's, `advance` with a resync every 5 steps.
+        dt, every, n_steps = 60.0 / 3600.0, 5, 1440
+        params = replace(sample_fleet(table_distributions, 5, seed=3),
+                         plug_in_h=np.array([6.04, 25.07, 26.13, 10.02, 11.11]),
+                         plug_out_h=np.array([6.12, 29.09, 30.03, 14.04, 16.07]))
+        layout = StateLayout(10, variant)
+        oracle, model = (AggregateModel.from_distributions(layout, table_distributions, dt,
+                                                           n_samples=2000, seed=3)
+                         for _ in range(2))
+        fleet = Fleet(params, dt, seed=3)
+        d = layout.dimension
+        x, c = np.empty((n_steps + 1, d)), np.empty((n_steps + 1, 3, d))
+        connected = []
+        for k in range(n_steps + 1):
+            if k:
+                oracle.advance(fleet.step(None))
+            if k % every == 0:
+                oracle.resync(fleet.snapshot())
+            x[k], c[k] = oracle.state.x, oracle.mats.C
+            connected.append(oracle.state.n_ev_connected)
+            assert c[k].tobytes() == build_output_matrix(oracle.state).tobytes(), k
+        refills = [k for k in range(1, n_steps) if k % every and (k + 1) % every
+                   and connected[k - 1] > 0 == connected[k] < connected[k + 1]]
+        assert refills == [362]
+
+        resyncs, churn = schedule_states(Schedule(params, dt, n_steps), layout, every)
+        xs, cs, n = np.empty_like(x), np.full_like(c, np.nan), None
+        for s, st_ in zip(range(0, n_steps + 1, every), resyncs):
+            assert n is None or n[-1] == st_.n_ev_connected
+            e = min(s + every, n_steps + 1)
+            n = model.run_period(st_, churn[s + 1:e + 1], xs[s:e], cs[s:e])
+            assert n[:e - s].tolist() == connected[s:e]
+        for k in range(n_steps + 1):
+            assert xs[k].tobytes() == x[k].tobytes(), k
+            assert cs[k].tobytes() == c[k].tobytes(), k
 
     def test_model_survives_fleet_emptying(self):
         model = AggregateModel(LAY10, np.eye(33))

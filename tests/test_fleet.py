@@ -639,18 +639,39 @@ def assert_schedule_matches_steps(fleet: Fleet, n_steps: int,
     return schedule, steps
 
 
+def leaving_charging(params, dt):
+    """`params` with two more hand-placed sessions after the edge cases', as vehicles 9 and 10,
+    that leave charging before they are full (their demanded SOC is the floor, so the deadline
+    never binds): a 1 h session whose plug-out is a grid point near 15 h, and a merged one,
+    yesterday's window ending inside the step in which today's starts near 0.5 h, with a
+    1,000 kWh battery so that its 48 h of charging leave it short of full. The merged session
+    leaves 7 steps past 24 h."""
+    j, k = round(14.0 / dt), round(0.5 / dt)
+    params.plug_in_h[[9, 10]] = j * dt + 0.4 * dt, k * dt + 0.6 * dt
+    params.plug_out_h[[9, 10]] = (j + 12) * dt, k * dt + 0.3 * dt + 24.0
+    params.demanded_soc[[9, 10]] = params.soc_min
+    params.capacity_kwh[10] = 1000.0
+    return params
+
+
 class TestSchedule:
     """The uncontrolled run as one event schedule equals the stepped kernel, bitwise."""
 
-    @pytest.mark.parametrize("seed, n_steps", [(21, DAY_5MIN), (33, DAY_5MIN), (33, 40)])
+    @pytest.mark.parametrize("seed, n_steps", [(21, DAY_5MIN), (33, DAY_5MIN), (33, 40),
+                                               (21, DAY_5MIN + 12)])
     def test_matches_steps_on_the_edge_cases(self, table_distributions, seed, n_steps):
-        fleet = sampled_edge_fleet(table_distributions, seed=seed)
+        fleet = Fleet(leaving_charging(edge_case_params(table_distributions, seed), DT_5MIN),
+                      DT_5MIN, seed=seed)
         assert fleet.snapshot().n_connected > 0  # carried-over sessions
         _, steps = assert_schedule_matches_steps(fleet, n_steps)
-        if n_steps == DAY_5MIN:  # floor arrivals; departures forced and idle (none charging)
+        if n_steps >= DAY_5MIN:  # floor arrivals; departures charging, forced and idle
             assert any((step.in_soc == fleet.params.soc_min).any() for step in steps)
             assert np.isin([Connection.IDLE, Connection.FORCED_CHARGING],
                            np.concatenate([step.out_connection for step in steps])).all()
+            left = {int(i): c for step in steps
+                    for i, c in zip(step.out_ids.tolist(), step.out_connection.tolist())}
+            assert left[9] == Connection.CHARGING  # on the grid point
+            assert left.get(10) == (Connection.CHARGING if n_steps > DAY_5MIN else None)
 
     @pytest.mark.parametrize("dt, n_steps, every",
                              [(DT_15S, 24 * 240, 20), (DT_5MIN, DAY_5MIN, 1)])
