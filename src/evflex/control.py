@@ -67,7 +67,7 @@ class DispatchCommand:
 @dataclass
 class DispatchPlan:
     """Input vector in fleet-proportion units, what it achieves, and the
-    broadcast that realises it: a direction, each stage's rate (moved over
+    command that broadcasts it: a direction, each stage's rate (moved over
     source mass) and the intervals that held source mass.
 
     Where stage 2 drew on stage-1 in-flight mass, one broadcast can only move
@@ -76,17 +76,11 @@ class DispatchPlan:
     achieved_delta_kw/saturated describe the full reachable plan.
     """
 
-    layout: StateLayout
     u: np.ndarray
     achieved_delta_kw: float
     saturated: bool
     expected_u: np.ndarray
-    provide: bool
-    stop_rate: float
-    start_rate: float
-    stop_mask: np.ndarray
-    start_mask: np.ndarray
-    boundary: bool
+    command: DispatchCommand
 
 
 def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
@@ -102,8 +96,8 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
     n = layout.n_intervals
     u = np.zeros(layout.input_dimension)
     if state.empty or delta_kw == 0.0:
-        return DispatchPlan(layout, u, 0.0, state.empty and delta_kw != 0.0, u, delta_kw > 0.0,
-                            0.0, 0.0, np.zeros(n, bool), np.zeros(n, bool), False)
+        return DispatchPlan(u, 0.0, state.empty and delta_kw != 0.0, u, to_switching_probabilities(
+            layout, delta_kw > 0.0, 0.0, 0.0, np.zeros(n, bool), np.zeros(n, bool), False))
 
     # Python scalars; sums stay numpy's reductions, which Python's sum() is not.
     scale = float(state.n_ev_connected)
@@ -159,17 +153,19 @@ def plan_dispatch(delta_kw: float, state: AggregateState) -> DispatchPlan:
     achieved = sign * (kw1 * moved_sum + kw2 * taken_sum)
     shortfall = abs(delta_kw - achieved)
     sat_tol = 1e-9 * max(1.0, scale * max(state.p_ac_kw, state.p_ad_kw))
-    return DispatchPlan(layout, u, achieved, shortfall > sat_tol, expected, provide,
-                        rate1, rate2, active_mass > 0.0, idle_mass > 0.0, edge_mass > 0.0)
+    return DispatchPlan(u, achieved, shortfall > sat_tol, expected, to_switching_probabilities(
+        layout, provide, rate1, rate2, active_mass > 0.0, idle_mass > 0.0, edge_mass > 0.0))
 
 
-def to_switching_probabilities(plan: DispatchPlan) -> DispatchCommand:
-    """Check each stage rate against its source mass and build the command."""
-    if max(plan.stop_rate, plan.start_rate) > 1.0 + PROB_TOL:
+def to_switching_probabilities(layout: StateLayout, provide: bool, stop_rate: float,
+                               start_rate: float, stop_mask: np.ndarray, start_mask: np.ndarray,
+                               boundary: bool) -> DispatchCommand:
+    """The command of a plan's stage rates: the one place where each rate, moved over its
+    source mass, is checked (past 1 + `PROB_TOL` is a breach) and clamped to 1."""
+    if max(stop_rate, start_rate) > 1.0 + PROB_TOL:
         raise ValueError("input exceeds its source mass; admissibility breach")
-    return DispatchCommand(plan.layout, plan.provide, min(plan.stop_rate, 1.0),
-                           min(plan.start_rate, 1.0), plan.stop_mask, plan.start_mask,
-                           plan.boundary)
+    return DispatchCommand(layout, provide, min(stop_rate, 1.0), min(start_rate, 1.0), stop_mask,
+                           start_mask, boundary)
 
 
 # Per direction (absorb, provide) and mode, the mode a switch leads to (itself if none).

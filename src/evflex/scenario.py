@@ -24,8 +24,8 @@ import numpy as np
 from .aggregate import (ESSM, SSM, AggregateModel, FlexibilityEnvelope, StateLayout,
                         build_transition_matrix, churn_keys, fold, measure, move_probabilities,
                         schedule_states)
-from .config import VARIANTS, ReferenceConfig, ScriptedStep, SimulationConfig
-from .control import plan_dispatch, to_switching_probabilities
+from .config import VARIANTS, ReferenceConfig, SimulationConfig
+from .control import plan_dispatch
 from .fleet import Fleet, Schedule, sample_fleet
 
 _STREAM_REFERENCE = 7
@@ -56,52 +56,40 @@ def _draw_level(rng: np.random.Generator, p_l: float, p_u: float,
     return float(rng.uniform(center - half, center + half))
 
 
-@dataclass
-class _ScriptedWindow:
-    start_step: int
-    end_step: int
-    kind: str
-    depth: float
-    level: float = np.nan
-
-
-def _scripted_windows(scripted: tuple[ScriptedStep, ...], dt_h: float,
-                      k_steps: int) -> list[_ScriptedWindow]:
-    spans = [(s, *s.steps(dt_h)) for s in scripted]
-    return sorted((_ScriptedWindow(start, min(k_steps, end), s.kind, s.depth)
-                   for s, start, end in spans if start < k_steps), key=lambda w: w.start_step)
-
-
 class ReferenceGenerator:
     """Piecewise-constant reference, one level per step from the envelope of
     that step.
 
     Outside the scripted windows a fresh level is drawn from the central
     fraction of the band at every period boundary and held; after a window
-    the level held before it resumes until the next boundary. Inside a window
-    the level sits at the window's depth of the one-sided headroom, frozen at
-    the window start.
+    the level held before it resumes until the next boundary. Each step of a
+    window (cut at `k_steps`) maps to its `ScriptedStep`; the level sits at
+    the window's depth of the one-sided headroom, frozen on the window's
+    first step: a step whose previous step maps to another window or to none.
     """
 
     def __init__(self, reference: ReferenceConfig, dt_hours: float, k_steps: int, seed: int):
         self._rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(_STREAM_REFERENCE,)))
-        self._windows = _scripted_windows(reference.scripted, dt_hours, k_steps)
+        self._windows = {}  # step -> the window over it
+        for s in reference.scripted:
+            start, end = s.steps(dt_hours)
+            self._windows |= dict.fromkeys(range(start, min(end, k_steps)), s)
         self._period_steps = max(1, round(reference.period_hours / dt_hours))
         self._central_fraction = reference.central_fraction
-        self._held = np.nan
+        self._held = self._frozen = np.nan
 
     def level(self, k: int, env: FlexibilityEnvelope) -> float:
-        window = next((w for w in self._windows if w.start_step <= k < w.end_step), None)
+        window = self._windows.get(k)
         if window is None:
             if k % self._period_steps == 0 or np.isnan(self._held):
                 self._held = _draw_level(self._rng, env.p_l_kw, env.p_u_kw,
                                          self._central_fraction)
             return self._held
-        if k == window.start_step:
+        if self._windows.get(k - 1) is not window:
             top = env.p_u_kw if window.kind == "provide" else env.p_l_kw
-            window.level = env.p_ev_kw + window.depth * (top - env.p_ev_kw)
-        return window.level
+            self._frozen = env.p_ev_kw + window.depth * (top - env.p_ev_kw)
+        return self._frozen
 
 
 @dataclass
@@ -175,65 +163,6 @@ def _noise_rng_or_none(config: SimulationConfig, variant: str):
     return std, rng
 
 
-def _run(config: SimulationConfig, reference: np.ndarray | None) -> RunResult:
-    """The tracking loop, over one fleet with a lane per variant, a clone of the fleet: each
-    variant plans for its own lane, then the fleet steps and each model advances and records.
-    Without a `reference`, each step's level is drawn once, from the live envelope of the
-    extended model (the first variant when it is not run), before any lane plans. Every random
-    stream is keyed by seed, step or stream tag, never by run order, so each lane's run equals
-    its solo run."""
-    k_steps, names = config.n_steps, config.variants
-    params = sample_fleet(config.distributions, config.n_ev, config.seed)
-    fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(names))
-    models = _models(config)
-    layout = models[names[0]].layout  # keys depend only on N and the SOC range
-    series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
-              for name in names}
-    noise = {name: _noise_rng_or_none(config, name) for name in names}
-    generator = None
-    if reference is None:
-        reference = np.zeros(k_steps + 1)
-        generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
-        lead = models[ESSM if ESSM in names else names[0]]
-    for r, name in enumerate(names):
-        _record(fleet, r, name, series, models, noise, True, 0)
-
-    resync_steps = config.resync_steps
-    for k in range(k_steps):
-        if generator is not None:
-            reference[k + 1] = generator.level(k, lead.envelope())
-        commands, inputs = [], []
-        for name in names:
-            model, vs = models[name], series[name]
-            pre = model.pre_control()
-            plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
-            commands.append(to_switching_probabilities(plan))
-            inputs.append((plan.expected_u, pre))
-            vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
-        step = fleet.step(*commands)
-        keys = churn_keys(step, layout, len(names)) if step.n_in or step.n_out else None
-        for r, name in enumerate(names):
-            models[name].advance(step, *inputs[r], None if keys is None else keys[r])
-            _record(fleet, r, name, series, models, noise, (k + 1) % resync_steps == 0, k + 1)
-    if generator is not None:
-        reference[0] = reference[1]
-    return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
-
-
-def _record(fleet: Fleet, lane: int, name: str, series, models, noise, resync: bool,
-            k: int) -> None:
-    """Record step k of the variant `name` that the fleet's `lane` serves: its model's output
-    C x, after a `resync` (k = 0 included) resets the model from fresh telemetry, and the
-    ground truth, the lane's running envelope."""
-    model, vs = models[name], series[name]
-    if resync:
-        model.resync(fleet.snapshot(lane))
-    env = fleet.envelopes[lane]
-    vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
-    vs.imm_kw.T[k] = env.p_ev_kw, env.p_u_kw, env.p_l_kw
-    vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
-
-
 def run_prediction_experiment(config: SimulationConfig) -> RunResult:
     """Uncontrolled 24 h run: every vehicle charges until full or gone, every
     variant's model predicts alongside from telemetry.
@@ -275,14 +204,58 @@ def run_prediction_experiment(config: SimulationConfig) -> RunResult:
 
 def run_tracking_experiment(config: SimulationConfig,
                             reference: np.ndarray | None = None) -> RunResult:
-    """Closed-loop tracking for every configured variant against one shared
-    reference, each variant on its own clone of the fleet. Without an explicit
-    reference, it is generated online from the extended model's live envelope."""
-    if reference is not None:
+    """Closed-loop tracking for every variant against one reference, over one fleet with a lane
+    per variant, a clone of the fleet. Each pass k records every lane's step k: its model's
+    C x, after a resync from the lane's snapshot every `resync_steps` (k = 0 included), and the
+    lane's running envelope as truth. Before the last step it then takes the level (without a
+    `reference`, drawn from the live envelope of essm, else of the first variant), plans each
+    lane, steps the fleet and advances each model. Every random stream is keyed by seed, step
+    or stream tag, never by run order, so each lane's run equals its solo run."""
+    k_steps, names, every = config.n_steps, config.variants, config.resync_steps
+    generator = None
+    if reference is None:
+        reference = np.zeros(k_steps + 1)
+        generator = ReferenceGenerator(config.reference, config.dt_hours, k_steps, config.seed)
+    else:
         reference = np.asarray(reference, dtype=float)
-        if reference.shape != (config.n_steps + 1,):
+        if reference.shape != (k_steps + 1,):
             raise ValueError("reference must cover the horizon (n_steps + 1 samples)")
-    return _run(config, reference)
+    params = sample_fleet(config.distributions, config.n_ev, config.seed)
+    fleet = Fleet(params, config.dt_hours, config.seed, lanes=len(names))
+    models = _models(config)
+    layout = models[names[0]].layout  # keys depend only on N and the SOC range
+    lead = models[ESSM if ESSM in names else names[0]]
+    series = {name: VariantSeries.zeros(name, k_steps, models[name].layout.dimension)
+              for name in names}
+    noise = {name: _noise_rng_or_none(config, name) for name in names}
+    for k in range(k_steps + 1):
+        for r, name in enumerate(names):
+            model, vs = models[name], series[name]
+            if k % every == 0:
+                model.resync(fleet.snapshot(r))
+            env = fleet.envelopes[r]
+            vs.model_kw.T[k] = measure(model.mats.C, model.state.x, *noise[name])
+            vs.imm_kw.T[k] = env.p_ev_kw, env.p_u_kw, env.p_l_kw
+            vs.states[k], vs.n_connected[k] = model.state.x, model.state.n_ev_connected
+        if k == k_steps:
+            break
+        if generator is not None:
+            reference[k + 1] = generator.level(k, lead.envelope())
+        commands, inputs = [], []
+        for name in names:
+            model, vs = models[name], series[name]
+            pre = model.pre_control()
+            plan = plan_dispatch(reference[k + 1] - model.power_kw(pre), pre)
+            commands.append(plan.command)
+            inputs.append((plan.expected_u, pre))
+            vs.achieved_delta_kw[k], vs.saturated[k] = plan.achieved_delta_kw, plan.saturated
+        step = fleet.step(*commands)
+        keys = churn_keys(step, layout, len(names)) if step.n_in or step.n_out else None
+        for r, name in enumerate(names):
+            models[name].advance(step, *inputs[r], None if keys is None else keys[r])
+    if generator is not None:
+        reference[0] = reference[1]
+    return RunResult(config, np.arange(k_steps + 1) * config.dt_hours, reference, series)
 
 
 def sweep_prediction(config: SimulationConfig, n_ev_list) -> list[dict]:

@@ -69,7 +69,7 @@ MUTANTS = (
            "np.split(table, range(_BLOCK, len(table), _BLOCK)):",
            "np.split(table, range(_BLOCK, len(table), _BLOCK))[:len(table) // _BLOCK]:"),
     Mutant("running sums", "every lane records lane 0's envelope", "scenario.py",
-           "env = fleet.envelopes[lane]", "env = fleet.envelopes[0]"),
+           "env = fleet.envelopes[r]", "env = fleet.envelopes[0]"),
     # The prediction run's model pass, a resync period at a time (`run_period`, and the loop over
     # the periods); `_finish_step`, which it shares with `advance`, is covered by the state-step
     # mutants above. The output-matrix stack is filled once a period (`_fill_outputs`).
@@ -105,11 +105,13 @@ MUTANTS = (
     Mutant("reference draw", "the first level waits for a period boundary", "scenario.py",
            "if k % self._period_steps == 0 or np.isnan(self._held):",
            "if k % self._period_steps == 0:"),
+    Mutant("reference draw", "a window's level is frozen anew at every step", "scenario.py",
+           "if self._windows.get(k - 1) is not window:", "if True:"),
     Mutant("actuation", "the expected input ignores in-flight mass", "control.py",
            "        if rate1 > 0.0:  # one broadcast", "        if False:  # one broadcast"),
     Mutant("actuation", "saturation is never reported", "control.py",
-           "return DispatchPlan(layout, u, achieved, shortfall > sat_tol,",
-           "return DispatchPlan(layout, u, achieved, False,"),
+           "return DispatchPlan(u, achieved, shortfall > sat_tol,",
+           "return DispatchPlan(u, achieved, False,"),
     Mutant("actuation", "stage 2 runs where stage 1 meets the target", "control.py",
            "if want > take1_kw else 0.0", "if want >= take1_kw else 0.0",
            equivalent="where stage 1 meets the target, stage 2's take is min(0, ...), which is 0"),

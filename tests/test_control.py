@@ -109,7 +109,7 @@ class TestPlanDispatch:
         st_ssm = state_from_x(x_ssm, LAY_SSM, n_ev=200)
         plan = plan_dispatch(-300.0, st_ssm)
         assert not plan.saturated  # claims feasibility
-        cmd = to_switching_probabilities(plan)
+        cmd = plan.command
         alpha = np.random.default_rng(0).random(200)
         new_mode = actuate_array(conn, soc, cmd, alpha)
         np.testing.assert_array_equal(new_mode, conn)  # nothing switched
@@ -195,7 +195,7 @@ class TestSwitchingProbabilities:
         x[layout.idle.start + rng.integers(10)] += 0.01  # not all empty
         x /= x.sum()
         plan = plan_dispatch(target, state_from_x(x, layout, n_ev=500))
-        cmd = to_switching_probabilities(plan)
+        cmd = plan.command
         n = layout.n_intervals
         assert cmd.provide == (target > 0.0)
         assert cmd.stop_rate <= 1.0 and cmd.start_rate <= 1.0
@@ -220,20 +220,20 @@ class TestSwitchingProbabilities:
     def test_full_interval_switch_probability_one(self):
         st_ = idle_state(0.1)
         plan = plan_dispatch(600.0, st_)
-        cmd = to_switching_probabilities(plan)
+        cmd = plan.command
         np.testing.assert_allclose(expand(cmd).start_discharging, 1.0)
 
     def test_zero_input_zero_probability(self):
         st_ = idle_state()
-        cmd = to_switching_probabilities(plan_dispatch(0.0, st_))
+        cmd = plan_dispatch(0.0, st_).command
         np.testing.assert_array_equal(expand(cmd).start_discharging, 0.0)
 
     def test_boundary_inputs_give_frozen_checked_command(self):
         x = np.zeros(LAY.dimension)
         x[LAY.empty_idle_index] = x[LAY.full_idle_index] = 0.5
         st_ = state_from_x(x)
-        absorb = to_switching_probabilities(plan_dispatch(-0.125 * 600.0, st_))
-        provide = to_switching_probabilities(plan_dispatch(0.5 * 600.0, st_))
+        absorb = plan_dispatch(-0.125 * 600.0, st_).command
+        provide = plan_dispatch(0.5 * 600.0, st_).command
         assert (expand(absorb).empty_to_charging, expand(provide).full_to_discharging) \
             == (0.25, 1.0)
         assert absorb.boundary and provide.boundary and not provide.start_mask.any()
@@ -244,10 +244,12 @@ class TestSwitchingProbabilities:
             replace(absorb, start_rate=1.5)
 
     def test_overdraw_raises(self):
-        st_ = idle_state()
-        plan = replace(plan_dispatch(300.0, st_), start_rate=2.0)
+        mask = np.ones(LAY.n_intervals, bool)
         with pytest.raises(ValueError, match="admissibility"):
-            to_switching_probabilities(plan)
+            to_switching_probabilities(LAY, True, 0.0, 2.0, mask, mask, False)
+        # A rate past 1 by rounding alone is clamped to 1.
+        cmd = to_switching_probabilities(LAY, True, 1.0 + 1e-13, 0.5, mask, mask, False)
+        assert (cmd.stop_rate, cmd.start_rate) == (1.0, 0.5)
 
 
 def actuate(mode: Connection, soc: float, command: DispatchCommand,
@@ -334,7 +336,7 @@ class TestActuation:
         x[LAY.idle.start + 4] = 1.0
         st_ = state_from_x(x, n_ev=m)
         plan = plan_dispatch(18_000.0, st_)
-        cmd = to_switching_probabilities(plan)
+        cmd = plan.command
         alpha = np.random.default_rng(12).random(m)
         new = actuate_array(mode, soc, cmd, alpha)
         realized_kw = 6.0 * (new == Connection.DISCHARGING).sum()

@@ -112,6 +112,18 @@ class TestGenerateReference:
         assert ref[4:6] == [50.0, 50.0] and ref[0] != 50.0
         assert ref[:4] + ref[6:] == [ref[0]] * 10
 
+    def test_each_window_freezes_on_its_own_first_step(self):
+        # Under an envelope that moves at every step, a window's level tells the step it froze
+        # on: a window from step 0, two touching windows (steps 4-5 and 6-7) and one over steps
+        # 10-19, cut at the 12 steps of the run.
+        scripted = (ScriptedStep("provide", 0.0, 0.5, 0.5), ScriptedStep("provide", 1.0, 0.5, 0.5),
+                    ScriptedStep("consume", 1.5, 0.5, 0.5), ScriptedStep("consume", 2.5, 2.5, 0.5))
+        gen = ReferenceGenerator(ReferenceConfig(3.0, scripted=scripted), 0.25, 12, seed=3)
+        ref = [gen.level(k, FlexibilityEnvelope(k, k + 100.0, k - 100.0)) for k in range(12)]
+        assert [ref[k] for k in (0, 1, 4, 5, 6, 7, 10, 11)] == [50, 50, 54, 54, -44, -44, -40, -40]
+        assert ref[2:4] + ref[8:10] == [ref[2]] * 4 and -78.0 <= ref[2] <= 82.0  # drawn at step 2
+        assert sorted(gen._windows) == [0, 1, 4, 5, 6, 7, 10, 11]
+
 
 class TestPredictionExperiment:
     def test_series_lengths_and_bracketing(self):
